@@ -12,7 +12,8 @@ Layers, bottom up:
 - :mod:`ppst.expr` / :mod:`ppst.parser`: canonical multivariate rational
   expressions and their grammar.
 - :mod:`ppst.linalg`: exact matrices (inverse, determinant, nullspace,
-  inertia).
+  inertia) and the contraction kernel (dot, mat_vec, bilinear,
+  trace_product).
 - :mod:`ppst.models`: chart and frame manifold models, tensor fields,
   brackets, Lie and exterior derivatives.
 - :mod:`ppst.curvature`: Levi-Civita connection, Riemann/Ricci/star-Ricci
@@ -60,6 +61,7 @@ from .models import (
     lie_derivative,
 )
 from .parser import ParseError, parse_expr
+from .report import TOOL_VERSION as __version__
 from .report import CheckResult, Report
 from .spaceforms import (
     TheoremReport,
@@ -78,8 +80,6 @@ from .structures import (
     classify,
     validate_structure,
 )
-
-__version__ = "0.1.0"
 
 __all__ = [
     "AxiomReport",

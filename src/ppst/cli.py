@@ -40,9 +40,10 @@ from .deformation import (
     verify_deformation_relations,
 )
 from .identities import run_suite
+from .linalg import bilinear, trace_product
 from .models import ChartModel, GeometryError, TensorField, format_combination
 from .report import CheckResult, Report, digest_text, error_report
-from .spaceforms import check_constant_curvature_theorem, model_catalog
+from .spaceforms import check_constant_curvature_theorem, get_model, model_catalog
 from .specfile import SpecFileError, export_spec, export_text, import_text
 from .structures import StructureError, validate_structure
 
@@ -105,12 +106,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _catalog_structure(name: str):
-    for entry in model_catalog():
-        if entry.name == name:
-            return entry.build()
-    names = ", ".join(e.name for e in model_catalog())
-    raise _InputError(f"unknown model {name!r}; available: {names}",
-                      source=f"catalog:{name}")
+    try:
+        return get_model(name)
+    except KeyError as exc:  # args[0], as str() would quote the message
+        raise _InputError(exc.args[0], source=f"catalog:{name}") from None
 
 
 def _load(args):
@@ -247,20 +246,11 @@ def _cmd_curvature(args, s, source, digest) -> Report:
                        for j, k in product(range(d), repeat=2)},
     }
     if s.axiom_report().passed:
-        xv = s.xi.vec()
-        s_xi_xi = s.model.zero
-        for j, k in product(range(d), repeat=2):
-            s_xi_xi = s_xi_xi + ricci_rows[j][k] * xv[j] * xv[k]
-        a_rows = s.A.rows()
-        phi_rows = s.phi.rows()
-        tr_phi_a = s.model.zero
-        tr_a_sq = s.model.zero
-        for k, m in product(range(d), repeat=2):
-            tr_phi_a = tr_phi_a + phi_rows[k][m] * a_rows[m][k]
-            tr_a_sq = tr_a_sq + a_rows[k][m] * a_rows[m][k]
-        data["S(xi,xi)"] = str(s_xi_xi)
-        data["trace_phi_A"] = str(tr_phi_a)
-        data["trace_A_squared"] = str(tr_a_sq)
+        zero = s.model.zero
+        xv, a_rows = s.xi.vec(), s.A.rows()
+        data["S(xi,xi)"] = str(bilinear(ricci_rows, xv, xv, zero))
+        data["trace_phi_A"] = str(trace_product(s.phi.rows(), a_rows, zero))
+        data["trace_A_squared"] = str(trace_product(a_rows, a_rows, zero))
     return Report("curvature", source, digest, checks=checks, data=data)
 
 

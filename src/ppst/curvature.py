@@ -22,10 +22,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
 
 from . import linalg
 from .expr import RationalExpr
+from .linalg import bilinear, mat_vec, trace_product
 from .models import (
     DegenerateMetricError,
     GeometryError,
@@ -60,24 +62,37 @@ class CurvatureData:
     """Riemann components and (once computed) their traces.
 
     ``riemann`` has valence (1,3) with index order (l, k, i, j) so that
-    R(e_i, e_j) e_k = riemann[l,k,i,j] e_l.
+    R(e_i, e_j) e_k = riemann[l,k,i,j] e_l.  The components are kept once,
+    as nested tuples _nested[l][k][i][j] in that index order; no module
+    but this one reads them.
     """
 
     connection: ConnectionData
-    riemann: TensorField
+    _nested: tuple = field(repr=False)
     ricci: TensorField | None = None
     scalar: RationalExpr | None = None
     star_ricci: TensorField | None = None
     star_scalar: RationalExpr | None = None
-    _nested: tuple = field(default=(), repr=False)
 
     @property
     def model(self) -> ManifoldModel:
         return self.connection.model
 
+    @cached_property
+    def riemann(self) -> TensorField:
+        """The (1,3) tensor, built from the nested table on first access."""
+        flat = [c for lk in self._nested for m in lk for row in m for c in row]
+        return TensorField(self.model, (1, 3), flat)
+
     def apply(self, i: int, j: int, k: int) -> Vec:
         """Components of R(e_i, e_j) e_k."""
-        return self._nested[i][j][k]
+        return tuple(rl[k][i][j] for rl in self._nested)
+
+    def operator(self, u: Vec, v: Vec) -> tuple[Vec, ...]:
+        """Matrix of the endomorphism R(u, v), rows indexed by the output."""
+        zero = self.model.zero
+        return tuple(tuple(bilinear(m, u, v, zero) for m in rl)
+                     for rl in self._nested)
 
 
 def metric_inverse(g: TensorField) -> tuple[tuple[RationalExpr, ...], ...]:
@@ -100,37 +115,23 @@ def levi_civita(g: TensorField, model: ManifoldModel | None = None) -> Connectio
         raise GeometryError("metric must have valence (0,2)")
     d = model.dim
     grows = g.rows()
-    ginv = metric_inverse(g)
+    ginv = metric_inverse(g)  # also checks that g is symmetric
     half = Fraction(1, 2)
-
-    def g_of(v: Vec, l: int) -> RationalExpr:
-        acc = model.zero
-        for m in range(d):
-            if not v[m].is_zero:
-                acc = acc + v[m] * grows[m][l]
-        return acc
-
+    zero = model.zero
+    # gc[i][j][l] = g([e_i, e_j], e_l)
+    gc = [[mat_vec(grows, model.bracket_vector(i, j), zero) for j in range(d)]
+          for i in range(d)]
     coeffs = []
     for i in range(d):
         row = []
         for j in range(d):
-            cij = model.bracket_vector(i, j)
             rhs = []
             for l in range(d):
-                cil = model.bracket_vector(i, l)
-                cjl = model.bracket_vector(j, l)
                 val = (model.diff(i, grows[j][l]) + model.diff(j, grows[i][l])
                        - model.diff(l, grows[i][j])
-                       + g_of(cij, l) - g_of(cil, j) - g_of(cjl, i))
+                       + gc[i][j][l] - gc[i][l][j] - gc[j][l][i])
                 rhs.append(val * half)
-            gamma = []
-            for k in range(d):
-                acc = model.zero
-                for l in range(d):
-                    if not rhs[l].is_zero:
-                        acc = acc + ginv[k][l] * rhs[l]
-                gamma.append(acc)
-            row.append(tuple(gamma))
+            row.append(mat_vec(ginv, rhs, zero))
         coeffs.append(tuple(row))
     return ConnectionData(model, tuple(coeffs), g, ginv)
 
@@ -138,20 +139,13 @@ def levi_civita(g: TensorField, model: ManifoldModel | None = None) -> Connectio
 def nabla_field(conn: ConnectionData, X: Vec, Y: Vec) -> Vec:
     """Components of nabla_X Y for arbitrary vector fields (not tensorial in Y)."""
     model = conn.model
-    d = model.dim
-    out = []
-    for k in range(d):
-        acc = model.zero
-        for i in range(d):
-            if X[i].is_zero:
-                continue
-            term = model.diff(i, Y[k])
-            for j in range(d):
-                if not Y[j].is_zero:
-                    term = term + conn.coeffs[i][j][k] * Y[j]
-            acc = acc + X[i] * term
-        out.append(acc)
-    return tuple(out)
+    zero = model.zero
+    # column i is nabla_{e_i} Y = e_i(Y) + Gamma_i Y; where X^i = 0 the
+    # column is skipped by mat_vec, so Y stands in for it
+    cols = [tuple(model.diff(i, y) + gy for y, gy in
+                  zip(Y, mat_vec(tuple(zip(*conn.coeffs[i])), Y, zero)))
+            if x else Y for i, x in enumerate(X)]
+    return mat_vec(tuple(zip(*cols)), X, zero)
 
 
 def covariant_derivative(T: TensorField, conn: ConnectionData) -> TensorField:
@@ -190,54 +184,51 @@ def riemann(conn: ConnectionData) -> CurvatureData:
     """Curvature of the connection, R(X,Y) = [nabla_X,nabla_Y] - nabla_[X,Y]."""
     model = conn.model
     d = model.dim
+    zero = model.zero
     G = conn.coeffs
-    nested = []
-    for i in range(d):
-        plane = []
-        for j in range(d):
-            line = []
-            cij = model.bracket_vector(i, j)
-            for k in range(d):
-                vec = []
-                for l in range(d):
-                    val = model.diff(i, G[j][k][l]) - model.diff(j, G[i][k][l])
-                    for m in range(d):
-                        val = val + G[j][k][m] * G[i][m][l] - G[i][k][m] * G[j][m][l]
-                        if not cij[m].is_zero:
-                            val = val - cij[m] * G[m][k][l]
-                    vec.append(val)
-                line.append(tuple(vec))
-            plane.append(tuple(line))
-        nested.append(tuple(plane))
-    nested = tuple(nested)
-    entries = {}
-    for i, j, k, l in product(range(d), repeat=4):
-        entries[(l, k, i, j)] = nested[i][j][k][l]
-    rie = TensorField.from_entries(model, (1, 3), entries)
-    return CurvatureData(connection=conn, riemann=rie, _nested=nested)
+    # nabla_op[i][l][m] = Gamma^l_im, the matrix of nabla_{e_i};
+    # gamma_k[k][l][m] = Gamma^l_mk, whose column m is nabla_{e_m} e_k
+    nabla_op = [tuple(zip(*G[i])) for i in range(d)]
+    gamma_k = [tuple(zip(*(G[m][k] for m in range(d)))) for k in range(d)]
+    rv = {}  # rv[i, j, k] = R(e_i, e_j) e_k
+    for i, j in product(range(d), repeat=2):
+        cij = model.bracket_vector(i, j)
+        for k in range(d):
+            ij = mat_vec(nabla_op[i], G[j][k], zero)
+            ji = mat_vec(nabla_op[j], G[i][k], zero)
+            br = mat_vec(gamma_k[k], cij, zero)
+            rv[i, j, k] = tuple(
+                model.diff(i, G[j][k][l]) - model.diff(j, G[i][k][l])
+                + ij[l] - ji[l] - br[l] for l in range(d))
+    nested = tuple(tuple(tuple(tuple(rv[i, j, k][l] for j in range(d))
+                               for i in range(d)) for k in range(d))
+                   for l in range(d))
+    return CurvatureData(connection=conn, _nested=nested)
 
 
 def ricci_scalar(curv: CurvatureData, g: TensorField) -> tuple[TensorField, RationalExpr]:
     """(Ricci tensor, scalar curvature); also cached on the CurvatureData."""
     model = curv.model
     d = model.dim
+    zero = model.zero
+    R = curv._nested
     entries = {}
-    for j in range(d):
-        for k in range(d):
-            acc = model.zero
-            for a in range(d):
-                acc = acc + curv._nested[a][j][k][a]
-            entries[(j, k)] = acc
+    for j, k in product(range(d), repeat=2):
+        acc = zero
+        for a in range(d):
+            acc = acc + R[a][k][a][j]
+        entries[(j, k)] = acc
     S = TensorField.from_entries(model, (0, 2), entries)
-    ginv = curv.connection.metric_inverse if g is curv.connection.metric \
-        else metric_inverse(g)
-    r = model.zero
-    for j in range(d):
-        for k in range(d):
-            if not S[(j, k)].is_zero:
-                r = r + ginv[j][k] * S[(j, k)]
+    r = trace_product(_inverse_of(curv, g), S.rows(), zero)
     curv.ricci, curv.scalar = S, r
     return S, r
+
+
+def _inverse_of(curv: CurvatureData, g: TensorField):
+    """g^-1 (symmetric), reusing the connection's when g is its metric."""
+    if g is curv.connection.metric:
+        return curv.connection.metric_inverse
+    return metric_inverse(g)
 
 
 def star_ricci_scalar(curv: CurvatureData, g: TensorField, phi: TensorField,
@@ -245,28 +236,21 @@ def star_ricci_scalar(curv: CurvatureData, g: TensorField, phi: TensorField,
     """(star-Ricci tensor, star scalar); assumes phi is g-skew-adjoint."""
     model = curv.model
     d = model.dim
+    zero = model.zero
+    R = curv._nested
     ph = phi.rows()
+    phicols = tuple(zip(*ph))
     entries = {}
     for a in range(d):
+        # ops[m] = matrix of R(e_m, e_a)
+        ops = [tuple(tuple(rlk[m][a] for rlk in rl) for rl in R)
+               for m in range(d)]
         for b in range(d):
-            acc = model.zero
-            for m, l, p in product(range(d), repeat=3):
-                f1 = ph[m][l]
-                f2 = ph[p][b]
-                if f1.is_zero or f2.is_zero:
-                    continue
-                rml = curv._nested[m][a][p][l]
-                if not rml.is_zero:
-                    acc = acc + f1 * rml * f2
-            entries[(a, b)] = -acc
+            # column m of Z -> R(Z, e_a) phi e_b
+            img = [mat_vec(op, phicols[b], zero) for op in ops]
+            entries[(a, b)] = -trace_product(ph, tuple(zip(*img)), zero)
     S = TensorField.from_entries(model, (0, 2), entries)
-    ginv = curv.connection.metric_inverse if g is curv.connection.metric \
-        else metric_inverse(g)
-    r = model.zero
-    for a in range(d):
-        for b in range(d):
-            if not S[(a, b)].is_zero:
-                r = r + ginv[a][b] * S[(a, b)]
+    r = trace_product(_inverse_of(curv, g), S.rows(), zero)
     curv.star_ricci, curv.star_scalar = S, r
     return S, r
 
@@ -293,8 +277,9 @@ def curvature_antisymmetry_residual(curv: CurvatureData) -> TensorField:
     model = curv.model
     d = model.dim
     entries = {}
-    for i, j, k, l in product(range(d), repeat=4):
-        entries[(l, k, i, j)] = curv._nested[i][j][k][l] + curv._nested[j][i][k][l]
+    R = curv._nested
+    for l, k, i, j in product(range(d), repeat=4):
+        entries[(l, k, i, j)] = R[l][k][i][j] + R[l][k][j][i]
     return TensorField.from_entries(model, (1, 3), entries)
 
 
@@ -302,9 +287,9 @@ def first_bianchi_residual(curv: CurvatureData) -> TensorField:
     model = curv.model
     d = model.dim
     entries = {}
-    for i, j, k, l in product(range(d), repeat=4):
-        entries[(l, k, i, j)] = (curv._nested[i][j][k][l] + curv._nested[j][k][i][l]
-                                 + curv._nested[k][i][j][l])
+    R = curv._nested
+    for l, k, i, j in product(range(d), repeat=4):
+        entries[(l, k, i, j)] = R[l][k][i][j] + R[l][i][j][k] + R[l][j][k][i]
     return TensorField.from_entries(model, (1, 3), entries)
 
 

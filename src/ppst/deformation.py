@@ -32,6 +32,7 @@ from fractions import Fraction
 from itertools import product
 
 from .curvature import covariant_derivative
+from .linalg import mat_vec
 from .models import TensorField
 from .structures import ParacontactStructure, StructureError
 
@@ -115,12 +116,6 @@ def apply_deformation(s: ParacontactStructure,
                                 name=f"{base}-deformed({alpha},{beta})")
 
 
-def _columns(T: TensorField) -> list[tuple]:
-    rows = T.rows()
-    d = T.model.dim
-    return [tuple(rows[k][i] for k in range(d)) for i in range(d)]
-
-
 def verify_deformation_relations(s: ParacontactStructure,
                                  params: DeformationParams) -> DeformationReport:
     """Check the connection/shape/metric/curvature transformation laws.
@@ -134,9 +129,13 @@ def verify_deformation_relations(s: ParacontactStructure,
     st = apply_deformation(s, params)
     alpha, beta = params.alpha, params.beta
     t = model.scalar(alpha ** 2 / beta - 1)
-    conn, conn2 = s.connection, st.connection
-    A_cols, A2_cols = _columns(s.A), _columns(st.A)
+    zero = model.zero
+    conn, conn2 = s.connection, st.connection  # also checks g, g~ symmetric
+    A_cols, A2_cols = tuple(zip(*s.A.rows())), tuple(zip(*st.A.rows()))
     ev = s.eta.data
+    # Bv[i][j] = B(e_i, e_j) = t (eta(e_j) A e_i + eta(e_i) A e_j)
+    Bv = [[tuple(t * (ev[j] * A_cols[i][l] + ev[i] * A_cols[j][l])
+                 for l in range(d)) for j in range(d)] for i in range(d)]
     report = DeformationReport(structure_name=s.name, params=params)
 
     def record(key: str, entries) -> None:
@@ -153,8 +152,7 @@ def verify_deformation_relations(s: ParacontactStructure,
             lhs = conn2.nabla_basis(i, j)
             rhs = conn.nabla_basis(i, j)
             for l in range(d):
-                corr = t * (ev[j] * A_cols[i][l] + ev[i] * A_cols[j][l])
-                yield (i, j), lhs[l] - rhs[l] - corr
+                yield (i, j), lhs[l] - rhs[l] - Bv[i][j][l]
 
     record("i00", i00_entries())
 
@@ -166,47 +164,30 @@ def verify_deformation_relations(s: ParacontactStructure,
 
     record("i5", i5_entries())
 
-    g_rows, g2_rows = s.g.rows(), st.g.rows()
+    # g(A e_i, .) and g~(A~ e_i, .); g, g~ are symmetric
+    gA = [mat_vec(s.g.rows(), A_cols[i], zero) for i in range(d)]
+    gA2 = [mat_vec(st.g.rows(), A2_cols[i], zero) for i in range(d)]
 
     def i6_entries():
         for i, j in product(range(d), repeat=2):
-            lhs = model.zero
-            rhs = model.zero
-            for k in range(d):
-                lhs = lhs + A2_cols[i][k] * g2_rows[k][j]
-                rhs = rhs + A_cols[i][k] * g_rows[k][j]
-            yield (i, j), lhs - rhs * alpha
+            yield (i, j), gA2[i][j] - gA[i][j] * alpha
 
     record("i6", i6_entries())
 
     # B as a (1,2) tensor, its covariant derivative taken with the
-    # undeformed connection
-    b_entries = {}
-    for i, j in product(range(d), repeat=2):
-        for l in range(d):
-            b_entries[(l, i, j)] = t * (ev[j] * A_cols[i][l] + ev[i] * A_cols[j][l])
-    B = TensorField.from_entries(model, (1, 2), b_entries)
+    # undeformed connection; B_op[i] is the matrix of B(e_i, .)
+    B = TensorField.from_entries(model, (1, 2), {
+        (l, i, j): Bv[i][j][l] for i, j, l in product(range(d), repeat=3)})
+    B_op = [tuple(zip(*Bv[i])) for i in range(d)]
     nB = covariant_derivative(B, conn)
     curv, curv2 = s.curvature, st.curvature
-
-    def b_op(i: int, vec) -> tuple:
-        out = []
-        for l in range(d):
-            acc = model.zero
-            for m in range(d):
-                if not vec[m].is_zero:
-                    acc = acc + B[(l, i, m)] * vec[m]
-            out.append(acc)
-        return tuple(out)
 
     def i777_entries():
         for i, j, k in product(range(d), repeat=3):
             lhs = curv2.apply(i, j, k)
             rhs = curv.apply(i, j, k)
-            bjk = tuple(B[(l, j, k)] for l in range(d))
-            bik = tuple(B[(l, i, k)] for l in range(d))
-            t1 = b_op(i, bjk)
-            t2 = b_op(j, bik)
+            t1 = mat_vec(B_op[i], Bv[j][k], zero)
+            t2 = mat_vec(B_op[j], Bv[i][k], zero)
             for l in range(d):
                 corr = (nB[(l, i, j, k)] - nB[(l, j, i, k)] + t1[l] - t2[l])
                 yield (i, j, k), lhs[l] - rhs[l] - corr

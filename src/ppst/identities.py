@@ -44,6 +44,7 @@ from typing import Mapping, Sequence
 
 from .curvature import covariant_derivative
 from .expr import RationalExpr
+from .linalg import bilinear, dot, mat_vec, trace_product
 from .models import FrameModel, TensorField, Vec, sample_points
 from .structures import ParacontactStructure, StructureError, phi_basis_eps
 
@@ -111,71 +112,30 @@ class _Context:
         A = s.A.rows()
         ev = s.eta.data
         zero = model.zero
-
-        def mat_apply(rows, v: Vec) -> Vec:
-            out = []
-            for k in range(d):
-                acc = zero
-                for m in range(d):
-                    if not rows[k][m].is_zero:
-                        acc = acc + rows[k][m] * v[m]
-                out.append(acc)
-            return tuple(out)
-
-        def g_pair(u: Vec, v: Vec) -> RationalExpr:
-            acc = zero
-            for i in range(d):
-                if u[i].is_zero:
-                    continue
-                for j in range(d):
-                    if not v[j].is_zero:
-                        acc = acc + u[i] * v[j] * grows[i][j]
-            return acc
-
-        self.mat_apply = mat_apply
-        self.g_pair = g_pair
-        self.phi_rows = ph
-        self.A_rows = A
+        self.zero = zero
+        self.g_rows = grows
         self.xi_vec = s.xi.vec()
         # basis images and pairings
-        self.phi_b = [mat_apply(ph, c) for c in self.cols]
-        self.A_b = [mat_apply(A, c) for c in self.cols]
-        self.A_phi_b = [mat_apply(A, v) for v in self.phi_b]
-        self.phi_A_b = [mat_apply(ph, v) for v in self.A_b]
-        self.eta_b = [self._pair_eta(ev, c) for c in self.cols]
-        self.gA = [[g_pair(self.A_b[a], self.cols[b]) for b in range(d)]
+        self.phi_b = [mat_vec(ph, c, zero) for c in self.cols]
+        self.A_b = [mat_vec(A, c, zero) for c in self.cols]
+        self.A_phi_b = [mat_vec(A, v, zero) for v in self.phi_b]
+        self.phi_A_b = [mat_vec(ph, v, zero) for v in self.A_b]
+        self.eta_b = [dot(ev, c, zero) for c in self.cols]
+        self.gA = [[self.g(self.A_b[a], self.cols[b]) for b in range(d)]
                    for a in range(d)]
-        self.gAphi = [[g_pair(self.A_b[a], self.phi_b[b]) for b in range(d)]
+        self.gAphi = [[self.g(self.A_b[a], self.phi_b[b]) for b in range(d)]
                       for a in range(d)]
-        self.gAA = [[g_pair(self.A_b[a], self.A_b[b]) for b in range(d)]
+        self.gAA = [[self.g(self.A_b[a], self.A_b[b]) for b in range(d)]
                     for a in range(d)]
         # curvature applied to basis triples: R3[a][b][c] = R(b_a, b_b) b_c
         curv = s.curvature
-        nested = curv._nested
-
-        def R_op(u: Vec, v: Vec, w: Vec) -> Vec:
-            out = [zero] * d
-            for i in range(d):
-                if u[i].is_zero:
-                    continue
-                for j in range(d):
-                    if v[j].is_zero:
-                        continue
-                    uv = u[i] * v[j]
-                    for k in range(d):
-                        if w[k].is_zero:
-                            continue
-                        cell = nested[i][j][k]
-                        f = uv * w[k]
-                        for l in range(d):
-                            if not cell[l].is_zero:
-                                out[l] = out[l] + f * cell[l]
-            return tuple(out)
-
-        self.R3 = [[[R_op(self.cols[a], self.cols[b], self.cols[c])
-                     for c in range(d)] for b in range(d)] for a in range(d)]
-        self.R3_phi = [[[R_op(self.cols[a], self.cols[b], self.phi_b[c])
-                         for c in range(d)] for b in range(d)] for a in range(d)]
+        self.R3, self.R3_phi = [], []
+        for a in range(d):
+            ops = [curv.operator(self.cols[a], self.cols[b]) for b in range(d)]
+            self.R3.append([[mat_vec(op, c, zero) for c in self.cols]
+                            for op in ops])
+            self.R3_phi.append([[mat_vec(op, v, zero) for v in self.phi_b]
+                                for op in ops])
         self.xi_index = d - 1  # basis order puts xi last
         # covariant derivatives as (1,2)/(0,2) tensors, then basis-contracted
         conn = s.connection
@@ -183,76 +143,33 @@ class _Context:
         nA = covariant_derivative(s.A, conn)
         neta = covariant_derivative(s.eta, conn)
 
-        def contract_12(T: TensorField, direction: Vec, arg: Vec) -> Vec:
-            out = []
-            for k in range(d):
-                acc = zero
-                for dd in range(d):
-                    if direction[dd].is_zero:
-                        continue
-                    for j in range(d):
-                        if not arg[j].is_zero:
-                            c = T[(k, dd, j)]
-                            if not c.is_zero:
-                                acc = acc + c * direction[dd] * arg[j]
-                out.append(acc)
-            return tuple(out)
+        def contract_12(T: TensorField) -> list[list[Vec]]:
+            """[a][b] -> T(b_a, b_b) for a (1,2) tensor T[(k, direction, arg)]."""
+            slabs = [tuple(tuple(T[(k, i, j)] for j in range(d))
+                           for i in range(d)) for k in range(d)]
+            return [[tuple(bilinear(m, u, v, zero) for m in slabs)
+                     for v in self.cols] for u in self.cols]
 
-        self.nabla_phi_b = [[contract_12(nphi, self.cols[a], self.cols[b])
-                             for b in range(d)] for a in range(d)]
-        self.nabla_A_b = [[contract_12(nA, self.cols[a], self.cols[b])
-                           for b in range(d)] for a in range(d)]
+        self.nabla_phi_b = contract_12(nphi)
+        self.nabla_A_b = contract_12(nA)
         xiv = self.cols[self.xi_index]
-        self.nabla_eta_xi = []
-        for b in range(d):
-            acc = zero
-            for dd in range(d):
-                if xiv[dd].is_zero:
-                    continue
-                for j in range(d):
-                    if not self.cols[b][j].is_zero:
-                        c = neta[(dd, j)]
-                        if not c.is_zero:
-                            acc = acc + c * xiv[dd] * self.cols[b][j]
-            self.nabla_eta_xi.append(acc)
+        self.nabla_eta_xi = [bilinear(neta.rows(), xiv, c, zero)
+                             for c in self.cols]
         # Ricci data contracted on the basis; traces over the phi-basis
-        S = curv.ricci
-        Sstar = curv.star_ricci
-        self.S_b = [[self._pair_02(S, self.cols[a], self.cols[b])
-                     for b in range(d)] for a in range(d)]
-        self.Sstar_b = [[self._pair_02(Sstar, self.cols[a], self.cols[b])
-                         for b in range(d)] for a in range(d)]
-        self.r = zero
-        self.rstar = zero
-        for a in range(d):
-            self.r = self.r + self.eps[a] * self.S_b[a][a]
-            self.rstar = self.rstar + self.eps[a] * self.Sstar_b[a][a]
+        S = curv.ricci.rows()
+        Sstar = curv.star_ricci.rows()
+        self.S_b = [[bilinear(S, u, v, zero) for v in self.cols]
+                    for u in self.cols]
+        self.Sstar_b = [[bilinear(Sstar, u, v, zero) for v in self.cols]
+                        for u in self.cols]
+        self.r = dot(self.eps, [self.S_b[a][a] for a in range(d)], zero)
+        self.rstar = dot(self.eps, [self.Sstar_b[a][a] for a in range(d)], zero)
         # operator traces (basis independent, computed over model indices)
-        self.tr_phiA = zero
-        self.tr_A2 = zero
-        for k in range(d):
-            for m in range(d):
-                self.tr_phiA = self.tr_phiA + ph[k][m] * A[m][k]
-                self.tr_A2 = self.tr_A2 + A[k][m] * A[m][k]
+        self.tr_phiA = trace_product(ph, A, zero)
+        self.tr_A2 = trace_product(A, A, zero)
 
-    def _pair_eta(self, ev, c: Vec) -> RationalExpr:
-        acc = self.model.zero
-        for i in range(self.d):
-            if not c[i].is_zero:
-                acc = acc + ev[i] * c[i]
-        return acc
-
-    def _pair_02(self, T: TensorField, u: Vec, v: Vec) -> RationalExpr:
-        acc = self.model.zero
-        for i in range(self.d):
-            if u[i].is_zero:
-                continue
-            for j in range(self.d):
-                if not v[j].is_zero:
-                    c = T[(i, j)]
-                    if not c.is_zero:
-                        acc = acc + c * u[i] * v[j]
-        return acc
+    def g(self, u: Vec, v: Vec) -> RationalExpr:
+        return bilinear(self.g_rows, u, v, self.zero)
 
     def _label_basis(self) -> tuple[str, ...]:
         model = self.model
@@ -284,7 +201,6 @@ def _residuals(ctx: _Context, key: str) -> tuple[dict[tuple[int, ...], RationalE
     """Residual components for one identity, plus scalar details."""
     d = ctx.d
     xi = ctx.xi_index
-    zero = ctx.model.zero
     details: dict[str, str] = {}
 
     if key == "p1":
@@ -312,11 +228,11 @@ def _residuals(ctx: _Context, key: str) -> tuple[dict[tuple[int, ...], RationalE
         return _vector_entries(ctx, res, 1), details
     if key == "P3":
         def val(a, b):
-            return ctx.g_pair(ctx.A_phi_b[a], ctx.phi_b[b]) + ctx.gA[a][b]
+            return ctx.g(ctx.A_phi_b[a], ctx.phi_b[b]) + ctx.gA[a][b]
         return _scalar_entries(ctx, val, 2), details
     if key == "P4":
         def val(a, b):
-            return ctx.g_pair(ctx.A_phi_b[a], ctx.cols[b]) + ctx.gAphi[a][b]
+            return ctx.g(ctx.A_phi_b[a], ctx.cols[b]) + ctx.gAphi[a][b]
         return _scalar_entries(ctx, val, 2), details
     if key == "R1":
         def res(a, b):
@@ -326,12 +242,12 @@ def _residuals(ctx: _Context, key: str) -> tuple[dict[tuple[int, ...], RationalE
         return _vector_entries(ctx, res, 2), details
     if key == "R1.1":
         def val(a, b):
-            return ctx.g_pair(ctx.R3[xi][a][b], ctx.cols[xi]) - ctx.gAA[a][b]
+            return ctx.g(ctx.R3[xi][a][b], ctx.cols[xi]) - ctx.gAA[a][b]
         return _scalar_entries(ctx, val, 2), details
     if key == "R1.2":
         def val(a, b, c):
-            return (ctx.g_pair(ctx.R3_phi[xi][a][b], ctx.phi_b[c])
-                    + ctx.g_pair(ctx.R3[xi][a][b], ctx.cols[c])
+            return (ctx.g(ctx.R3_phi[xi][a][b], ctx.phi_b[c])
+                    + ctx.g(ctx.R3[xi][a][b], ctx.cols[c])
                     - ctx.gAA[a][b] * ctx.eta_b[c]
                     + ctx.gAA[a][c] * ctx.eta_b[b])
         return _scalar_entries(ctx, val, 3), details
@@ -342,10 +258,10 @@ def _residuals(ctx: _Context, key: str) -> tuple[dict[tuple[int, ...], RationalE
         return {(): lhs + ctx.tr_A2}, details
     if key == "RXYY":
         def val(a, b, c, e):
-            return (ctx.g_pair(ctx.R3_phi[a][b][c], ctx.phi_b[e])
-                    + ctx.g_pair(ctx.R3[a][b][c], ctx.cols[e])
-                    - ctx.eta_b[e] * ctx.g_pair(ctx.R3[a][b][c], ctx.cols[xi])
-                    - ctx.eta_b[c] * ctx.g_pair(ctx.R3[a][b][xi], ctx.cols[e])
+            return (ctx.g(ctx.R3_phi[a][b][c], ctx.phi_b[e])
+                    + ctx.g(ctx.R3[a][b][c], ctx.cols[e])
+                    - ctx.eta_b[e] * ctx.g(ctx.R3[a][b][c], ctx.cols[xi])
+                    - ctx.eta_b[c] * ctx.g(ctx.R3[a][b][xi], ctx.cols[e])
                     + ctx.gAphi[a][e] * ctx.gAphi[b][c]
                     - ctx.gAphi[a][c] * ctx.gAphi[b][e]
                     - ctx.gA[a][c] * ctx.gA[b][e]

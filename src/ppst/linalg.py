@@ -3,8 +3,17 @@
 Routines work over any exact field whose elements support +, -, *, /,
 truthiness (zero test) and equality: both fractions.Fraction and
 RationalExpr qualify.  The caller supplies the field's multiplicative
-identity where one must be synthesized.  Everything is small and dense;
-dimensions here are at most 2n+1 for the models treated by this package.
+identity or zero where one must be synthesized.  Everything is small and
+dense; dimensions here are at most 2n+1 for the models treated by this
+package.
+
+The contraction kernel ``dot``, ``mat_vec``, ``bilinear`` and
+``trace_product`` computes u.v, m v, u^T m v and tr(a b) over row tuples;
+the geometry modules build g(u, v), phi v, eta(v), tr(phi A) and the like
+from it.  Each kernel function takes the field zero once and returns it
+when no term survives, and skips every term with a zero factor before
+multiplying: exact sums do not change, and on sparse frame data the
+skipped terms are most of the work.
 """
 
 from __future__ import annotations
@@ -17,7 +26,44 @@ Matrix = tuple[tuple[F, ...], ...]
 
 
 class SingularMatrixError(Exception):
-    """Raised when an exact inverse or solve does not exist."""
+    """Raised when an exact inverse does not exist."""
+
+
+def dot(u: Sequence[F], v: Sequence[F], zero: F) -> F:
+    """sum_i u_i v_i."""
+    acc = zero
+    for a, b in zip(u, v):
+        if a and b:
+            acc = acc + a * b
+    return acc
+
+
+def mat_vec(m: Sequence[Sequence[F]], v: Sequence[F], zero: F) -> tuple[F, ...]:
+    """The vector m v."""
+    return tuple(dot(row, v, zero) for row in m)
+
+
+def bilinear(m: Sequence[Sequence[F]], u: Sequence[F], v: Sequence[F],
+             zero: F) -> F:
+    """sum_ij u_i m_ij v_j."""
+    acc = zero
+    for a, row in zip(u, m):
+        if a:
+            b = dot(row, v, zero)
+            if b:
+                acc = acc + a * b
+    return acc
+
+
+def trace_product(a: Sequence[Sequence[F]], b: Sequence[Sequence[F]],
+                  zero: F) -> F:
+    """tr(a b) = sum_km a_km b_mk."""
+    acc = zero
+    for k, row in enumerate(a):
+        for m, x in enumerate(row):
+            if x and b[m][k]:
+                acc = acc + x * b[m][k]
+    return acc
 
 
 def _rows(mat: Sequence[Sequence[F]]) -> list[list[F]]:
@@ -68,18 +114,6 @@ def invert_matrix(mat: Sequence[Sequence[F]], one: F) -> Matrix:
                 m[r] = [a - f * b for a, b in zip(m[r], m[k])]
                 inv[r] = [a - f * b for a, b in zip(inv[r], inv[k])]
     return tuple(tuple(row) for row in inv)
-
-
-def solve(mat: Sequence[Sequence[F]], rhs: Sequence[F], one: F) -> tuple[F, ...]:
-    """Solve mat @ x = rhs exactly (square, invertible)."""
-    inv = invert_matrix(mat, one)
-    out = []
-    for row in inv:
-        acc = row[0] * rhs[0]
-        for j in range(1, len(rhs)):
-            acc = acc + row[j] * rhs[j]
-        out.append(acc)
-    return tuple(out)
 
 
 def rank(mat: Sequence[Sequence[F]]) -> int:

@@ -353,20 +353,17 @@ Vec = tuple[RationalExpr, ...]
 
 
 def _bracket_comps(model: ManifoldModel, X: Vec, Y: Vec) -> Vec:
+    """[X, Y]^k = X(Y^k) - Y(X^k) + X^i Y^j c^k_ij."""
     d = model.dim
+    zero = model.zero
     out = []
     for k in range(d):
-        acc = model.zero
-        for i in range(d):
-            acc = acc + X[i] * model.diff(i, Y[k]) - Y[i] * model.diff(i, X[k])
+        acc = (linalg.dot(X, [model.diff(i, Y[k]) for i in range(d)], zero)
+               - linalg.dot(Y, [model.diff(i, X[k]) for i in range(d)], zero))
         if isinstance(model, FrameModel):
-            for i in range(d):
-                if X[i].is_zero:
-                    continue
-                for j in range(d):
-                    c = model.bracket_vector(i, j)[k]
-                    if not c.is_zero:
-                        acc = acc + X[i] * Y[j] * c
+            c_k = [[model.bracket_vector(i, j)[k] for j in range(d)]
+                   for i in range(d)]
+            acc = acc + linalg.bilinear(c_k, X, Y, zero)
         out.append(acc)
     return tuple(out)
 
@@ -504,17 +501,14 @@ def realize_frame(chart: ChartModel, vectors: Sequence[TensorField],
     except linalg.SingularMatrixError:
         raise GeometryError("frame vector fields are linearly dependent") from None
 
+    zero = chart.zero
+
     def in_frame(w: Vec) -> tuple[Fraction, ...]:
-        coords = []
-        for a in range(d):
-            acc = chart.zero
-            for i in range(d):
-                acc = acc + inv[a][i] * w[i]
-            if not acc.is_constant:
-                raise GeometryError(
-                    f"frame re-expression is not constant: {acc}")
-            coords.append(acc.constant_value())
-        return tuple(coords)
+        coords = linalg.mat_vec(inv, w, zero)
+        for c in coords:
+            if not c.is_constant:
+                raise GeometryError(f"frame re-expression is not constant: {c}")
+        return tuple(c.constant_value() for c in coords)
 
     brackets = {}
     for a in range(d):
@@ -527,10 +521,7 @@ def realize_frame(chart: ChartModel, vectors: Sequence[TensorField],
     for a in range(d):
         row = []
         for b in range(d):
-            acc = chart.zero
-            for i in range(d):
-                for j in range(d):
-                    acc = acc + grows[i][j] * cols[a][i] * cols[b][j]
+            acc = linalg.bilinear(grows, cols[a], cols[b], zero)
             if not acc.is_constant:
                 raise GeometryError(f"frame metric is not constant: g({a},{b}) = {acc}")
             row.append(acc.constant_value())

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 TOOL_NAME = "ppst"
-TOOL_VERSION = "0.1.0"  # keep in sync with pyproject.toml
+TOOL_VERSION = "0.1.0"  # the one version literal; pyproject.toml reads it
 
 EXIT_PASS = 0
 EXIT_FAIL = 1

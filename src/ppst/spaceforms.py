@@ -35,6 +35,7 @@ from .deformation import (
     detect_homothetic_origin,
     proportionality_constant,
 )
+from .linalg import bilinear, mat_vec, trace_product
 from .models import (
     ChartModel,
     FrameModel,
@@ -49,14 +50,14 @@ def constant_curvature_of(s: ParacontactStructure) -> Fraction | None:
     """The constant K with R(X,Y)Z = K(g(Y,Z)X - g(X,Z)Y), or None."""
     model = s.model
     d = model.dim
-    nested = s.curvature._nested
+    R = s.curvature.apply
     grows = s.g.rows()
     zero = model.zero
     K_expr = None
     for i, j, k, l in product(range(d), repeat=4):
         coeff = (grows[j][k] if l == i else zero) - (grows[i][k] if l == j else zero)
         if not coeff.is_zero:
-            ratio = nested[i][j][k][l] / coeff
+            ratio = R(i, j, k)[l] / coeff
             if not ratio.is_constant:
                 return None
             K_expr = ratio
@@ -66,7 +67,7 @@ def constant_curvature_of(s: ParacontactStructure) -> Fraction | None:
     K = K_expr.constant_value()
     for i, j, k, l in product(range(d), repeat=4):
         coeff = (grows[j][k] if l == i else zero) - (grows[i][k] if l == j else zero)
-        if not (nested[i][j][k][l] - coeff * K).is_zero:
+        if not (R(i, j, k)[l] - coeff * K).is_zero:
             return None
     return K
 
@@ -159,10 +160,8 @@ def check_constant_curvature_theorem(s: ParacontactStructure) -> TheoremReport:
     add(TheoremAssertion("K_equals_minus_lambda_squared", K == -lam ** 2,
                          witness=f"K = {K}, lambda = {lam}"))
     ph, A = s.phi.rows(), s.A.rows()
-    tr = model.zero
-    for k in range(d):
-        for m in range(d):
-            tr = tr + ph[k][m] * A[m][k]
+    zero = model.zero
+    tr = trace_product(ph, A, zero)
     add(TheoremAssertion("trace_phi_A", tr == 2 * n * lam,
                          witness=f"tr(phi A) = {tr}, 2n lambda = {2 * n * lam}"))
     grows = s.g.rows()
@@ -177,14 +176,11 @@ def check_constant_curvature_theorem(s: ParacontactStructure) -> TheoremReport:
     for i, j in product(range(d), repeat=2):
         ent[(i, j)] = star[(i, j)] - (ev[i] * ev[j] - grows[i][j]) * K
     add(_entries_assertion("star_ricci_form", ent, model))
+    A_cols, phicols = tuple(zip(*A)), tuple(zip(*ph))
     ent = {}
     for i, j in product(range(d), repeat=2):
-        acc = model.zero
-        for k in range(d):
-            for m in range(d):
-                if not (A[k][i].is_zero or ph[m][j].is_zero):
-                    acc = acc + A[k][i] * grows[k][m] * ph[m][j]
-        ent[(i, j)] = acc + (grows[i][j] - ev[i] * ev[j]) * lam
+        ent[(i, j)] = (bilinear(grows, A_cols[i], phicols[j], zero)
+                       + (grows[i][j] - ev[i] * ev[j]) * lam)
     add(_entries_assertion("shape_phi_pairing", ent, model))
     try:
         detected = detect_homothetic_origin(s)
@@ -352,6 +348,7 @@ class SearchHit:
 
 def _jacobi_ok(c01, c02, c12) -> bool:
     # single independent triple in dimension 3: J(e0, e1, e2) = 0
+    zero = Fraction(0)
     table = {
         (0, 1): c01, (1, 0): tuple(-x for x in c01),
         (0, 2): c02, (2, 0): tuple(-x for x in c02),
@@ -359,13 +356,9 @@ def _jacobi_ok(c01, c02, c12) -> bool:
     }
 
     def bracket_vec(v, k):
-        out = [Fraction(0)] * 3
-        for m in range(3):
-            if v[m] and (m, k) in table:
-                t = table[(m, k)]
-                for l in range(3):
-                    out[l] += v[m] * t[l]
-        return out
+        # [v, e_k]: column m of the matrix is [e_m, e_k]
+        cols = [table.get((m, k), (zero,) * 3) for m in range(3)]
+        return mat_vec(tuple(zip(*cols)), v, zero)
 
     j1 = bracket_vec(c01, 2)
     j2 = bracket_vec(c12, 0)

@@ -49,7 +49,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Sequence
 
-from .expr import RationalExpr
+from .expr import ExprError, RationalExpr
 from .models import (
     ChartModel,
     FrameModel,
@@ -182,7 +182,7 @@ def _parse_components(value: str, variables: Sequence[str], dim: int,
                                 line=line)
         try:
             comps.append(parse_expr(part, variables))
-        except ParseError as exc:
+        except (ParseError, ExprError) as exc:
             raise SpecFileError(f"bad expression {part!r}: {exc}",
                                 field=f"{field}[{pos}]", line=line) from exc
     return comps
@@ -214,7 +214,7 @@ def _linear_combination(value: str, labels: Sequence[str], field: str,
                         line: int | None) -> tuple[Fraction, ...]:
     try:
         expr = parse_expr(value, labels)
-    except ParseError as exc:
+    except (ParseError, ExprError) as exc:
         raise SpecFileError(f"bad bracket value {value!r}: {exc}",
                             field=field, line=line) from exc
     comps = [Fraction(0)] * len(labels)

@@ -41,14 +41,14 @@ from .curvature import (
     riemann,
     star_ricci_scalar,
 )
-from .expr import RationalExpr
+from .expr import EvaluationError, RationalExpr
+from .linalg import bilinear, dot, mat_vec
 from .models import (
     ChartModel,
     FrameModel,
     GeometryError,
     ManifoldModel,
     TensorField,
-    Vec,
     _bracket_comps,
     exterior_derivative,
     lie_derivative,
@@ -166,15 +166,7 @@ class ParacontactStructure:
         self.g = g
         self.eta_derived = eta is None
         if eta is None:
-            grows = g.rows()
-            xv = xi.vec()
-            comps = []
-            for j in range(model.dim):
-                acc = model.zero
-                for i in range(model.dim):
-                    acc = acc + grows[j][i] * xv[i]
-                comps.append(acc)
-            eta = TensorField.covector(model, comps)
+            eta = TensorField.covector(model, mat_vec(g.rows(), xi.vec(), model.zero))
         elif eta.valence != (0, 1):
             raise GeometryError("eta must have valence (0,1)")
         self.eta = eta
@@ -238,17 +230,10 @@ class ParacontactStructure:
 
 def fundamental_form(s: ParacontactStructure) -> TensorField:
     """Phi(X,Y) = g(X, phi Y); antisymmetric by the compatibility axiom."""
-    d = s.model.dim
     grows = s.g.rows()
-    ph = s.phi.rows()
-    entries = {}
-    for i, j in product(range(d), repeat=2):
-        acc = s.model.zero
-        for k in range(d):
-            if not ph[k][j].is_zero:
-                acc = acc + grows[i][k] * ph[k][j]
-        entries[(i, j)] = acc
-    return TensorField.from_entries(s.model, (0, 2), entries)
+    zero = s.model.zero
+    return TensorField.from_rows(s.model, (0, 2), [
+        [dot(row, col, zero) for col in zip(*s.phi.rows())] for row in grows])
 
 
 def nijenhuis_N1(s: ParacontactStructure) -> TensorField:
@@ -260,25 +245,15 @@ def nijenhuis_N1(s: ParacontactStructure) -> TensorField:
     ph = s.phi.rows()
     xv = s.xi.vec()
     deta = exterior_derivative(s.eta)
-    phicols = [tuple(ph[k][j] for k in range(d)) for j in range(d)]
-
-    def phi_apply(v: Vec) -> Vec:
-        out = []
-        for k in range(d):
-            acc = model.zero
-            for m in range(d):
-                if not ph[k][m].is_zero:
-                    acc = acc + ph[k][m] * v[m]
-            out.append(acc)
-        return tuple(out)
-
+    phicols = tuple(zip(*ph))
+    zero = model.zero
     entries = {}
     for i, j in product(range(d), repeat=2):
         br = model.bracket_vector(i, j)
-        t1 = phi_apply(phi_apply(br))
+        t1 = mat_vec(ph, mat_vec(ph, br, zero), zero)
         t2 = _bracket_comps(model, phicols[i], phicols[j])
-        t3 = phi_apply(_bracket_comps(model, phicols[i], model.delta(j)))
-        t4 = phi_apply(_bracket_comps(model, model.delta(i), phicols[j]))
+        t3 = mat_vec(ph, _bracket_comps(model, phicols[i], model.delta(j)), zero)
+        t4 = mat_vec(ph, _bracket_comps(model, model.delta(i), phicols[j]), zero)
         two_deta = 2 * deta[(i, j)]
         for k in range(d):
             entries[(k, i, j)] = t1[k] + t2[k] - t3[k] - t4[k] - two_deta * xv[k]
@@ -324,7 +299,9 @@ def validate_structure(s: ParacontactStructure,
     model = s.model
     d, n = model.dim, model.n
     ph, grows = s.phi.rows(), s.g.rows()
+    phicols = tuple(zip(*ph))
     xv, ev = s.xi.vec(), s.eta.data
+    zero = model.zero
     pt = dict(point) if point is not None else sample_point(model)
     checks: list[AxiomCheck] = []
 
@@ -342,62 +319,33 @@ def validate_structure(s: ParacontactStructure,
     # phi^2 = Id - eta (x) xi
     ent = {}
     for k, j in product(range(d), repeat=2):
-        acc = model.zero
-        for m in range(d):
-            if not ph[k][m].is_zero:
-                acc = acc + ph[k][m] * ph[m][j]
-        delta = model.one if k == j else model.zero
-        ent[(k, j)] = acc - delta + xv[k] * ev[j]
+        delta = model.one if k == j else zero
+        ent[(k, j)] = dot(ph[k], phicols[j], zero) - delta + xv[k] * ev[j]
     residual_check("phi_squared", ent, "phi^2 - Id + eta(x)xi")
 
     # eta(xi) = 1
-    acc = model.zero
-    for i in range(d):
-        acc = acc + ev[i] * xv[i]
-    residual_check("eta_xi", {(): acc - model.one}, "eta(xi) - 1")
+    residual_check("eta_xi", {(): dot(ev, xv, zero) - model.one}, "eta(xi) - 1")
 
     # g(phi X, phi Y) + g(X, Y) - eta(X) eta(Y) = 0
     ent = {}
     for i, j in product(range(d), repeat=2):
-        acc = model.zero
-        for a in range(d):
-            if ph[a][i].is_zero:
-                continue
-            for b in range(d):
-                if not ph[b][j].is_zero:
-                    acc = acc + ph[a][i] * ph[b][j] * grows[a][b]
-        ent[(i, j)] = acc + grows[i][j] - ev[i] * ev[j]
+        ent[(i, j)] = (bilinear(grows, phicols[i], phicols[j], zero)
+                       + grows[i][j] - ev[i] * ev[j])
     residual_check("metric_phi_compatibility", ent,
                    "g(phi.,phi.) + g - eta(x)eta")
 
     # eta = g(., xi)
-    ent = {}
-    for j in range(d):
-        acc = model.zero
-        for i in range(d):
-            acc = acc + grows[j][i] * xv[i]
-        ent[(j,)] = ev[j] - acc
-    residual_check("eta_is_g_xi", ent, "eta != g(.,xi); residual")
+    g_xi = mat_vec(grows, xv, zero)
+    residual_check("eta_is_g_xi", {(j,): ev[j] - g_xi[j] for j in range(d)},
+                   "eta != g(.,xi); residual")
 
     # phi xi = 0
-    ent = {}
-    for k in range(d):
-        acc = model.zero
-        for m in range(d):
-            if not ph[k][m].is_zero:
-                acc = acc + ph[k][m] * xv[m]
-        ent[(k,)] = acc
-    residual_check("phi_xi", ent, "phi(xi)")
+    phi_xi = mat_vec(ph, xv, zero)
+    residual_check("phi_xi", {(k,): phi_xi[k] for k in range(d)}, "phi(xi)")
 
     # eta o phi = 0
-    ent = {}
-    for j in range(d):
-        acc = model.zero
-        for k in range(d):
-            if not ph[k][j].is_zero:
-                acc = acc + ev[k] * ph[k][j]
-        ent[(j,)] = acc
-    residual_check("eta_phi", ent, "eta(phi .)")
+    residual_check("eta_phi", {(j,): dot(ev, phicols[j], zero) for j in range(d)},
+                   "eta(phi .)")
 
     # metric signature (n+1, n) at the sample point
     inertia: tuple[int, int, int] | None
@@ -408,7 +356,7 @@ def validate_structure(s: ParacontactStructure,
         checks.append(AxiomCheck("metric_signature", ok,
                                  witness=None if ok else
                                  f"inertia {inertia} at {pt}, expected {(n + 1, n, 0)}"))
-    except Exception as exc:  # constraint violation at a custom point
+    except EvaluationError as exc:  # e.g. a constraint violated at a custom point
         inertia = None
         checks.append(AxiomCheck("metric_signature", False, witness=str(exc)))
 
@@ -429,7 +377,7 @@ def validate_structure(s: ParacontactStructure,
         checks.append(AxiomCheck("eigendistributions", ok,
                                  witness=None if ok else
                                  f"dim(D+, D-) = {eigen}, expected {(n, n)}"))
-    except Exception as exc:
+    except EvaluationError as exc:
         eigen = None
         checks.append(AxiomCheck("eigendistributions", False, witness=str(exc)))
 
@@ -451,28 +399,18 @@ def _declared_frame_check(s: ParacontactStructure, checks: list[AxiomCheck]) -> 
         return
     grows = s.g.rows()
     ph = s.phi.rows()
+    zero = model.zero
     cols = [f.vec() for f in frame]
-    eps = [1] * n + [-1] * n + [1]
-
-    def g_of(u: Vec, v: Vec) -> RationalExpr:
-        acc = model.zero
-        for i in range(d):
-            if u[i].is_zero:
-                continue
-            for j in range(d):
-                if not v[j].is_zero:
-                    acc = acc + u[i] * v[j] * grows[i][j]
-        return acc
-
+    eps = phi_basis_eps(s)
     frame_names = (["e" + str(i + 1) for i in range(d - 1)] + ["xi"]
                    if not isinstance(model, FrameModel) else list(model.labels))
     # Gram matrix must be diag(+1 x n, -1 x n, +1)
     for a in range(d):
         for b in range(a, d):
             expected = Fraction(eps[a]) if a == b else Fraction(0)
-            res = g_of(cols[a], cols[b]) - model.scalar(expected)
+            value = bilinear(grows, cols[a], cols[b], zero)
+            res = value - model.scalar(expected)
             if not res.is_zero:
-                value = g_of(cols[a], cols[b])
                 checks.append(AxiomCheck(
                     "declared_frame_phi_basis", False,
                     witness=(f"g({frame_names[a]},{frame_names[b]}) = {value} "
@@ -481,14 +419,7 @@ def _declared_frame_check(s: ParacontactStructure, checks: list[AxiomCheck]) -> 
                 return
     # Y_i = phi X_i and the last field is xi
     for i in range(n):
-        x = cols[i]
-        img = []
-        for k in range(d):
-            acc = model.zero
-            for m in range(d):
-                if not ph[k][m].is_zero:
-                    acc = acc + ph[k][m] * x[m]
-            img.append(acc)
+        img = mat_vec(ph, cols[i], zero)
         diff = [a - b for a, b in zip(img, cols[n + i])]
         if any(not c.is_zero for c in diff):
             checks.append(AxiomCheck(
@@ -524,10 +455,10 @@ def build_phi_basis(s: ParacontactStructure) -> tuple[TensorField, ...]:
         raise StructureError(f"declared frame is not a phi-basis: "
                              f"{checks[-1].witness}")
     ph = s.phi.rows()
-    one = model.one
-    plus_mat = tuple(tuple(ph[i][j] - (one if i == j else model.zero)
+    one, zero = model.one, model.zero
+    plus_mat = tuple(tuple(ph[i][j] - (one if i == j else zero)
                            for j in range(d)) for i in range(d))
-    minus_mat = tuple(tuple(ph[i][j] + (one if i == j else model.zero)
+    minus_mat = tuple(tuple(ph[i][j] + (one if i == j else zero)
                             for j in range(d)) for i in range(d))
     vplus = linalg.nullspace(plus_mat, one)
     vminus = linalg.nullspace(minus_mat, one)
@@ -536,37 +467,26 @@ def build_phi_basis(s: ParacontactStructure) -> tuple[TensorField, ...]:
             f"eigendistributions have dimensions ({len(vplus)}, {len(vminus)}), "
             f"expected ({n}, {n})")
     grows = s.g.rows()
-
-    def g_of(u: Vec, v: Vec) -> RationalExpr:
-        acc = model.zero
-        for i in range(d):
-            if u[i].is_zero:
-                continue
-            for j in range(d):
-                if not v[j].is_zero:
-                    acc = acc + u[i] * v[j] * grows[i][j]
-        return acc
-
     up = [list(v) for v in vplus]
     um = [list(v) for v in vminus]
     for i in range(n):
         # pivot: a nonzero pairing g(u+_a, u-_b); exists by nondegeneracy
         pivot = next(((a, b) for a in range(i, n) for b in range(i, n)
-                      if not g_of(tuple(up[a]), tuple(um[b])).is_zero), None)
+                      if not bilinear(grows, up[a], um[b], zero).is_zero), None)
         if pivot is None:
             raise StructureError("degenerate pairing between eigendistributions")
         a, b = pivot
         up[i], up[a] = up[a], up[i]
         um[i], um[b] = um[b], um[i]
-        p = g_of(tuple(up[i]), tuple(um[i]))
+        p = bilinear(grows, up[i], um[i], zero)
         for r in range(i + 1, n):
-            f = g_of(tuple(up[r]), tuple(um[i])) / p
+            f = bilinear(grows, up[r], um[i], zero) / p
             up[r] = [c - f * ci for c, ci in zip(up[r], up[i])]
-            f = g_of(tuple(up[i]), tuple(um[r])) / p
+            f = bilinear(grows, up[i], um[r], zero) / p
             um[r] = [c - f * ci for c, ci in zip(um[r], um[i])]
     xs, ys = [], []
     for i in range(n):
-        p2 = 2 * g_of(tuple(up[i]), tuple(um[i]))
+        p2 = 2 * bilinear(grows, up[i], um[i], zero)
         xvec = tuple(c + cm / p2 for c, cm in zip(up[i], um[i]))
         yvec = tuple(c - cm / p2 for c, cm in zip(up[i], um[i]))
         xs.append(TensorField.vector(model, xvec))
@@ -578,19 +498,14 @@ def build_phi_basis(s: ParacontactStructure) -> tuple[TensorField, ...]:
 
 def _verify_phi_basis(s: ParacontactStructure, basis: tuple[TensorField, ...]) -> None:
     model = s.model
-    d, n = model.dim, model.n
+    d = model.dim
     grows = s.g.rows()
-    eps = [1] * n + [-1] * n + [1]
+    zero = model.zero
+    eps = phi_basis_eps(s)
     cols = [f.vec() for f in basis]
     for a in range(d):
         for b in range(d):
-            acc = model.zero
-            for i in range(d):
-                if cols[a][i].is_zero:
-                    continue
-                for j in range(d):
-                    if not cols[b][j].is_zero:
-                        acc = acc + cols[a][i] * cols[b][j] * grows[i][j]
+            acc = bilinear(grows, cols[a], cols[b], zero)
             expected = eps[a] if a == b else 0
             if not (acc - model.scalar(expected)).is_zero:
                 raise StructureError(

@@ -142,6 +142,18 @@ def test_input_errors_exit_2(argv):
     assert report.status == "error"
 
 
+def test_division_by_zero_in_spec_exits_2(tmp_path, capsys):
+    entry = next(e for e in model_catalog() if e.name == "example-frame")
+    text = export_text(entry.build()).replace("e1, e2 = 4*xi", "e1, e2 = 1/0*xi")
+    assert "1/0*xi" in text
+    spec = tmp_path / "zero.spec"
+    spec.write_text(text, encoding="utf-8")
+    assert main(["check", str(spec)]) == 2
+    out = capsys.readouterr().out
+    assert "status: error" in out
+    assert "division by zero" in out
+
+
 def test_point_on_frame_model_rejected():
     report = run_command(["check", "--model", "example-frame",
                           "--point", "x=1,y=1,z=1"])

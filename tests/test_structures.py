@@ -88,6 +88,19 @@ def test_validate_structure_at_custom_point():
     assert report.sample_point == {"x": 0, "y": 1, "z": 3}
 
 
+def test_validate_structure_at_constraint_violating_point():
+    # z != 0 is a domain constraint of the chart; the pointwise checks fail
+    # with the violation as witness instead of raising
+    report = validate_structure(chart_corrected(), {"x": Fraction(1),
+                                                    "y": Fraction(1),
+                                                    "z": Fraction(0)})
+    checks = _check_map(report)
+    for name in ("metric_signature", "eigendistributions"):
+        assert not checks[name].passed
+        assert "constraint" in checks[name].witness
+    assert report.inertia is None and report.eigen_dims is None
+
+
 def test_signature_failure_detected():
     model = ChartModel(("x", "y", "z"))
     phi = TensorField.from_rows(model, (1, 1), [[0, 1, 0], [1, 0, 0], [0, 0, 0]])

@@ -1,8 +1,9 @@
 """Exact symbolic tensor calculus for almost paracontact metric structures.
 
-The package computes with exact rational-function coefficients only: no
-floating point, no simplification heuristics.  Chart-mode structures carry
-coordinate expressions, frame-mode structures constant structure tables.
+The package computes with exact scalars only: no floating point, no
+simplification heuristics.  Chart-mode structures carry coordinate
+expressions (rational functions, RationalExpr), frame-mode structures
+constant structure tables over plain fractions.Fraction.
 Every geometric claim is verified as an identically zero residual (or as an
 exact evaluation at rational sample points) and every failure carries a
 witness: the first offending component and its value.

@@ -26,12 +26,12 @@ from functools import cached_property
 from itertools import product
 
 from . import linalg
-from .expr import RationalExpr
 from .linalg import bilinear, mat_vec, trace_product
 from .models import (
     DegenerateMetricError,
     GeometryError,
     ManifoldModel,
+    Scalar,
     TensorField,
     Vec,
 )
@@ -46,13 +46,13 @@ class ConnectionData:
     model: ManifoldModel
     coeffs: Coeffs
     metric: TensorField
-    metric_inverse: tuple[tuple[RationalExpr, ...], ...]
+    metric_inverse: tuple[tuple[Scalar, ...], ...]
 
     def nabla_basis(self, i: int, j: int) -> Vec:
         """Components of nabla_{e_i} e_j."""
         return self.coeffs[i][j]
 
-    def gamma(self, k: int, i: int, j: int) -> RationalExpr:
+    def gamma(self, k: int, i: int, j: int) -> Scalar:
         """Gamma^k_ij."""
         return self.coeffs[i][j][k]
 
@@ -70,9 +70,9 @@ class CurvatureData:
     connection: ConnectionData
     _nested: tuple = field(repr=False)
     ricci: TensorField | None = None
-    scalar: RationalExpr | None = None
+    scalar: Scalar | None = None
     star_ricci: TensorField | None = None
-    star_scalar: RationalExpr | None = None
+    star_scalar: Scalar | None = None
 
     @property
     def model(self) -> ManifoldModel:
@@ -95,15 +95,15 @@ class CurvatureData:
                      for rl in self._nested)
 
 
-def metric_inverse(g: TensorField) -> tuple[tuple[RationalExpr, ...], ...]:
+def metric_inverse(g: TensorField) -> tuple[tuple[Scalar, ...], ...]:
     rows = g.rows()
     d = g.model.dim
     for i in range(d):
         for j in range(d):
-            if not (rows[i][j] - rows[j][i]).is_zero:
+            if rows[i][j] - rows[j][i]:
                 raise GeometryError("metric must be symmetric")
     det = linalg.determinant(rows)
-    if det.is_zero:
+    if not det:
         raise DegenerateMetricError("metric determinant is identically zero")
     return linalg.invert_matrix(rows, g.model.one)
 
@@ -167,13 +167,13 @@ def covariant_derivative(T: TensorField, conn: ConnectionData) -> TensorField:
                 for p in range(r):
                     for m in range(d):
                         gm = conn.coeffs[k][m][uppers[p]]
-                        if not gm.is_zero:
+                        if gm:
                             idx = uppers[:p] + (m,) + uppers[p + 1:] + lowers
                             val = val + gm * T[idx]
                 for q in range(s):
                     for m in range(d):
                         gm = conn.coeffs[k][lowers[q]][m]
-                        if not gm.is_zero:
+                        if gm:
                             idx = uppers + lowers[:q] + (m,) + lowers[q + 1:]
                             val = val - gm * T[idx]
                 entries[uppers + (k,) + lowers] = val
@@ -206,7 +206,7 @@ def riemann(conn: ConnectionData) -> CurvatureData:
     return CurvatureData(connection=conn, _nested=nested)
 
 
-def ricci_scalar(curv: CurvatureData, g: TensorField) -> tuple[TensorField, RationalExpr]:
+def ricci_scalar(curv: CurvatureData, g: TensorField) -> tuple[TensorField, Scalar]:
     """(Ricci tensor, scalar curvature); also cached on the CurvatureData."""
     model = curv.model
     d = model.dim
@@ -232,7 +232,7 @@ def _inverse_of(curv: CurvatureData, g: TensorField):
 
 
 def star_ricci_scalar(curv: CurvatureData, g: TensorField, phi: TensorField,
-                      ) -> tuple[TensorField, RationalExpr]:
+                      ) -> tuple[TensorField, Scalar]:
     """(star-Ricci tensor, star scalar); assumes phi is g-skew-adjoint."""
     model = curv.model
     d = model.dim

@@ -33,7 +33,7 @@ from itertools import product
 
 from .curvature import covariant_derivative
 from .linalg import mat_vec
-from .models import TensorField
+from .models import TensorField, constant_value
 from .structures import ParacontactStructure, StructureError
 
 
@@ -140,7 +140,7 @@ def verify_deformation_relations(s: ParacontactStructure,
 
     def record(key: str, entries) -> None:
         for idx, value in entries:
-            if not value.is_zero:
+            if value:
                 args = ",".join(labels[i] for i in idx)
                 report.results[key] = DeformationResult(
                     key, False, witness=f"residual at ({args}): {value}")
@@ -203,11 +203,10 @@ def proportionality_constant(s: ParacontactStructure) -> Fraction | None:
     d = s.model.dim
     lam = None
     for k, i in product(range(d), repeat=2):
-        if not ph[k][i].is_zero:
-            ratio = A[k][i] / ph[k][i]
-            if not ratio.is_constant:
+        if ph[k][i]:
+            lam = constant_value(A[k][i] / ph[k][i])
+            if lam is None:
                 return None
-            lam = ratio.constant_value()
             break
     if lam is None:
         return None

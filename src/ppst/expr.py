@@ -415,9 +415,16 @@ class RationalExpr:
             return NotImplemented
         if exponent < 0:
             return (RationalExpr.one(self.variables) / self) ** (-exponent)
+        # square-and-multiply: O(log exponent) products; canonical form
+        # makes the result independent of the multiplication order
         out = RationalExpr.one(self.variables)
-        for _ in range(exponent):
-            out = out * self
+        base = self
+        while exponent:
+            if exponent & 1:
+                out = out * base
+            exponent >>= 1
+            if exponent:
+                base = base * base
         return out
 
     # -- calculus -----------------------------------------------------------

@@ -43,9 +43,15 @@ from itertools import product
 from typing import Mapping, Sequence
 
 from .curvature import covariant_derivative
-from .expr import RationalExpr
 from .linalg import bilinear, dot, mat_vec, trace_product
-from .models import FrameModel, TensorField, Vec, sample_points
+from .models import (
+    FrameModel,
+    Scalar,
+    TensorField,
+    Vec,
+    evaluate_at,
+    sample_points,
+)
 from .structures import ParacontactStructure, StructureError, phi_basis_eps
 
 IDENTITY_KEYS = ("p1", "P5", "P6a", "P6b", "P6c", "P2", "P3", "P4",
@@ -168,7 +174,7 @@ class _Context:
         self.tr_phiA = trace_product(ph, A, zero)
         self.tr_A2 = trace_product(A, A, zero)
 
-    def g(self, u: Vec, v: Vec) -> RationalExpr:
+    def g(self, u: Vec, v: Vec) -> Scalar:
         return bilinear(self.g_rows, u, v, self.zero)
 
     def _label_basis(self) -> tuple[str, ...]:
@@ -184,11 +190,11 @@ class _Context:
                      + [f"Y{i+1}" for i in range(n)] + ["xi"])
 
 
-def _scalar_entries(ctx: _Context, fn, arity: int) -> dict[tuple[int, ...], RationalExpr]:
+def _scalar_entries(ctx: _Context, fn, arity: int) -> dict[tuple[int, ...], Scalar]:
     return {idx: fn(*idx) for idx in product(range(ctx.d), repeat=arity)}
 
 
-def _vector_entries(ctx: _Context, fn, arity: int) -> dict[tuple[int, ...], RationalExpr]:
+def _vector_entries(ctx: _Context, fn, arity: int) -> dict[tuple[int, ...], Scalar]:
     out = {}
     for idx in product(range(ctx.d), repeat=arity):
         vec = fn(*idx)
@@ -197,7 +203,7 @@ def _vector_entries(ctx: _Context, fn, arity: int) -> dict[tuple[int, ...], Rati
     return out
 
 
-def _residuals(ctx: _Context, key: str) -> tuple[dict[tuple[int, ...], RationalExpr], dict[str, str]]:
+def _residuals(ctx: _Context, key: str) -> tuple[dict[tuple[int, ...], Scalar], dict[str, str]]:
     """Residual components for one identity, plus scalar details."""
     d = ctx.d
     xi = ctx.xi_index
@@ -301,7 +307,7 @@ def _judge(ctx: _Context, key: str, mode: str,
     entries, details = _residuals(ctx, key)
     if mode == "symbolic":
         for idx, v in entries.items():
-            if not v.is_zero:
+            if v:
                 args = _witness_args(ctx, key, idx)
                 return IdentityResult(key, False, mode,
                                       witness=f"residual at ({args}): {v}",
@@ -310,7 +316,7 @@ def _judge(ctx: _Context, key: str, mode: str,
     cons = ctx.model.constraints
     for point in points:
         for idx, v in entries.items():
-            val = v.evaluate(point, cons)
+            val = evaluate_at(v, point, cons)
             if val != 0:
                 args = _witness_args(ctx, key, idx)
                 pt = {k: str(f) for k, f in point.items()}

@@ -1,16 +1,24 @@
 """Manifold models and exact tensor fields.
 
-Two model kinds describe an odd-dimensional manifold M^(2n+1):
+Two model kinds describe an odd-dimensional manifold M^(2n+1), each with
+its own exact scalar field:
 
-* :class:`ChartModel`: a single coordinate chart with rational-function
-  scalars; the basis is the coordinate vector fields (all brackets zero).
+* :class:`ChartModel`: a single coordinate chart; scalars are rational
+  functions (:class:`~ppst.expr.RationalExpr`) in the coordinates, and the
+  basis is the coordinate vector fields (all brackets zero).
 * :class:`FrameModel`: a global frame e_1..e_{2n+1} with constant structure
-  constants [e_i, e_j] = c^k_ij e_k; scalars are rational constants.
+  constants [e_i, e_j] = c^k_ij e_k; scalars are plain
+  ``fractions.Fraction`` constants.
 
-Both expose the same operational surface (diff, bracket_vector, ...), so
-the differential-geometry operators (Lie bracket, exterior derivative, Lie
-derivative) are written once against it.  A tensor field stores one exact
-scalar per component; index order is upper slots first, then lower slots.
+Both expose the same operational surface (zero, one, scalar, diff,
+bracket_vector, ...), so the differential-geometry operators (Lie bracket,
+exterior derivative, Lie derivative) and everything built on them are
+written once against it, using only the operations both fields share:
++, -, *, /, equality, truthiness as the zero test, and str.  The two
+helpers :func:`constant_value` and :func:`evaluate_at` cover what only
+rational functions need (a constant test, a point evaluation).  A tensor
+field stores one exact scalar per component; index order is upper slots
+first, then lower slots.
 
 For a frame realized inside a chart by explicit vector fields,
 :func:`realize_frame` re-expresses brackets and metric in the frame and
@@ -22,14 +30,34 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from typing import Iterable, Mapping, Sequence, Union
 
 from . import linalg
 from .expr import DomainConstraint, RationalExpr
 from .parser import parse_expr
 
+Scalar = Union[Fraction, RationalExpr]
 ScalarLike = Union[int, Fraction, str, RationalExpr]
+
+
+def constant_value(value: Scalar | int) -> Fraction | None:
+    """The rational constant a scalar of either field equals, or None."""
+    if isinstance(value, RationalExpr):
+        return value.constant_value() if value.is_constant else None
+    return Fraction(value)
+
+
+def evaluate_at(value: Scalar | int, point: Mapping[str, Fraction | int],
+                constraints: Iterable[DomainConstraint] = ()) -> Fraction:
+    """The value of a scalar of either field at an exact point.
+
+    A rational function is evaluated (and may raise EvaluationError or
+    ConstraintViolation); a constant is its own value.
+    """
+    if isinstance(value, RationalExpr):
+        return value.evaluate(point, constraints)
+    return Fraction(value)
 
 
 class GeometryError(Exception):
@@ -57,13 +85,56 @@ class ManifoldModel:
 
     # scalar helpers ---------------------------------------------------------
 
-    @property
-    def zero(self) -> RationalExpr:
-        return RationalExpr.zero(self.scalar_variables)
+    # the field's additive and multiplicative identities, set once per model
+    zero: Scalar
+    one: Scalar
+
+    def delta(self, i: int) -> tuple[Scalar, ...]:
+        """Components of the i-th basis vector field."""
+        return tuple(self.one if j == i else self.zero for j in range(self.dim))
+
+    # overridden by the concrete models ---------------------------------------
+
+    def scalar(self, value: ScalarLike) -> Scalar:
+        """Coerce a value into this model's scalar field."""
+        raise NotImplementedError
+
+    def diff(self, i: int, f: Scalar) -> Scalar:
+        """Apply the i-th basis vector field to a scalar."""
+        raise NotImplementedError
+
+    def bracket_vector(self, i: int, j: int) -> tuple[Scalar, ...]:
+        """Components of [e_i, e_j] for basis fields."""
+        raise NotImplementedError
 
     @property
-    def one(self) -> RationalExpr:
-        return RationalExpr.one(self.scalar_variables)
+    def basis_labels(self) -> tuple[str, ...]:
+        raise NotImplementedError
+
+
+class ChartModel(ManifoldModel):
+    """A single coordinate chart, optionally with nonzero-constraints.
+
+    Scalars are RationalExpr over the coordinate tuple.
+    """
+
+    def __init__(self, coordinates: Iterable[str],
+                 constraints: Iterable[DomainConstraint | RationalExpr | str] = ()):
+        self.coordinates = tuple(coordinates)
+        self.dim = len(self.coordinates)
+        self.scalar_variables = self.coordinates
+        self._check_dim()
+        self.zero = RationalExpr.zero(self.coordinates)
+        self.one = RationalExpr.one(self.coordinates)
+        cons = []
+        for c in constraints:
+            if isinstance(c, str):
+                c = DomainConstraint(parse_expr(c, self.coordinates))
+            elif isinstance(c, RationalExpr):
+                c = DomainConstraint(c)
+            cons.append(c)
+        self.constraints = tuple(cons)
+        self._zero_vec = (self.zero,) * self.dim
 
     def scalar(self, value: ScalarLike) -> RationalExpr:
         if isinstance(value, RationalExpr):
@@ -76,44 +147,6 @@ class ManifoldModel:
         if isinstance(value, str):
             return parse_expr(value, self.scalar_variables)
         return RationalExpr.constant(value, self.scalar_variables)
-
-    def delta(self, i: int) -> tuple[RationalExpr, ...]:
-        """Components of the i-th basis vector field."""
-        return tuple(self.one if j == i else self.zero for j in range(self.dim))
-
-    # overridden by the concrete models ---------------------------------------
-
-    def diff(self, i: int, f: RationalExpr) -> RationalExpr:
-        """Apply the i-th basis vector field to a scalar."""
-        raise NotImplementedError
-
-    def bracket_vector(self, i: int, j: int) -> tuple[RationalExpr, ...]:
-        """Components of [e_i, e_j] for basis fields."""
-        raise NotImplementedError
-
-    @property
-    def basis_labels(self) -> tuple[str, ...]:
-        raise NotImplementedError
-
-
-class ChartModel(ManifoldModel):
-    """A single coordinate chart, optionally with nonzero-constraints."""
-
-    def __init__(self, coordinates: Iterable[str],
-                 constraints: Iterable[DomainConstraint | RationalExpr | str] = ()):
-        self.coordinates = tuple(coordinates)
-        self.dim = len(self.coordinates)
-        self.scalar_variables = self.coordinates
-        self._check_dim()
-        cons = []
-        for c in constraints:
-            if isinstance(c, str):
-                c = DomainConstraint(parse_expr(c, self.coordinates))
-            elif isinstance(c, RationalExpr):
-                c = DomainConstraint(c)
-            cons.append(c)
-        self.constraints = tuple(cons)
-        self._zero_vec = tuple(self.zero for _ in range(self.dim))
 
     def diff(self, i: int, f: RationalExpr) -> RationalExpr:
         return f.derivative(self.coordinates[i])
@@ -132,11 +165,18 @@ class ChartModel(ManifoldModel):
 class FrameModel(ManifoldModel):
     """A global frame with constant structure constants.
 
+    Scalars are plain ``fractions.Fraction`` constants, so the bracket table
+    and every tensor field on a frame hold Fractions; ``scalar`` also
+    accepts int, str and constant RationalExpr input.
+
     ``brackets`` maps index pairs (i, j), i < j, to the component list of
     [e_i, e_j]; omitted pairs are zero.  The table must be antisymmetric
     (enforced by construction) and satisfy the Jacobi identity, since a
     constant table is a Lie algebra; this also guarantees d(d omega) = 0.
     """
+
+    zero = Fraction(0)
+    one = Fraction(1)
 
     def __init__(self, labels: Iterable[str], signature: Iterable[int],
                  brackets: Mapping[tuple[int, int], Sequence[ScalarLike]] | None = None):
@@ -151,7 +191,7 @@ class FrameModel(ManifoldModel):
         if (self.signature.count(1), self.signature.count(-1)) != (self.n + 1, self.n):
             raise GeometryError(f"signature must have {self.n + 1} plus and "
                                 f"{self.n} minus entries")
-        zero_vec = tuple(self.zero for _ in range(self.dim))
+        zero_vec = (self.zero,) * self.dim
         table = [[zero_vec] * self.dim for _ in range(self.dim)]
         for (i, j), comps in (brackets or {}).items():
             if not 0 <= i < j < self.dim:
@@ -164,27 +204,38 @@ class FrameModel(ManifoldModel):
         self._table = tuple(tuple(row) for row in table)
         self._check_jacobi()
 
+    def scalar(self, value: ScalarLike) -> Fraction:
+        if type(value) is Fraction:
+            return value
+        if isinstance(value, str):
+            value = parse_expr(value, ())
+        const = constant_value(value)
+        if const is None:
+            raise GeometryError(f"frame scalars are constants, got {value!r}")
+        return const
+
     def _check_jacobi(self) -> None:
-        d = self.dim
-        # structure constants are exact rational constants; check over Fraction
-        c = [[[comp.constant_value() for comp in self._table[i][j]]
-              for j in range(d)] for i in range(d)]
-        for i, j, k in product(range(d), repeat=3):
+        # J(i,j,k) = [[e_i,e_j],e_k] + [[e_j,e_k],e_i] + [[e_k,e_i],e_j] is
+        # totally antisymmetric and vanishes on a repeated index, so the
+        # triples i < j < k decide it; the first violation found is the
+        # lexicographically first violating ordered triple
+        d, c, zero = self.dim, self._table, self.zero
+        # col[k][l][m] = c^l_mk, the l-th components of [e_m, e_k]
+        col = [[tuple(c[m][k][l] for m in range(d)) for l in range(d)]
+               for k in range(d)]
+        for i, j, k in combinations(range(d), 3):
             for l in range(d):
-                acc = Fraction(0)
-                for m in range(d):
-                    acc += (c[i][j][m] * c[m][k][l]
-                            + c[j][k][m] * c[m][i][l]
-                            + c[k][i][m] * c[m][j][l])
-                if acc:
+                if (linalg.dot(c[i][j], col[k][l], zero)
+                        + linalg.dot(c[j][k], col[i][l], zero)
+                        + linalg.dot(c[k][i], col[j][l], zero)):
                     raise GeometryError(
                         f"bracket table violates the Jacobi identity at "
                         f"({self.labels[i]},{self.labels[j]},{self.labels[k]})")
 
-    def diff(self, i: int, f: RationalExpr) -> RationalExpr:
+    def diff(self, i: int, f: Fraction) -> Fraction:
         return self.zero  # frame scalars are constants
 
-    def bracket_vector(self, i: int, j: int) -> tuple[RationalExpr, ...]:
+    def bracket_vector(self, i: int, j: int) -> tuple[Fraction, ...]:
         return self._table[i][j]
 
     @property
@@ -275,7 +326,7 @@ class TensorField:
     def rank(self) -> int:
         return sum(self.valence)
 
-    def __getitem__(self, idx: int | tuple[int, ...]) -> RationalExpr:
+    def __getitem__(self, idx: int | tuple[int, ...]) -> Scalar:
         if isinstance(idx, int):
             idx = (idx,)
         if len(idx) != self.rank:
@@ -285,12 +336,12 @@ class TensorField:
     def indices(self):
         return product(range(self.model.dim), repeat=self.rank)
 
-    def vec(self) -> tuple[RationalExpr, ...]:
+    def vec(self) -> tuple[Scalar, ...]:
         if self.rank != 1:
             raise GeometryError("vec() needs a rank-1 tensor")
         return self.data
 
-    def rows(self) -> tuple[tuple[RationalExpr, ...], ...]:
+    def rows(self) -> tuple[tuple[Scalar, ...], ...]:
         if self.rank != 2:
             raise GeometryError("rows() needs a rank-2 tensor")
         d = self.model.dim
@@ -332,13 +383,12 @@ class TensorField:
 
     @property
     def is_zero(self) -> bool:
-        return all(c.is_zero for c in self.data)
+        return not any(self.data)
 
-    def nonzero_witness(self) -> tuple[tuple[int, ...], RationalExpr] | None:
+    def nonzero_witness(self) -> tuple[tuple[int, ...], Scalar] | None:
         """First (lex) index with a nonvanishing component, or None."""
-        for idx in self.indices():
-            c = self[idx]
-            if not c.is_zero:
+        for idx, c in zip(self.indices(), self.data):
+            if c:
                 return idx, c
         return None
 
@@ -349,7 +399,7 @@ class TensorField:
 # ---------------------------------------------------------------------------
 # differential operators (shared by chart and frame pipelines)
 
-Vec = tuple[RationalExpr, ...]
+Vec = tuple[Scalar, ...]
 
 
 def _bracket_comps(model: ManifoldModel, X: Vec, Y: Vec) -> Vec:
@@ -368,10 +418,10 @@ def _bracket_comps(model: ManifoldModel, X: Vec, Y: Vec) -> Vec:
     return tuple(out)
 
 
-def _apply_vec(model: ManifoldModel, X: Vec, f: RationalExpr) -> RationalExpr:
+def _apply_vec(model: ManifoldModel, X: Vec, f: Scalar) -> Scalar:
     acc = model.zero
     for i in range(model.dim):
-        if not X[i].is_zero:
+        if X[i]:
             acc = acc + X[i] * model.diff(i, f)
     return acc
 
@@ -401,7 +451,7 @@ def exterior_derivative(omega: TensorField) -> TensorField:
                 cij = model.bracket_vector(i, j)
                 val = model.diff(i, w[j]) - model.diff(j, w[i])
                 for k in range(d):
-                    if not cij[k].is_zero:
+                    if cij[k]:
                         val = val - cij[k] * w[k]
                 entries[(i, j)] = val * half
         return TensorField.from_entries(model, (0, 2), entries)
@@ -409,7 +459,7 @@ def exterior_derivative(omega: TensorField) -> TensorField:
         rows = omega.rows()
         for i in range(d):
             for j in range(d):
-                if not (rows[i][j] + rows[j][i]).is_zero:
+                if rows[i][j] + rows[j][i]:
                     raise GeometryError("exterior_derivative needs an antisymmetric 2-form")
         third = Fraction(1, 3)
         entries = {}
@@ -419,7 +469,7 @@ def exterior_derivative(omega: TensorField) -> TensorField:
             for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
                 vab = model.bracket_vector(a, b)
                 for m in range(d):
-                    if not vab[m].is_zero:
+                    if vab[m]:
                         val = val - vab[m] * rows[m][c]
             entries[(i, j, k)] = val * third
         return TensorField.from_entries(model, (0, 3), entries)
@@ -441,7 +491,7 @@ def lie_derivative(T: TensorField, X: TensorField) -> TensorField:
         for j in range(d):
             val = _apply_vec(model, Xv, w[j])
             for k in range(d):
-                if not bracket_with_basis[j][k].is_zero:
+                if bracket_with_basis[j][k]:
                     val = val - bracket_with_basis[j][k] * w[k]
             out.append(val)
         return TensorField.covector(model, out)
@@ -454,9 +504,9 @@ def lie_derivative(T: TensorField, X: TensorField) -> TensorField:
                 for m in range(d):
                     bj = bracket_with_basis[j][m]
                     bk = bracket_with_basis[k][m]
-                    if not bj.is_zero:
+                    if bj:
                         val = val - bj * rows[m][k]
-                    if not bk.is_zero:
+                    if bk:
                         val = val - bk * rows[j][m]
                 entries[(j, k)] = val
         return TensorField.from_entries(model, (0, 2), entries)
@@ -471,7 +521,7 @@ def lie_derivative(T: TensorField, X: TensorField) -> TensorField:
                 val = lead[i]
                 for m in range(d):
                     bm = bracket_with_basis[j][m]
-                    if not bm.is_zero:
+                    if bm:
                         val = val - rows[i][m] * bm
                 entries[(i, j)] = val
         return TensorField.from_entries(model, (1, 1), entries)
@@ -504,11 +554,13 @@ def realize_frame(chart: ChartModel, vectors: Sequence[TensorField],
     zero = chart.zero
 
     def in_frame(w: Vec) -> tuple[Fraction, ...]:
-        coords = linalg.mat_vec(inv, w, zero)
-        for c in coords:
-            if not c.is_constant:
+        consts = []
+        for c in linalg.mat_vec(inv, w, zero):
+            const = constant_value(c)
+            if const is None:
                 raise GeometryError(f"frame re-expression is not constant: {c}")
-        return tuple(c.constant_value() for c in coords)
+            consts.append(const)
+        return tuple(consts)
 
     brackets = {}
     for a in range(d):
@@ -522,9 +574,10 @@ def realize_frame(chart: ChartModel, vectors: Sequence[TensorField],
         row = []
         for b in range(d):
             acc = linalg.bilinear(grows, cols[a], cols[b], zero)
-            if not acc.is_constant:
+            const = constant_value(acc)
+            if const is None:
                 raise GeometryError(f"frame metric is not constant: g({a},{b}) = {acc}")
-            row.append(acc.constant_value())
+            row.append(const)
         G.append(row)
     if signature is None:
         if all(G[a][b] == (0 if a != b else G[a][a]) for a in range(d) for b in range(d)) \
@@ -574,7 +627,7 @@ def sample_point(model: ManifoldModel) -> dict[str, Fraction]:
 _PLAIN_COEFF = re.compile(r"-?[0-9]+(/[0-9]+)?\Z")
 
 
-def format_combination(comps: Sequence[RationalExpr | Fraction | int],
+def format_combination(comps: Sequence[Scalar | int],
                        labels: Sequence[str]) -> str:
     """Print a component tuple as a combination over basis labels.
 
@@ -588,9 +641,7 @@ def format_combination(comps: Sequence[RationalExpr | Fraction | int],
         raise GeometryError("component/label length mismatch")
     terms: list[str] = []
     for comp, label in zip(comps, labels):
-        if isinstance(comp, (int, Fraction)):
-            comp = RationalExpr.constant(comp)
-        if comp.is_zero:
+        if not comp:
             continue
         text = str(comp)
         if text == "1":

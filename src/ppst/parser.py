@@ -11,9 +11,9 @@ Grammar (EBNF, whitespace insignificant between tokens):
     number   = digits , [ "." , digits ] ;
 
 Numbers are exact: decimals become the rational they denote (0.5 = 1/2),
-and p/q is ordinary division.  ``^`` is exponentiation by an integer and
-binds tighter than unary minus, so -x^2 = -(x^2).  Implicit multiplication
-is not accepted; write 4*y, not 4y.
+and p/q is ordinary division.  ``^`` is exponentiation by an integer of
+absolute value at most MAX_EXPONENT and binds tighter than unary minus, so
+-x^2 = -(x^2).  Implicit multiplication is not accepted; write 4*y, not 4y.
 
 Errors carry 1-based character positions.  Division by a structurally zero
 expression raises ZeroDenominatorError, as in the kernel.
@@ -25,6 +25,11 @@ from fractions import Fraction
 from typing import Iterable
 
 from .expr import RationalExpr, ZeroDenominatorError
+
+
+# bound on |n| in x^n: the work and the size of x^n grow with n, and the
+# structures this grammar describes need exponents of a few units
+MAX_EXPONENT = 100
 
 
 class ParseError(Exception):
@@ -161,8 +166,13 @@ class _Parser:
             kind, text, position = self.next()
             if kind != "num" or "." in text:
                 raise ParseError("exponent must be an integer", position)
+            digits = text.lstrip("0") or "0"
+            if (len(digits) > len(str(MAX_EXPONENT))
+                    or int(digits) > MAX_EXPONENT):
+                raise ParseError(f"exponent exceeds {MAX_EXPONENT} in absolute "
+                                 f"value", position)
             try:
-                value = value ** (sign * int(text))
+                value = value ** (sign * int(digits))
             except ZeroDenominatorError:
                 raise ZeroDenominatorError(
                     f"zero raised to a negative power (position {position})"
@@ -172,11 +182,14 @@ class _Parser:
     def atom(self) -> RationalExpr:
         kind, text, position = self.next()
         if kind == "num":
-            if "." in text:
-                whole, frac = text.split(".")
-                value = Fraction(int(whole + frac), 10 ** len(frac))
-            else:
-                value = Fraction(int(text))
+            try:
+                if "." in text:
+                    whole, frac = text.split(".")
+                    value = Fraction(int(whole + frac), 10 ** len(frac))
+                else:
+                    value = Fraction(int(text))
+            except ValueError:  # past the interpreter's int-from-str digit limit
+                raise ParseError("number has too many digits", position) from None
             return RationalExpr.constant(value, self.variables)
         if kind == "name":
             if text not in self.variables:

@@ -41,6 +41,7 @@ from .models import (
     FrameModel,
     GeometryError,
     TensorField,
+    constant_value,
     exterior_derivative,
 )
 from .structures import ParacontactStructure, StructureError, nijenhuis_N1
@@ -53,21 +54,19 @@ def constant_curvature_of(s: ParacontactStructure) -> Fraction | None:
     R = s.curvature.apply
     grows = s.g.rows()
     zero = model.zero
-    K_expr = None
+    K = None
     for i, j, k, l in product(range(d), repeat=4):
         coeff = (grows[j][k] if l == i else zero) - (grows[i][k] if l == j else zero)
-        if not coeff.is_zero:
-            ratio = R(i, j, k)[l] / coeff
-            if not ratio.is_constant:
+        if coeff:
+            K = constant_value(R(i, j, k)[l] / coeff)
+            if K is None:
                 return None
-            K_expr = ratio
             break
-    if K_expr is None:  # degenerate metric cannot reach here; defensive
+    if K is None:  # degenerate metric cannot reach here; defensive
         return None
-    K = K_expr.constant_value()
     for i, j, k, l in product(range(d), repeat=4):
         coeff = (grows[j][k] if l == i else zero) - (grows[i][k] if l == j else zero)
-        if not (R(i, j, k)[l] - coeff * K).is_zero:
+        if R(i, j, k)[l] - coeff * K:
             return None
     return K
 
@@ -211,7 +210,7 @@ def _residual_assertion(name: str, T: TensorField, model) -> TheoremAssertion:
 def _entries_assertion(name: str, entries, model) -> TheoremAssertion:
     labels = model.basis_labels
     for idx, value in entries.items():
-        if not value.is_zero:
+        if value:
             args = ",".join(labels[i] for i in idx)
             return TheoremAssertion(name, False,
                                     witness=f"residual at ({args}): {value}")

@@ -420,7 +420,7 @@ def export_text(s: ParacontactStructure) -> str:
         for i in range(model.dim):
             for j in range(i + 1, model.dim):
                 vec = model.bracket_vector(i, j)
-                if any(not c.is_zero for c in vec):
+                if any(vec):
                     combo = format_combination(vec, model.labels)
                     bracket_lines.append(
                         f"{model.labels[i]}, {model.labels[j]} = {combo}")

@@ -41,15 +41,17 @@ from .curvature import (
     riemann,
     star_ricci_scalar,
 )
-from .expr import EvaluationError, RationalExpr
+from .expr import EvaluationError
 from .linalg import bilinear, dot, mat_vec
 from .models import (
     ChartModel,
     FrameModel,
     GeometryError,
     ManifoldModel,
+    Scalar,
     TensorField,
     _bracket_comps,
+    evaluate_at,
     exterior_derivative,
     lie_derivative,
     sample_point,
@@ -278,10 +280,11 @@ def _evaluate_matrix(s: ParacontactStructure, T: TensorField,
     d = s.model.dim
     rows = T.rows()
     cons = s.model.constraints
-    return [[rows[i][j].evaluate(point, cons) for j in range(d)] for i in range(d)]
+    return [[evaluate_at(rows[i][j], point, cons) for j in range(d)]
+            for i in range(d)]
 
 
-def _witness(model: ManifoldModel, idx: tuple[int, ...], value: RationalExpr,
+def _witness(model: ManifoldModel, idx: tuple[int, ...], value: Scalar,
              what: str) -> str:
     labels = model.basis_labels
     args = ",".join(labels[i] for i in idx)
@@ -305,9 +308,9 @@ def validate_structure(s: ParacontactStructure,
     pt = dict(point) if point is not None else sample_point(model)
     checks: list[AxiomCheck] = []
 
-    def residual_check(name: str, entries: Mapping[tuple[int, ...], RationalExpr],
+    def residual_check(name: str, entries: Mapping[tuple[int, ...], Scalar],
                        what: str) -> None:
-        bad = next(((idx, v) for idx, v in entries.items() if not v.is_zero), None)
+        bad = next(((idx, v) for idx, v in entries.items() if v), None)
         if bad is None:
             checks.append(AxiomCheck(name, True))
         else:
@@ -363,10 +366,7 @@ def validate_structure(s: ParacontactStructure,
     # eigendistributions of phi: dim D+ = dim D- = n
     eigen: tuple[int, int] | None
     try:
-        if isinstance(model, FrameModel):
-            pmat = [[ph[i][j].constant_value() for j in range(d)] for i in range(d)]
-        else:
-            pmat = _evaluate_matrix(s, s.phi, pt)
+        pmat = _evaluate_matrix(s, s.phi, pt)
         dims = []
         for sign in (1, -1):
             m = [[pmat[i][j] - (sign if i == j else 0) for j in range(d)]
@@ -410,7 +410,7 @@ def _declared_frame_check(s: ParacontactStructure, checks: list[AxiomCheck]) -> 
             expected = Fraction(eps[a]) if a == b else Fraction(0)
             value = bilinear(grows, cols[a], cols[b], zero)
             res = value - model.scalar(expected)
-            if not res.is_zero:
+            if res:
                 checks.append(AxiomCheck(
                     "declared_frame_phi_basis", False,
                     witness=(f"g({frame_names[a]},{frame_names[b]}) = {value} "
@@ -421,13 +421,13 @@ def _declared_frame_check(s: ParacontactStructure, checks: list[AxiomCheck]) -> 
     for i in range(n):
         img = mat_vec(ph, cols[i], zero)
         diff = [a - b for a, b in zip(img, cols[n + i])]
-        if any(not c.is_zero for c in diff):
+        if any(diff):
             checks.append(AxiomCheck(
                 "declared_frame_phi_basis", False,
                 witness=f"phi({frame_names[i]}) != {frame_names[n + i]}"))
             return
     xdiff = [a - b for a, b in zip(cols[d - 1], s.xi.vec())]
-    if any(not c.is_zero for c in xdiff):
+    if any(xdiff):
         checks.append(AxiomCheck("declared_frame_phi_basis", False,
                                  witness="last declared frame field is not xi"))
         return
@@ -472,7 +472,7 @@ def build_phi_basis(s: ParacontactStructure) -> tuple[TensorField, ...]:
     for i in range(n):
         # pivot: a nonzero pairing g(u+_a, u-_b); exists by nondegeneracy
         pivot = next(((a, b) for a in range(i, n) for b in range(i, n)
-                      if not bilinear(grows, up[a], um[b], zero).is_zero), None)
+                      if bilinear(grows, up[a], um[b], zero)), None)
         if pivot is None:
             raise StructureError("degenerate pairing between eigendistributions")
         a, b = pivot
@@ -507,7 +507,7 @@ def _verify_phi_basis(s: ParacontactStructure, basis: tuple[TensorField, ...]) -
         for b in range(d):
             acc = bilinear(grows, cols[a], cols[b], zero)
             expected = eps[a] if a == b else 0
-            if not (acc - model.scalar(expected)).is_zero:
+            if acc - model.scalar(expected):
                 raise StructureError(
                     f"phi-basis verification failed: g(b{a},b{b}) = {acc}")
 

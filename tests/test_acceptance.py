@@ -120,7 +120,7 @@ def test_criterion_03_scalar_curvature_both_models():
     with _criterion(3, "scalar curvature r = 8 in frame and chart mode"):
         for name in ("example-frame", "example-chart-corrected"):
             r = _model(name).curvature.scalar
-            assert r.constant_value() == 8, f"{name}: r = {r}"
+            assert r == 8, f"{name}: r = {r}"
 
 
 def test_criterion_04_ricci_and_star_traces():
@@ -131,14 +131,14 @@ def test_criterion_04_ricci_and_star_traces():
         ricci = curv.ricci.rows()
         star = curv.star_ricci.rows()
         tr_phi_a, tr_a_sq = _traces(s)
-        assert ricci[2][2].constant_value() == -8
-        assert tr_a_sq.constant_value() == 8
-        assert star[0][0].constant_value() == -12
-        assert curv.star_scalar.constant_value() == -24
-        assert tr_phi_a.constant_value() == 4
+        assert ricci[2][2] == -8
+        assert tr_a_sq == 8
+        assert star[0][0] == -12
+        assert curv.star_scalar == -24
+        assert tr_phi_a == 4
         rsum = curv.star_scalar + curv.scalar
-        assert rsum.constant_value() == -16
-        assert rsum.constant_value() == -(tr_phi_a.constant_value() ** 2)
+        assert rsum == -16
+        assert rsum == -(tr_phi_a ** 2)
 
 
 def test_criterion_05_identity_suite_on_four_models():

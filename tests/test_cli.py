@@ -142,16 +142,35 @@ def test_input_errors_exit_2(argv):
     assert report.status == "error"
 
 
-def test_division_by_zero_in_spec_exits_2(tmp_path, capsys):
+def _hostile_frame_spec(tmp_path, value: str):
     entry = next(e for e in model_catalog() if e.name == "example-frame")
-    text = export_text(entry.build()).replace("e1, e2 = 4*xi", "e1, e2 = 1/0*xi")
-    assert "1/0*xi" in text
-    spec = tmp_path / "zero.spec"
+    text = export_text(entry.build()).replace("e1, e2 = 4*xi", f"e1, e2 = {value}")
+    assert value in text
+    spec = tmp_path / "hostile.spec"
     spec.write_text(text, encoding="utf-8")
+    return spec
+
+
+def test_division_by_zero_in_spec_exits_2(tmp_path, capsys):
+    spec = _hostile_frame_spec(tmp_path, "1/0*xi")
     assert main(["check", str(spec)]) == 2
     out = capsys.readouterr().out
     assert "status: error" in out
     assert "division by zero" in out
+
+
+@pytest.mark.parametrize("value, message", [
+    ("2^100000000*xi", "exponent exceeds"),
+    ("1" + "0" * 5000 + "*xi", "too many digits"),
+], ids=["huge-exponent", "long-literal"])
+def test_oversized_numbers_in_spec_exit_2(tmp_path, value, message):
+    spec = _hostile_frame_spec(tmp_path, value)
+    proc = subprocess.run([sys.executable, "-m", "ppst.cli", "check", str(spec)],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert "status: error" in proc.stdout
+    assert message in proc.stdout
+    assert "Traceback" not in proc.stderr
 
 
 def test_point_on_frame_model_rejected():

@@ -205,6 +205,6 @@ def test_covariant_derivative_of_scalar_like_tensor():
     nabla_eta = covariant_derivative(eta, conn)
     # (nabla_{e1} eta)(e1) = -eta(nabla_{e1} e1) = 0;
     # (nabla_{e1} eta)(e2) = -eta(nabla_{e1} e2) = -2
-    assert nabla_eta[(0, 0)].is_zero
+    assert nabla_eta[(0, 0)] == 0
     assert nabla_eta[(0, 1)] == -2
     assert nabla_eta[(1, 0)] == 2

@@ -38,6 +38,18 @@ def test_gcd_cancellation():
     assert str(e) == "y + z"
 
 
+def test_power_by_squaring_matches_repeated_products():
+    base = (X + 2 * Y) / (Z - 1)
+    for n in range(9):
+        repeated = RationalExpr.one(VARS)
+        for _ in range(n):
+            repeated = repeated * base
+        assert base ** n == repeated
+        assert base ** -n == 1 / repeated
+    two = RationalExpr.constant(2, VARS)
+    assert two ** 8000 == 2 ** 8000  # 13 squarings, not 8000 products
+
+
 def test_monomial_cancellation():
     assert (4 * X * Y) / (2 * X) == 2 * Y
     assert str((4 * Y) / Z) == "(4*y)/(z)"

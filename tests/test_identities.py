@@ -35,6 +35,17 @@ def test_frame_example_full_suite_symbolic():
         "r": "8", "r*": "-24", "tr(phi A)": "4"}
 
 
+def test_frame_example_full_suite_sampled_agrees_with_symbolic():
+    # frame scalars are constants, so sampling evaluates them as themselves
+    sampled = run_suite(frame_example(), mode="sampled")
+    symbolic = run_suite(frame_example(), mode="symbolic")
+    assert sampled.mode == "sampled" and len(sampled.sample_points) == 5
+    assert sampled.passed
+    assert list(sampled.results) == list(IDENTITY_KEYS)
+    assert ({k: (r.passed, r.details) for k, r in sampled.results.items()}
+            == {k: (r.passed, r.details) for k, r in symbolic.results.items()})
+
+
 def test_corrected_chart_full_suite_symbolic():
     report = run_suite(chart_corrected())
     assert report.passed, [(k, r.witness) for k, r in report.results.items()

@@ -4,9 +4,14 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from ppst import expr
+from ppst.deformation import DeformationParams, verify_deformation_relations
+from ppst.expr import RationalExpr
+from ppst.identities import run_suite
 from ppst.models import (
     ChartModel,
     FrameModel,
@@ -18,6 +23,10 @@ from ppst.models import (
     realize_frame,
     sample_points,
 )
+from ppst.spaceforms import check_constant_curvature_theorem
+from ppst.specfile import import_text
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def chart3() -> ChartModel:
@@ -45,7 +54,7 @@ def test_signature_counts_enforced():
 def test_bracket_antisymmetry_is_built_in():
     m = example_frame()
     assert m.bracket_vector(1, 0) == tuple(-c for c in m.bracket_vector(0, 1))
-    assert all(c.is_zero for c in m.bracket_vector(2, 2))
+    assert all(c == 0 for c in m.bracket_vector(2, 2))
 
 
 def test_jacobi_violation_rejected():
@@ -56,6 +65,17 @@ def test_jacobi_violation_rejected():
                    {(0, 1): (0, 0, 1), (0, 2): (0, 1, 0), (1, 2): (0, 1, 0)})
 
 
+def test_jacobi_violation_message_names_the_triple():
+    # a dim-5 table that breaks Jacobi on (e2, e3, e4) and nowhere before it
+    labels = ("e1", "e2", "e3", "e4", "xi")
+    brackets = {(1, 2): (0, 0, 0, 1, 0), (1, 3): (0, 0, 1, 0, 0),
+                (2, 3): (0, 0, 1, 0, 0)}
+    with pytest.raises(GeometryError) as info:
+        FrameModel(labels, (1, 1, -1, -1, 1), brackets)
+    assert str(info.value) == ("bracket table violates the Jacobi identity "
+                               "at (e2,e3,e4)")
+
+
 def test_scalar_coercion():
     m = chart3()
     assert m.scalar("4*y/z") == m.scalar(4) * m.scalar("y") / m.scalar("z")
@@ -63,6 +83,37 @@ def test_scalar_coercion():
     assert f.scalar("-1/2") == Fraction(-1, 2)
     with pytest.raises(GeometryError):
         f.scalar(m.scalar("y"))
+
+
+def test_frame_scalars_are_fractions():
+    f = example_frame()
+    assert type(f.zero) is Fraction and type(f.one) is Fraction
+    assert f.zero is f.zero and f.diff(0, f.one) is f.zero
+    for value in (3, "3", Fraction(3), RationalExpr.constant(3, ("x",))):
+        assert type(f.scalar(value)) is Fraction and f.scalar(value) == 3
+    assert all(type(c) is Fraction for c in f.bracket_vector(1, 0))
+    assert all(type(c) is Fraction for c in f.orthonormal_metric().data)
+
+
+def test_frame_pipeline_builds_no_rational_function(monkeypatch):
+    """Past parsing, a frame structure never enters the RationalExpr kernel."""
+    s = import_text((GOLDEN / "heisenberg5-c4.spec").read_text(encoding="utf-8"))
+    calls = []
+    canonical = expr._canonical
+
+    def counted(*args):
+        calls.append(args)
+        return canonical(*args)
+
+    monkeypatch.setattr(expr, "_canonical", counted)
+    s.connection
+    curv = s.curvature
+    assert s.classification().label == "proper quasi-para-Sasakian"
+    assert run_suite(s).passed
+    check_constant_curvature_theorem(s)
+    assert verify_deformation_relations(s, DeformationParams(-2, 4)).passed
+    assert len(calls) == 0
+    assert type(curv.scalar) is Fraction and curv.scalar == 16
 
 
 # -- tensor fields -----------------------------------------------------------

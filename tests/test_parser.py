@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from ppst.expr import RationalExpr, ZeroDenominatorError
-from ppst.parser import ParseError, UnknownVariableError, parse_expr
+from ppst.parser import MAX_EXPONENT, ParseError, UnknownVariableError, parse_expr
 
 VARS = ("x", "y", "z")
 
@@ -42,6 +42,24 @@ def test_negative_exponent():
 def test_exponent_must_be_integer():
     with pytest.raises(ParseError):
         parse_expr("x^2.5", VARS)
+
+
+def test_exponent_bound():
+    z = RationalExpr.variable("z", VARS)
+    assert parse_expr(f"z^{MAX_EXPONENT}", VARS) == z ** MAX_EXPONENT
+    assert parse_expr(f"z^-{MAX_EXPONENT}", VARS) == z ** -MAX_EXPONENT
+    assert parse_expr(f"z^000{MAX_EXPONENT}", VARS) == z ** MAX_EXPONENT
+    for text in (f"z^{MAX_EXPONENT + 1}", f"z^-{MAX_EXPONENT + 1}",
+                 "2^100000000", "2^" + "9" * 5000):
+        with pytest.raises(ParseError, match="exponent exceeds") as info:
+            parse_expr(text, VARS)
+        assert info.value.position == 3 + text.startswith("z^-")
+
+
+def test_number_beyond_digit_limit():
+    with pytest.raises(ParseError, match="too many digits") as info:
+        parse_expr("x + 1" + "0" * 5000, VARS)
+    assert info.value.position == 5
 
 
 def test_unknown_variable_position():

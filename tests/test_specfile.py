@@ -90,7 +90,7 @@ def test_file_round_trip(tmp_path):
     export_spec(frame_example(), path)
     s = import_spec(path)
     assert s.name == "example-frame"
-    assert s.model.bracket_vector(0, 1)[2].constant_value() == 4
+    assert s.model.bracket_vector(0, 1)[2] == 4
     assert export_text(s) == path.read_text(encoding="utf-8")
 
 

@@ -5,8 +5,8 @@ renders the report in both formats.  Spec inputs live in ``tests/golden/``
 and are passed by file name from inside that directory, so the ``file:``
 source tag does not depend on where the suite runs.  They cover what no
 dim-3 catalog model reaches: n = 2 frames (the pivoting in
-``build_phi_basis``) and a chart whose denominator is not a monomial (the
-sympy GCD path).
+``build_phi_basis``) and charts whose denominators are not monomials (the
+sympy GCD path), one of them, 1+y^2+z, in two variables.
 
 Regenerate the committed goldens after an intended report change with
 
@@ -24,7 +24,8 @@ from ppst.spaceforms import model_catalog
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 GOLDEN_FILE = GOLDEN_DIR / "reports.json"
-SPECS = ("heisenberg5-c-2.spec", "heisenberg5-c4.spec", "chart-1+z2.spec")
+SPECS = ("heisenberg5-c-2.spec", "heisenberg5-c4.spec", "chart-1+z2.spec",
+         "chart-1+y2+z.spec")
 COMMANDS = (("check",), ("classify",), ("curvature",), ("identities",),
             ("theorem",), ("deform", "--alpha", "-2", "--beta", "4"))
 FORMATS = ("json", "text")

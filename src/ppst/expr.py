@@ -13,15 +13,34 @@ Canonical form makes structural equality decide mathematical equality, so
 ``is_identically_zero`` is a constant-time test.  Values are immutable and
 all operations are pure; cached canonical tuples make instances hashable.
 
-Monomials are exponent tuples aligned with the variable tuple.  The GCD of
-two genuinely multivariate, multi-term polynomials is delegated to sympy;
-monomial and constant cases are handled natively (see _poly_gcd).
+Arithmetic on two canonical operands n1/d1 and n2/d2 skips every GCD that
+canonical form already proves to be 1:
+
+* -(n1/d1) = (-n1)/d1 is canonical as it stands;
+* if d2 = 1, gcd(n1 + n2*d1, d1) = gcd(n1, d1) = 1, so (n1 + n2*d1)/d1
+  is canonical (and symmetrically for d1 = 1);
+* if d1 = d2 = d, only (n1 + n2)/d is reduced, not (n1*d + n2*d)/d^2;
+* a product cancels across the pairs (Henrici): with n1/d2 reduced to
+  a1/b1 and n2/d1 to a2/b2, (a1*a2)/(b1*b2) is canonical, because a1 and
+  a2 divide n1 and n2, which are coprime to d1 and d2.  No GCD runs when
+  d1 = d2 or a denominator is 1.  By Gauss's lemma a product of primitive
+  denominators with positive lex-leading coefficients is again one, so the
+  product needs no rescaling;
+* 1/(n1/d1) = d1/n1 needs only the rescaling of n1, so a quotient is the
+  product with the reciprocal.
+
+Every other result goes through ``_canonical``.  Monomials are exponent
+tuples aligned with the variable tuple.  The GCD of two genuinely
+multivariate, multi-term polynomials is delegated to sympy through a ZZ
+polynomial ring built once per variable tuple (see _poly_gcd); monomial
+and constant cases are handled natively.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
 from typing import Iterable, Mapping, Union
 
@@ -128,49 +147,46 @@ def _is_one(a: PolyTerms, nvars: int) -> bool:
     return len(a) == 1 and a[0][0] == _zero_mono(nvars) and a[0][1] == 1
 
 
-def _exact_div(a: PolyDict, g: PolyDict) -> PolyDict:
-    """Divide a by g assuming exact divisibility (lex long division)."""
-    quot: PolyDict = {}
-    rem = dict(a)
-    lg = _leading(g)
-    cg = g[lg]
-    while rem:
-        lr = _leading(rem)
-        qm = tuple(x - y for x, y in zip(lr, lg))
-        if any(e < 0 for e in qm):
-            raise ExprError("internal: inexact polynomial division")
-        qc = rem[lr] / cg
-        quot[qm] = quot.get(qm, Fraction(0)) + qc
-        for m, c in g.items():
-            mm = tuple(x + y for x, y in zip(qm, m))
-            s = rem.get(mm, Fraction(0)) - qc * c
-            if s:
-                rem[mm] = s
-            else:
-                rem.pop(mm, None)
-    return quot
+def _terms(a: PolyDict) -> PolyTerms:
+    return tuple(sorted(a.items(), reverse=True))
 
 
-def _poly_gcd(variables: tuple[str, ...], a: PolyDict, b: PolyDict) -> PolyDict:
-    """GCD in Q[variables], integer-primitive with positive lex-leading coeff.
+@lru_cache(maxsize=16)
+def _zz_ring(variables: tuple[str, ...]):
+    """The sympy polynomial ring ZZ[variables] in lex order."""
+    from sympy import Symbol
+    from sympy.polys.domains import ZZ
+    from sympy.polys.orderings import lex
+    from sympy.polys.rings import PolyRing
+
+    return PolyRing([Symbol(v) for v in variables], ZZ, lex)
+
+
+def _poly_gcd(variables: tuple[str, ...], a: PolyDict,
+              b: PolyDict) -> tuple[PolyDict, PolyDict]:
+    """Cofactors (a/g, b/g) of g = gcd(a, b), up to one common constant factor.
 
     Only called with two multi-term polynomials whose shared monomial content
     has already been removed; monomial cases never reach the sympy bridge.
+    Both operands are scaled to integer-primitive polynomials, so the GCD
+    runs in ZZ[variables]; the scales go back onto the cofactors.
     """
-    import sympy
+    ring = _zz_ring(variables)
+    ca, cb = _content(a), _content(b)
+    pa = ring.from_dict({m: (c / ca).numerator for m, c in a.items()})
+    pb = ring.from_dict({m: (c / cb).numerator for m, c in b.items()})
+    _, qa, qb = pa.cofactors(pb)
+    return ({m: ca * c for m, c in qa.items()},
+            {m: cb * c for m, c in qb.items()})
 
-    gens = sympy.symbols(variables)
-    pa = sympy.Poly.from_dict({m: sympy.Rational(c.numerator, c.denominator)
-                               for m, c in a.items()}, *gens, domain="QQ")
-    pb = sympy.Poly.from_dict({m: sympy.Rational(c.numerator, c.denominator)
-                               for m, c in b.items()}, *gens, domain="QQ")
-    raw = pa.gcd(pb).as_dict()
-    g: PolyDict = {tuple(int(e) for e in m): Fraction(c.p, c.q)
-                   for m, c in raw.items()}
-    cont = _content(g)
-    if g[_leading(g)] < 0:
-        cont = -cont
-    return {m: c / cont for m, c in g.items()}
+
+def _normalized(num: PolyDict, den: PolyDict) -> tuple[PolyTerms, PolyTerms]:
+    """Scale so den has coprime integer coefficients, positive leading coeff."""
+    scale = _content(den)
+    if den[_leading(den)] < 0:
+        scale = -scale
+    return (_terms({m: c / scale for m, c in num.items()}),
+            _terms({m: c / scale for m, c in den.items()}))
 
 
 def _canonical(variables: tuple[str, ...], num: PolyDict,
@@ -179,9 +195,8 @@ def _canonical(variables: tuple[str, ...], num: PolyDict,
     den = {m: c for m, c in den.items() if c}
     if not den:
         raise ZeroDenominatorError("denominator is identically zero")
-    one: PolyTerms = ((_zero_mono(len(variables)), Fraction(1)),)
     if not num:
-        return (), one
+        return (), ((_zero_mono(len(variables)), Fraction(1)),)
     # shared monomial content
     mins_n = tuple(map(min, zip(*num)))
     mins_d = tuple(map(min, zip(*den)))
@@ -192,18 +207,16 @@ def _canonical(variables: tuple[str, ...], num: PolyDict,
     # polynomial GCD: a single-term operand shares no factor after the
     # content extraction above, so only the multi-term case needs work
     if len(num) > 1 and len(den) > 1:
-        g = _poly_gcd(variables, num, den)
-        if len(g) > 1 or _leading(g) != _zero_mono(len(variables)):
-            num = _exact_div(num, g)
-            den = _exact_div(den, g)
-    # scale so den has coprime integer coefficients, positive leading coeff
-    scale = _content(den)
-    if den[_leading(den)] < 0:
-        scale = -scale
-    num = {m: c / scale for m, c in num.items()}
-    den = {m: c / scale for m, c in den.items()}
-    order = lambda p: tuple(sorted(p.items(), reverse=True))
-    return order(num), order(den)
+        num, den = _poly_gcd(variables, num, den)
+    return _normalized(num, den)
+
+
+def _cancel(variables: tuple[str, ...], num: PolyTerms,
+            den: PolyTerms) -> tuple[PolyTerms, PolyTerms]:
+    """Reduce num/den, a numerator and a denominator of canonical values."""
+    if _is_one(den, len(variables)) or (len(num) == 1 and not any(num[0][0])):
+        return num, den
+    return _canonical(variables, dict(num), dict(den))
 
 
 # ---------------------------------------------------------------------------
@@ -283,11 +296,22 @@ class RationalExpr:
             for m in d:
                 if len(m) != len(variables) or any(e < 0 for e in m):
                     raise ValueError(f"bad monomial {m} for variables {variables}")
-        n, d = _canonical(variables, nd, dd)
+        self._set(variables, *_canonical(variables, nd, dd))
+
+    def _set(self, variables: tuple[str, ...], num: PolyTerms,
+             den: PolyTerms) -> None:
         object.__setattr__(self, "variables", variables)
-        object.__setattr__(self, "num", n)
-        object.__setattr__(self, "den", d)
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
         object.__setattr__(self, "_hash", None)
+
+    @classmethod
+    def _make(cls, variables: tuple[str, ...], num: PolyTerms,
+              den: PolyTerms) -> "RationalExpr":
+        """Wrap a num/den pair that is already in canonical form."""
+        out = object.__new__(cls)
+        out._set(variables, num, den)
+        return out
 
     def __setattr__(self, name, value):  # immutability guard
         raise AttributeError("RationalExpr is immutable")
@@ -367,13 +391,25 @@ class RationalExpr:
             return NotImplemented
         if o.variables != self.variables:
             return o + self.constant_value()
+        nv = len(self.variables)
+        if _is_one(o.den, nv) or _is_one(self.den, nv):
+            p, q = (o, self) if _is_one(o.den, nv) else (self, o)
+            # (q.num + p.num*q.den)/q.den is canonical, see the module doc
+            num = _padd(q._numd(), _pmul(p._numd(), q._dend()))
+            return RationalExpr._make(self.variables, _terms(num), q.den)
+        if self.den == o.den:
+            num = _padd(self._numd(), o._numd())
+            return RationalExpr._make(
+                self.variables, *_canonical(self.variables, num, self._dend()))
         num = _padd(_pmul(self._numd(), o._dend()), _pmul(o._numd(), self._dend()))
-        return RationalExpr(self.variables, num, _pmul(self._dend(), o._dend()))
+        return RationalExpr._make(self.variables, *_canonical(
+            self.variables, num, _pmul(self._dend(), o._dend())))
 
     __radd__ = __add__
 
     def __neg__(self) -> "RationalExpr":
-        return RationalExpr(self.variables, _pneg(self._numd()), self._dend())
+        return RationalExpr._make(self.variables,
+                                  tuple((m, -c) for m, c in self.num), self.den)
 
     def __sub__(self, other: Scalar) -> "RationalExpr":
         o = self._coerce(other)
@@ -390,10 +426,25 @@ class RationalExpr:
             return NotImplemented
         if o.variables != self.variables:
             return o * self.constant_value()
-        return RationalExpr(self.variables, _pmul(self._numd(), o._numd()),
-                            _pmul(self._dend(), o._dend()))
+        if not self.num:
+            return self
+        if not o.num:
+            return o
+        n1, d1, n2, d2 = self.num, self.den, o.num, o.den
+        if d1 != d2:
+            n1, d2 = _cancel(self.variables, n1, d2)
+            n2, d1 = _cancel(self.variables, n2, d1)
+        return RationalExpr._make(self.variables,
+                                  _terms(_pmul(dict(n1), dict(n2))),
+                                  _terms(_pmul(dict(d1), dict(d2))))
 
     __rmul__ = __mul__
+
+    def _reciprocal(self) -> "RationalExpr":
+        if not self.num:
+            raise ZeroDenominatorError("denominator is identically zero")
+        return RationalExpr._make(self.variables,
+                                  *_normalized(self._dend(), self._numd()))
 
     def __truediv__(self, other: Scalar) -> "RationalExpr":
         o = self._coerce(other)
@@ -401,8 +452,7 @@ class RationalExpr:
             return NotImplemented
         if o.variables != self.variables:
             return RationalExpr.constant(self.constant_value(), o.variables) / o
-        return RationalExpr(self.variables, _pmul(self._numd(), o._dend()),
-                            _pmul(self._dend(), o._numd()))
+        return self * o._reciprocal()
 
     def __rtruediv__(self, other: Scalar) -> "RationalExpr":
         o = self._coerce(other)
@@ -414,7 +464,7 @@ class RationalExpr:
         if not isinstance(exponent, int):
             return NotImplemented
         if exponent < 0:
-            return (RationalExpr.one(self.variables) / self) ** (-exponent)
+            return self._reciprocal() ** (-exponent)
         # square-and-multiply: O(log exponent) products; canonical form
         # makes the result independent of the multiplication order
         out = RationalExpr.one(self.variables)

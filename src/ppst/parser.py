@@ -15,6 +15,11 @@ and p/q is ordinary division.  ``^`` is exponentiation by an integer of
 absolute value at most MAX_EXPONENT and binds tighter than unary minus, so
 -x^2 = -(x^2).  Implicit multiplication is not accepted; write 4*y, not 4y.
 
+The size of every value is bounded before it is computed: a number has at
+most MAX_DIGITS digits, and a sum, product, quotient or power whose
+predicted numerator or denominator has more than MAX_TERMS terms, or a
+coefficient of more than MAX_DIGITS digits, is a ParseError.
+
 Errors carry 1-based character positions.  Division by a structurally zero
 expression raises ZeroDenominatorError, as in the kernel.
 """
@@ -22,6 +27,7 @@ expression raises ZeroDenominatorError, as in the kernel.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb, log10
 from typing import Iterable
 
 from .expr import RationalExpr, ZeroDenominatorError
@@ -30,6 +36,14 @@ from .expr import RationalExpr, ZeroDenominatorError
 # bound on |n| in x^n: the work and the size of x^n grow with n, and the
 # structures this grammar describes need exponents of a few units
 MAX_EXPONENT = 100
+
+# bounds on the size of a value: the work of an operation grows with the
+# terms of its operands, and the curvature pipeline multiplies coefficients
+# together, which must still print within the interpreter's 4300-digit
+# int-to-str limit; the structures this grammar describes need a few terms
+# and a few digits
+MAX_TERMS = 1000
+MAX_DIGITS = 500
 
 
 class ParseError(Exception):
@@ -84,6 +98,42 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
+def _size(value: RationalExpr) -> tuple[int, int, float]:
+    """Terms of num and den, and log10 of the largest coefficient part."""
+    return (len(value.num), len(value.den),
+            max(log10(max(abs(c.numerator), c.denominator))
+                for _, c in value.num + value.den))
+
+
+def _predicted_size(op: str, a: RationalExpr,
+                    b: RationalExpr) -> tuple[int, float]:
+    """Predicted terms and digits of a op b, from the sizes of a and b."""
+    (na, da, ma), (nb, db, mb) = _size(a), _size(b)
+    if op in "+-" and a.den == b.den:
+        return max(na + nb, da), max(ma, mb) + log10(2)
+    if op in "+-":
+        return max(na * db + nb * da, da * db), ma + mb + log10(2)
+    if op == "*":
+        return max(na * nb, da * db), ma + mb
+    return max(na * db, da * nb), ma + mb
+
+
+def _predicted_power_size(a: RationalExpr, n: int) -> tuple[int, float]:
+    """Terms and digits of a^n: a t-term sum to the n has C(n+t-1, t-1) terms."""
+    na, da, ma = _size(a)
+    t = max(na, da)
+    return comb(n + t - 1, t - 1), n * (ma + log10(t))
+
+
+def _check_size(size: tuple[int, float], position: int) -> None:
+    terms, digits = size
+    if terms > MAX_TERMS:
+        raise ParseError(f"result would exceed {MAX_TERMS} terms", position)
+    if digits > MAX_DIGITS:
+        raise ParseError(f"result would exceed {MAX_DIGITS} digits in a "
+                         f"coefficient", position)
+
+
 class _Parser:
     def __init__(self, text: str, variables: tuple[str, ...]):
         self.tokens = _tokenize(text)
@@ -113,10 +163,11 @@ class _Parser:
     def expr(self) -> RationalExpr:
         value = self.term()
         while True:
-            kind, op, _ = self.peek()
+            kind, op, position = self.peek()
             if kind == "op" and op in "+-":
                 self.next()
                 rhs = self.term()
+                _check_size(_predicted_size(op, value, rhs), position)
                 value = value + rhs if op == "+" else value - rhs
             else:
                 return value
@@ -128,6 +179,7 @@ class _Parser:
             if kind == "op" and op in "*/":
                 self.next()
                 rhs = self.factor()
+                _check_size(_predicted_size(op, value, rhs), position)
                 if op == "*":
                     value = value * rhs
                 else:
@@ -155,7 +207,7 @@ class _Parser:
 
     def power(self) -> RationalExpr:
         value = self.atom()
-        kind, op, _ = self.peek()
+        kind, op, op_position = self.peek()
         if kind == "op" and op == "^":
             self.next()
             sign = 1
@@ -171,6 +223,7 @@ class _Parser:
                     or int(digits) > MAX_EXPONENT):
                 raise ParseError(f"exponent exceeds {MAX_EXPONENT} in absolute "
                                  f"value", position)
+            _check_size(_predicted_power_size(value, int(digits)), op_position)
             try:
                 value = value ** (sign * int(digits))
             except ZeroDenominatorError:
@@ -182,14 +235,13 @@ class _Parser:
     def atom(self) -> RationalExpr:
         kind, text, position = self.next()
         if kind == "num":
-            try:
-                if "." in text:
-                    whole, frac = text.split(".")
-                    value = Fraction(int(whole + frac), 10 ** len(frac))
-                else:
-                    value = Fraction(int(text))
-            except ValueError:  # past the interpreter's int-from-str digit limit
-                raise ParseError("number has too many digits", position) from None
+            if len(text) - text.count(".") > MAX_DIGITS:
+                raise ParseError("number has too many digits", position)
+            if "." in text:
+                whole, frac = text.split(".")
+                value = Fraction(int(whole + frac), 10 ** len(frac))
+            else:
+                value = Fraction(int(text))
             return RationalExpr.constant(value, self.variables)
         if kind == "name":
             if text not in self.variables:

@@ -5,12 +5,14 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+import time
 from importlib import resources
 
 import jsonschema
 import pytest
 
 from ppst.cli import main, run_command
+from ppst.parser import MAX_DIGITS
 from ppst.report import digest_text
 from ppst.spaceforms import model_catalog
 from ppst.specfile import export_text, import_spec
@@ -171,6 +173,32 @@ def test_oversized_numbers_in_spec_exit_2(tmp_path, value, message):
     assert "status: error" in proc.stdout
     assert message in proc.stdout
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("command", ["check", "curvature"])
+@pytest.mark.parametrize("value, message", [
+    ("(e1+e2+xi)^100*xi", "would exceed 1000 terms"),
+    ("(2^100)^100*xi", "would exceed 500 digits"),
+    ("1" + "0" * 2500 + "*xi", "too many digits"),
+], ids=["many-terms", "nested-power", "2501-digit-literal"])
+def test_oversized_values_in_spec_exit_2_quickly(tmp_path, command, value, message):
+    spec = _hostile_frame_spec(tmp_path, value)
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "ppst.cli", command, str(spec)],
+                          capture_output=True, text=True, timeout=60)
+    assert time.perf_counter() - start < 5
+    assert proc.returncode == 2
+    assert "status: error" in proc.stdout
+    assert message in proc.stdout
+    assert "Traceback" not in proc.stderr
+
+
+def test_largest_admitted_literal_runs_curvature(tmp_path):
+    spec = _hostile_frame_spec(tmp_path, "9" * MAX_DIGITS + "*xi")
+    proc = subprocess.run([sys.executable, "-m", "ppst.cli", "curvature", str(spec)],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0
+    assert "status: pass" in proc.stdout
 
 
 def test_point_on_frame_model_rejected():

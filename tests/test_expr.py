@@ -195,3 +195,92 @@ def test_evaluation_is_a_homomorphism_seeded():
         assert vs == va + vb
         assert vp == va * vb
         done += 1
+
+
+# -- shortcut arithmetic agrees with reducing the unreduced result -----------
+
+def _ref_mul(a: dict, b: dict) -> dict:
+    out: dict = {}
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            m = tuple(i + j for i, j in zip(ma, mb))
+            out[m] = out.get(m, 0) + ca * cb
+    return out
+
+
+def _ref_add(a: dict, b: dict, sign: int = 1) -> dict:
+    out = dict(a)
+    for m, c in b.items():
+        out[m] = out.get(m, 0) + sign * c
+    return out
+
+
+_ONE = {(0, 0, 0): Fraction(1)}
+_FACTORS = (
+    {(0, 0, 0): 1, (0, 2, 0): 1, (0, 0, 1): 1},   # 1 + y^2 + z
+    {(1, 0, 0): 1, (0, 1, 0): -1},                # x - y
+    {(0, 0, 2): 1, (0, 0, 0): 1},                 # z^2 + 1
+    {(1, 1, 0): 2, (0, 0, 1): -3},                # 2*x*y - 3*z
+    {(1, 0, 1): 1},                               # x*z
+)
+
+
+def _random_poly(rng: random.Random) -> dict:
+    return {(rng.randint(0, 2), rng.randint(0, 2), rng.randint(0, 1)):
+            Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+            for _ in range(rng.randint(1, 3))}
+
+
+def _operand_pair(rng: random.Random, kind: str):
+    f0, f1, f2 = rng.sample(_FACTORS, 3)
+    d1, d2 = {
+        "one": (_ONE, _ONE),
+        "one-side": (_ref_mul(f0, f1), _ONE),
+        "equal": (_ref_mul(f0, f1), _ref_mul(f0, f1)),
+        "coprime": (f0, f1),
+        "shared": (_ref_mul(f0, f1), _ref_mul(f0, f2)),
+        "constant": (f0, _ONE),
+    }[kind]
+    n1, n2 = _random_poly(rng), _random_poly(rng)
+    if kind == "constant":
+        n2 = {(0, 0, 0): Fraction(rng.randint(-3, 3), rng.randint(1, 3))}
+    elif rng.random() < 0.5:  # let the product cancel across the pairs
+        n1, n2 = _ref_mul(n1, f1), _ref_mul(n2, f0)
+    return RationalExpr(VARS, n1, d1), RationalExpr(VARS, n2, d2)
+
+
+def _assert_same(got: RationalExpr, ref: RationalExpr) -> None:
+    assert (got.num, got.den, str(got)) == (ref.num, ref.den, str(ref))
+
+
+def test_shortcut_arithmetic_matches_reference_seeded():
+    rng = random.Random(31337)
+    zeros = 0
+    for kind in ("one", "one-side", "equal", "coprime", "shared", "constant"):
+        for _ in range(12):
+            a, b = _operand_pair(rng, kind)
+            minus_a = RationalExpr(VARS, {m: -c for m, c in a.num}, dict(a.den))
+            for p, q in ((a, b), (b, a), (a, a), (a, minus_a)):
+                n1, d1, n2, d2 = dict(p.num), dict(p.den), dict(q.num), dict(q.den)
+                _assert_same(-p, RationalExpr(VARS, {m: -c for m, c in n1.items()}, d1))
+                total = p + q
+                zeros += total.is_zero
+                _assert_same(total, RationalExpr(
+                    VARS, _ref_add(_ref_mul(n1, d2), _ref_mul(n2, d1)), _ref_mul(d1, d2)))
+                _assert_same(p - q, RationalExpr(
+                    VARS, _ref_add(_ref_mul(n1, d2), _ref_mul(n2, d1), -1),
+                    _ref_mul(d1, d2)))
+                _assert_same(p * q, RationalExpr(VARS, _ref_mul(n1, n2), _ref_mul(d1, d2)))
+                if q:
+                    _assert_same(p / q, RationalExpr(VARS, _ref_mul(n1, d2),
+                                                     _ref_mul(d1, n2)))
+            for k in (-2, -1, 0, 2, 3):
+                if a or k >= 0:
+                    num, den = dict(a.num), dict(a.den)
+                    if k < 0:
+                        num, den = den, num
+                    pn, pd = _ONE, _ONE
+                    for _ in range(abs(k)):
+                        pn, pd = _ref_mul(pn, num), _ref_mul(pd, den)
+                    _assert_same(a ** k, RationalExpr(VARS, pn, pd))
+    assert zeros >= 72  # every a + (-a) is zero

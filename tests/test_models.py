@@ -23,6 +23,7 @@ from ppst.models import (
     realize_frame,
     sample_points,
 )
+from ppst.parser import parse_expr
 from ppst.spaceforms import check_constant_curvature_theorem
 from ppst.specfile import import_text
 
@@ -95,25 +96,52 @@ def test_frame_scalars_are_fractions():
     assert all(type(c) is Fraction for c in f.orthonormal_metric().data)
 
 
-def test_frame_pipeline_builds_no_rational_function(monkeypatch):
-    """Past parsing, a frame structure never enters the RationalExpr kernel."""
-    s = import_text((GOLDEN / "heisenberg5-c4.spec").read_text(encoding="utf-8"))
-    calls = []
-    canonical = expr._canonical
+def _count_kernel_calls(monkeypatch) -> dict[str, int]:
+    """Count calls of expr._canonical and expr._poly_gcd from now on."""
+    calls = {"_canonical": 0, "_poly_gcd": 0}
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(expr, name)):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(expr, name, counted)
+    return calls
 
-    def counted(*args):
-        calls.append(args)
-        return canonical(*args)
 
-    monkeypatch.setattr(expr, "_canonical", counted)
+def _run_pipeline(s):
+    """Connection, curvature, classification, identities, theorem, deformation."""
     s.connection
     curv = s.curvature
     assert s.classification().label == "proper quasi-para-Sasakian"
     assert run_suite(s).passed
     check_constant_curvature_theorem(s)
     assert verify_deformation_relations(s, DeformationParams(-2, 4)).passed
-    assert len(calls) == 0
+    return curv
+
+
+def test_frame_pipeline_builds_no_rational_function(monkeypatch):
+    """Past parsing, a frame structure never enters the RationalExpr kernel."""
+    s = import_text((GOLDEN / "heisenberg5-c4.spec").read_text(encoding="utf-8"))
+    calls = _count_kernel_calls(monkeypatch)
+    curv = _run_pipeline(s)
+    assert calls["_canonical"] == 0
     assert type(curv.scalar) is Fraction and curv.scalar == 16
+
+
+def test_chart_arithmetic_skips_provable_gcds(monkeypatch):
+    """Negation, adding a polynomial and squaring reuse the canonical form."""
+    e = parse_expr("(x + y)/(1 + y^2 + z)", ("x", "y", "z"))
+    p = parse_expr("x^2 - z", ("x", "y", "z"))
+    calls = _count_kernel_calls(monkeypatch)
+    -e, e + p, e * e, e - p
+    assert calls == {"_canonical": 0, "_poly_gcd": 0}
+
+
+def test_chart_pipeline_sympy_gcd_count(monkeypatch):
+    """Pinned count of GCDs the chart-1+z2 pipeline sends to sympy."""
+    s = import_text((GOLDEN / "chart-1+z2.spec").read_text(encoding="utf-8"))
+    calls = _count_kernel_calls(monkeypatch)
+    _run_pipeline(s)
+    assert calls["_poly_gcd"] == 410
 
 
 # -- tensor fields -----------------------------------------------------------

@@ -7,7 +7,8 @@ from fractions import Fraction
 import pytest
 
 from ppst.expr import RationalExpr, ZeroDenominatorError
-from ppst.parser import MAX_EXPONENT, ParseError, UnknownVariableError, parse_expr
+from ppst.parser import (MAX_DIGITS, MAX_EXPONENT, ParseError, UnknownVariableError,
+                         parse_expr)
 
 VARS = ("x", "y", "z")
 
@@ -60,6 +61,21 @@ def test_number_beyond_digit_limit():
     with pytest.raises(ParseError, match="too many digits") as info:
         parse_expr("x + 1" + "0" * 5000, VARS)
     assert info.value.position == 5
+
+
+def test_size_bounds():
+    assert len(parse_expr("(x+y+z)^20", VARS).num) == 231
+    assert parse_expr("9" * MAX_DIGITS, VARS) == 10 ** MAX_DIGITS - 1
+    for text, position, message in (
+            ("(x+y+z)^44", 8, "exceed 1000 terms"),
+            ("(x+y+z)^22*(x+y+z)^22", 11, "exceed 1000 terms"),
+            ("1/(x+1)^40 + 1/(y+1)^40", 12, "exceed 1000 terms"),
+            ("(2^100)^20", 8, "exceed 500 digits"),
+            ("(10^100)^3*(10^100)^3", 11, "exceed 500 digits"),
+            ("9" * (MAX_DIGITS + 1), 1, "too many digits")):
+        with pytest.raises(ParseError, match=message) as info:
+            parse_expr(text, VARS)
+        assert info.value.position == position
 
 
 def test_unknown_variable_position():

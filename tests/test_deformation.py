@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from _models import (
     frame_example,
     negative_curvature_frame,
 )
+from ppst import deformation
 from ppst.deformation import (
     DeformationParams,
     apply_deformation,
@@ -110,6 +112,28 @@ def test_relations_flat_model():
     report = verify_deformation_relations(flat_cosymplectic(),
                                           DeformationParams(-1, 7))
     assert report.passed
+
+
+def test_failed_law_witnesses(monkeypatch):
+    # shift nabla_{e1} e2 of the deformed structure by e1 + e2 + xi
+    def corrupted(s, params):
+        st = apply_deformation(s, params)
+        conn = st.connection
+        coeffs = [list(row) for row in conn.coeffs]
+        coeffs[0][1] = tuple(c + 1 for c in coeffs[0][1])
+        st._cache["conn"] = replace(
+            conn, coeffs=tuple(tuple(row) for row in coeffs))
+        return st
+
+    monkeypatch.setattr(deformation, "apply_deformation", corrupted)
+    report = verify_deformation_relations(frame_example(),
+                                          DeformationParams(-2, 4))
+    assert {k: (r.passed, r.witness) for k, r in report.results.items()} == {
+        "i00": (False, "residual at (e1,e2): 1"),
+        "i5": (True, None),
+        "i6": (True, None),
+        "i777": (False, "residual at (e1,e2,e2): -2"),
+    }
 
 
 def test_report_serialization():

@@ -131,6 +131,37 @@ def test_failure_witness_formatting():
     assert "point" in res.witness and ": 3" in res.witness
 
 
+def test_vector_identity_witness_drops_the_component():
+    # P5 entries are indexed (X, Y, component); the witness names (X, Y)
+    ctx = identities._Context(frame_example())
+    one = ctx.model.one
+    ctx.nabla_phi_b[0][1] = tuple(c + one for c in ctx.nabla_phi_b[0][1])
+    res = identities._judge(ctx, "P5", "symbolic", [])
+    assert not res.passed
+    assert res.witness == "residual at (e1,e2): 1"
+
+
+def test_p6b_witness_names_scalar():
+    ctx = identities._Context(frame_example())
+    xi = ctx.xi_index
+    ctx.A_b[xi] = (ctx.model.one,) + tuple(ctx.A_b[xi][1:])
+    res = identities._judge(ctx, "P6b", "symbolic", [])
+    assert not res.passed
+    assert res.witness == "residual at (scalar): 1"
+
+
+def test_sampled_witness_names_the_point():
+    ctx = identities._Context(chart_corrected())
+    ctx.gA[1][0] = ctx.gA[1][0] + ctx.model.scalar("x")
+    res = identities._judge(ctx, "p1", "symbolic", [])
+    assert res.witness == "residual at (X1,Y1): x"
+    res = identities._judge(ctx, "p1", "sampled",
+                            [{"x": 0, "y": 1, "z": 1}, {"x": 2, "y": 1, "z": 3}])
+    assert not res.passed
+    assert (res.witness
+            == "residual at (X1,Y1), point {'x': '2', 'y': '1', 'z': '3'}: 2")
+
+
 def test_report_serialization():
     report = run_suite(frame_example())
     d = report.to_dict()

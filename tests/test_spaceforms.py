@@ -101,6 +101,24 @@ def test_theorem_violation_branch(monkeypatch):
     assert report.assertions[0].witness == "K = 1 > 0"
 
 
+def test_theorem_residual_witnesses():
+    s = negative_curvature_frame()
+    curv = s.curvature
+    curv.ricci = curv.ricci + TensorField.from_rows(
+        s.model, (0, 2), [[0, 1, 0], [1, 0, 0], [0, 0, 0]])
+    report = check_constant_curvature_theorem(s)
+    assert report.status == "violation"
+    failed = [(a.name, a.witness) for a in report.assertions if not a.passed]
+    assert failed == [("ricci_form", "residual at (e1,e2): 1")]
+    # the K = 0 branch reads the tensor residual A itself
+    s = flat_cosymplectic()
+    s._cache["A"] = TensorField.from_rows(
+        s.model, (1, 1), [[0, 0, 0], [0, 0, "y"], [0, 0, 0]])
+    report = check_constant_curvature_theorem(s)
+    failed = [(a.name, a.witness) for a in report.assertions if not a.passed]
+    assert failed == [("A_vanishes", "residual at (d/dy,d/dz): y")]
+
+
 def test_theorem_report_serialization():
     d = check_constant_curvature_theorem(negative_curvature_frame()).to_dict()
     assert d["status"] == "pass"

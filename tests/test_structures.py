@@ -175,6 +175,28 @@ def test_frame_example_is_proper_quasi_para_sasakian():
     assert "Phi - deta" in cls.witnesses["paracontact_metric"]
 
 
+def test_classification_witness_texts():
+    assert frame_example().classification().witnesses == {
+        "paracontact_metric": "Phi - deta at (e1,e2): 3",
+        "K_paracontact": "Phi - deta at (e1,e2): 3",
+        "para_sasakian": "Phi - deta at (e1,e2): 3",
+        "paracosymplectic": "deta at (e1,e2): -2",
+    }
+    # [e2, xi] = e2: neither normal nor dPhi-closed
+    model = FrameModel(("e1", "e2", "xi"), (1, -1, 1), {(1, 2): (0, 1, 0)})
+    phi = TensorField.from_rows(model, (1, 1), [[0, 1, 0], [1, 0, 0], [0, 0, 0]])
+    xi = TensorField.vector(model, (0, 0, 1))
+    s = ParacontactStructure(model, phi, xi, model.orthonormal_metric())
+    assert s.classification().witnesses == {
+        "paracontact_metric": "Phi - deta at (e1,e2): 1",
+        "K_paracontact": "Phi - deta at (e1,e2): 1",
+        "normal": "N1 at (e1,e1,xi): -1",
+        "para_sasakian": "N1 at (e1,e1,xi): -1",
+        "paracosymplectic": "dPhi at (e1,e2,xi): 1/3",
+        "quasi_para_sasakian": "N1 at (e1,e1,xi): -1",
+    }
+
+
 def test_corrected_chart_is_proper_quasi_para_sasakian():
     cls = chart_corrected().classification()
     assert cls.label == "proper quasi-para-Sasakian"

@@ -6,7 +6,8 @@ expressions (rational functions, RationalExpr), frame-mode structures
 constant structure tables over plain fractions.Fraction.
 Every geometric claim is verified as an identically zero residual (or as an
 exact evaluation at rational sample points) and every failure carries a
-witness: the first offending component and its value.
+witness: the first offending component and its value.  Every verifier
+returns its checks as :class:`ppst.report.CheckResult`.
 
 Layers, bottom up:
 
@@ -28,7 +29,8 @@ Layers, bottom up:
 - :mod:`ppst.spaceforms`: the constant-curvature classification theorem,
   the bundled model catalog, and the bracket-table search harness.
 - :mod:`ppst.specfile` / :mod:`ppst.report` / :mod:`ppst.cli`: structure
-  spec files, schema-stable reports, and the command line.
+  spec files, the check-result type and witness rule, schema-stable
+  reports, and the command line.
 """
 
 from __future__ import annotations

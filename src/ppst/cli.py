@@ -41,8 +41,8 @@ from .deformation import (
 )
 from .identities import run_suite
 from .linalg import bilinear, trace_product
-from .models import ChartModel, GeometryError, TensorField, format_combination
-from .report import CheckResult, Report, digest_text, error_report
+from .models import ChartModel, GeometryError, format_combination
+from .report import CheckResult, Report, digest_text, error_report, residual_check
 from .spaceforms import check_constant_curvature_theorem, get_model, model_catalog
 from .specfile import SpecFileError, export_spec, export_text, import_text
 from .structures import StructureError, validate_structure
@@ -162,24 +162,6 @@ def _parse_point(text: str, model) -> dict[str, Fraction]:
 # command bodies
 
 
-def _axiom_checks(axiom_report) -> list[CheckResult]:
-    out = []
-    for c in axiom_report.checks:
-        details = {"residual": c.residual} if c.residual else None
-        out.append(CheckResult(c.name, c.passed, witness=c.witness,
-                               details=details))
-    return out
-
-
-def _residual_check(name: str, residual: TensorField) -> CheckResult:
-    bad = residual.nonzero_witness()
-    if bad is None:
-        return CheckResult(name, True)
-    idx, value = bad
-    return CheckResult(name, False,
-                       witness=f"residual at {idx}: {value}")
-
-
 def _cmd_check(args, s, source, digest) -> Report:
     if args.point is not None:
         rep = validate_structure(s, _parse_point(args.point, s.model))
@@ -190,15 +172,14 @@ def _cmd_check(args, s, source, digest) -> Report:
         data["metric_inertia"] = list(rep.inertia)
     if rep.eigen_dims is not None:
         data["phi_eigen_dims"] = list(rep.eigen_dims)
-    return Report("check", source, digest, checks=_axiom_checks(rep),
-                  data=data)
+    return Report("check", source, digest, checks=rep.checks, data=data)
 
 
 def _cmd_classify(args, s, source, digest) -> Report:
     try:
         cls = s.classification()
     except StructureError as exc:
-        checks = (_axiom_checks(exc.report) if exc.report is not None
+        checks = (exc.report.checks if exc.report is not None
                   else [CheckResult("axioms", False, witness=str(exc))])
         return Report("classify", source, digest, checks=checks)
     data = {
@@ -216,12 +197,11 @@ def _cmd_curvature(args, s, source, digest) -> Report:
     labels = s.model.basis_labels
     d = s.model.dim
     checks = [
-        _residual_check("torsion_free", torsion_residual(conn)),
-        _residual_check("metric_compatibility",
-                        metric_compatibility_residual(conn, s.g)),
-        _residual_check("curvature_antisymmetry",
-                        curvature_antisymmetry_residual(curv)),
-        _residual_check("first_bianchi", first_bianchi_residual(curv)),
+        residual_check(name, residual.items(), labels) for name, residual in (
+            ("torsion_free", torsion_residual(conn)),
+            ("metric_compatibility", metric_compatibility_residual(conn, s.g)),
+            ("curvature_antisymmetry", curvature_antisymmetry_residual(curv)),
+            ("first_bianchi", first_bianchi_residual(curv)))
     ]
     connection_table = {
         f"nabla_{labels[i]} {labels[j]}":
@@ -261,9 +241,7 @@ def _cmd_identities(args, s, source, digest) -> Report:
         check = CheckResult("hypothesis_quasi_para_sasakian", False,
                             witness=str(exc))
         return Report("identities", source, digest, checks=[check])
-    checks = [CheckResult(r.key, r.passed, witness=r.witness,
-                          details=r.details or None)
-              for r in rep.results.values()]
+    checks = list(rep.results.values())
     data = {
         "mode": rep.mode,
         "sample_points": [{k: str(v) for k, v in p.items()}
@@ -280,11 +258,9 @@ def _cmd_deform(args, s, source, digest) -> Report:
                           source=source, digest=digest)
     axioms = s.axiom_report()
     if not axioms.passed:
-        return Report("deform", source, digest, checks=_axiom_checks(axioms))
+        return Report("deform", source, digest, checks=axioms.checks)
     rep = verify_deformation_relations(s, params)
-    checks = [CheckResult("axioms", True)]
-    checks.extend(CheckResult(r.key, r.passed, witness=r.witness)
-                  for r in rep.results.values())
+    checks = [CheckResult("axioms", True), *rep.results.values()]
     deformed = apply_deformation(s, params)
     data = {
         "alpha": str(params.alpha),
@@ -310,11 +286,10 @@ def _cmd_theorem(args, s, source, digest) -> Report:
     try:
         rep = check_constant_curvature_theorem(s)
     except StructureError as exc:
-        checks = (_axiom_checks(exc.report) if exc.report is not None
+        checks = (exc.report.checks if exc.report is not None
                   else [CheckResult("axioms", False, witness=str(exc))])
         return Report("theorem", source, digest, checks=checks)
-    checks = [CheckResult(a.name, a.passed, witness=a.witness)
-              for a in rep.assertions]
+    checks = rep.assertions
     data = {
         "theorem_status": rep.status,
         "applicable": rep.applicable,

@@ -52,10 +52,6 @@ class ConnectionData:
         """Components of nabla_{e_i} e_j."""
         return self.coeffs[i][j]
 
-    def gamma(self, k: int, i: int, j: int) -> Scalar:
-        """Gamma^k_ij."""
-        return self.coeffs[i][j][k]
-
 
 @dataclass
 class CurvatureData:

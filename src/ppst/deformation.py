@@ -34,6 +34,7 @@ from itertools import product
 from .curvature import covariant_derivative
 from .linalg import mat_vec
 from .models import TensorField, constant_value
+from .report import CheckResult, residual_check
 from .structures import ParacontactStructure, StructureError
 
 
@@ -62,23 +63,10 @@ class DeformationParams:
 
 
 @dataclass
-class DeformationResult:
-    key: str
-    passed: bool
-    witness: str | None = None
-
-    def to_dict(self) -> dict:
-        out = {"key": self.key, "passed": self.passed}
-        if self.witness:
-            out["witness"] = self.witness
-        return out
-
-
-@dataclass
 class DeformationReport:
     structure_name: str | None
     params: DeformationParams
-    results: dict[str, DeformationResult] = field(default_factory=dict)
+    results: dict[str, CheckResult] = field(default_factory=dict)
 
     @property
     def passed(self) -> bool:
@@ -138,15 +126,6 @@ def verify_deformation_relations(s: ParacontactStructure,
                  for l in range(d)) for j in range(d)] for i in range(d)]
     report = DeformationReport(structure_name=s.name, params=params)
 
-    def record(key: str, entries) -> None:
-        for idx, value in entries:
-            if value:
-                args = ",".join(labels[i] for i in idx)
-                report.results[key] = DeformationResult(
-                    key, False, witness=f"residual at ({args}): {value}")
-                return
-        report.results[key] = DeformationResult(key, True)
-
     def i00_entries():
         for i, j in product(range(d), repeat=2):
             lhs = conn2.nabla_basis(i, j)
@@ -154,7 +133,7 @@ def verify_deformation_relations(s: ParacontactStructure,
             for l in range(d):
                 yield (i, j), lhs[l] - rhs[l] - Bv[i][j][l]
 
-    record("i00", i00_entries())
+    report.results["i00"] = residual_check("i00", i00_entries(), labels)
 
     def i5_entries():
         f = alpha / beta
@@ -162,7 +141,7 @@ def verify_deformation_relations(s: ParacontactStructure,
             for l in range(d):
                 yield (i,), A2_cols[i][l] - A_cols[i][l] * f
 
-    record("i5", i5_entries())
+    report.results["i5"] = residual_check("i5", i5_entries(), labels)
 
     # g(A e_i, .) and g~(A~ e_i, .); g, g~ are symmetric
     gA = [mat_vec(s.g.rows(), A_cols[i], zero) for i in range(d)]
@@ -172,7 +151,7 @@ def verify_deformation_relations(s: ParacontactStructure,
         for i, j in product(range(d), repeat=2):
             yield (i, j), gA2[i][j] - gA[i][j] * alpha
 
-    record("i6", i6_entries())
+    report.results["i6"] = residual_check("i6", i6_entries(), labels)
 
     # B as a (1,2) tensor, its covariant derivative taken with the
     # undeformed connection; B_op[i] is the matrix of B(e_i, .)
@@ -192,7 +171,7 @@ def verify_deformation_relations(s: ParacontactStructure,
                 corr = (nB[(l, i, j, k)] - nB[(l, j, i, k)] + t1[l] - t2[l])
                 yield (i, j, k), lhs[l] - rhs[l] - corr
 
-    record("i777", i777_entries())
+    report.results["i777"] = residual_check("i777", i777_entries(), labels)
     return report
 
 

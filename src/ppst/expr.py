@@ -27,7 +27,9 @@ canonical form already proves to be 1:
   denominators with positive lex-leading coefficients is again one, so the
   product needs no rescaling;
 * 1/(n1/d1) = d1/n1 needs only the rescaling of n1, so a quotient is the
-  product with the reciprocal.
+  product with the reciprocal;
+* the partial derivative of a polynomial n1/1 is n1'/1, canonical as it
+  stands.
 
 Every other result goes through ``_canonical``.  Monomials are exponent
 tuples aligned with the variable tuple.  The GCD of two genuinely
@@ -103,12 +105,6 @@ def _pmul(a: PolyDict, b: PolyDict) -> PolyDict:
             else:
                 out.pop(m, None)
     return out
-
-
-def _pscale(a: PolyDict, c: Fraction) -> PolyDict:
-    if not c:
-        return {}
-    return {m: cc * c for m, cc in a.items()}
 
 
 def _pderiv(a: PolyDict, idx: int) -> PolyDict:
@@ -484,7 +480,11 @@ class RationalExpr:
         if var not in self.variables:
             raise VariableMismatchError(f"unknown variable {var!r}")
         idx = self.variables.index(var)
-        n, d = self._numd(), self._dend()
+        n = self._numd()
+        if _is_one(self.den, len(self.variables)):
+            return RationalExpr._make(self.variables, _terms(_pderiv(n, idx)),
+                                      self.den)
+        d = self._dend()
         num = _padd(_pmul(_pderiv(n, idx), d), _pneg(_pmul(n, _pderiv(d, idx))))
         return RationalExpr(self.variables, num, _pmul(d, d))
 

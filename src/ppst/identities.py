@@ -37,7 +37,7 @@ points (weaker, and recorded as such in the report).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import product
 from typing import Mapping, Sequence
@@ -52,6 +52,7 @@ from .models import (
     evaluate_at,
     sample_points,
 )
+from .report import CheckResult, residual_check
 from .structures import ParacontactStructure, StructureError, phi_basis_eps
 
 IDENTITY_KEYS = ("p1", "P5", "P6a", "P6b", "P6c", "P2", "P3", "P4",
@@ -59,27 +60,10 @@ IDENTITY_KEYS = ("p1", "P5", "P6a", "P6b", "P6c", "P2", "P3", "P4",
 
 
 @dataclass
-class IdentityResult:
-    key: str
-    passed: bool
-    mode: str
-    witness: str | None = None
-    details: dict[str, str] = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        out = {"key": self.key, "passed": self.passed, "mode": self.mode}
-        if self.witness:
-            out["witness"] = self.witness
-        if self.details:
-            out["details"] = dict(self.details)
-        return out
-
-
-@dataclass
 class IdentityReport:
     structure_name: str | None
     mode: str
-    results: dict[str, IdentityResult]
+    results: dict[str, CheckResult]
     sample_points: list[dict[str, Fraction]] = field(default_factory=list)
 
     @property
@@ -292,42 +276,38 @@ def _residuals(ctx: _Context, key: str) -> tuple[dict[tuple[int, ...], Scalar], 
 _VECTOR_KEYS = {"P5", "P6a", "P2", "R1"}
 
 
-def _witness_args(ctx: _Context, key: str, idx: tuple[int, ...]) -> str:
+def _witness_args(ctx: _Context, key: str, idx: tuple[int, ...]) -> tuple[int, ...]:
+    """The basis arguments a witness names: a vector identity drops the
+    component, and no arguments name ``scalar``, the label after the basis."""
     if key in _VECTOR_KEYS:
         idx = idx[:-1]
     elif key == "P6b":
         idx = ()
-    if not idx:
-        return "scalar"
-    return ",".join(ctx.labels[i] for i in idx)
+    return idx or (ctx.d,)
 
 
 def _judge(ctx: _Context, key: str, mode: str,
-           points: Sequence[Mapping[str, Fraction]]) -> IdentityResult:
+           points: Sequence[Mapping[str, Fraction]]) -> CheckResult:
     entries, details = _residuals(ctx, key)
+    details = details or None
+    labels = ctx.labels + ("scalar",)
+    named = [(_witness_args(ctx, key, idx), v) for idx, v in entries.items()]
     if mode == "symbolic":
-        for idx, v in entries.items():
-            if v:
-                args = _witness_args(ctx, key, idx)
-                return IdentityResult(key, False, mode,
-                                      witness=f"residual at ({args}): {v}",
-                                      details=details)
-        return IdentityResult(key, True, mode, details=details)
+        return replace(residual_check(key, named, labels), details=details)
     cons = ctx.model.constraints
     for point in points:
-        for idx, v in entries.items():
-            val = evaluate_at(v, point, cons)
-            if val != 0:
-                args = _witness_args(ctx, key, idx)
-                pt = {k: str(f) for k, f in point.items()}
-                return IdentityResult(key, False, mode,
-                                      witness=f"residual at ({args}), point {pt}: {val}",
-                                      details=details)
-    return IdentityResult(key, True, mode, details=details)
+        check = residual_check(
+            key, ((idx, evaluate_at(v, point, cons)) for idx, v in named), labels)
+        if not check.passed:  # the witness also names the point
+            at, _, value = check.witness.partition(": ")
+            pt = {k: str(f) for k, f in point.items()}
+            return CheckResult(key, False, witness=f"{at}, point {pt}: {value}",
+                               details=details)
+    return CheckResult(key, True, details=details)
 
 
 def check_single(s: ParacontactStructure, key: str, mode: str = "auto",
-                 points: Sequence[Mapping[str, Fraction]] | None = None) -> IdentityResult:
+                 points: Sequence[Mapping[str, Fraction]] | None = None) -> CheckResult:
     """Evaluate one identity; see run_suite for hypothesis handling."""
     if key not in IDENTITY_KEYS:
         raise KeyError(f"unknown identity key {key!r}; valid: {IDENTITY_KEYS}")

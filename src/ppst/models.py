@@ -36,6 +36,7 @@ from typing import Iterable, Mapping, Sequence, Union
 from . import linalg
 from .expr import DomainConstraint, RationalExpr
 from .parser import parse_expr
+from .report import first_nonzero
 
 Scalar = Union[Fraction, RationalExpr]
 ScalarLike = Union[int, Fraction, str, RationalExpr]
@@ -336,6 +337,10 @@ class TensorField:
     def indices(self):
         return product(range(self.model.dim), repeat=self.rank)
 
+    def items(self):
+        """(index, component) pairs in lex index order."""
+        return zip(self.indices(), self.data)
+
     def vec(self) -> tuple[Scalar, ...]:
         if self.rank != 1:
             raise GeometryError("vec() needs a rank-1 tensor")
@@ -387,10 +392,7 @@ class TensorField:
 
     def nonzero_witness(self) -> tuple[tuple[int, ...], Scalar] | None:
         """First (lex) index with a nonvanishing component, or None."""
-        for idx, c in zip(self.indices(), self.data):
-            if c:
-                return idx, c
-        return None
+        return first_nonzero(self.items())
 
     def __repr__(self) -> str:
         return f"TensorField(valence={self.valence}, dim={self.model.dim})"

@@ -7,6 +7,13 @@ resulting exit status.  ``to_json`` output is schema-stable and validates
 against ``schema/report-v1.json``; ``to_text`` output is deterministic
 (fixed line order, sorted data keys) so runs can be diffed.
 
+:class:`CheckResult` is the one result type of every verifier (axioms,
+identities, deformation laws, the theorem) and of the CLI.  The witness
+rule lives here too: a residual check fails on the first nonzero
+(index, value) entry in the given order (``first_nonzero``), and its
+witness labels that index with the basis labels, ``<what> at (e1,e2): v``
+(``residual_check``).
+
 Exit-code contract: 0 means every check passed, 1 means at least one
 mathematical check failed (with witnesses in the report), 2 means the input
 could not be processed at all (parse, schema, or usage error).  A
@@ -18,7 +25,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Iterable, Mapping, Sequence
 
 TOOL_NAME = "ppst"
 TOOL_VERSION = "0.1.0"  # the one version literal; pyproject.toml reads it
@@ -51,6 +58,22 @@ class CheckResult:
         if self.details is not None:
             out["details"] = dict(sorted(self.details.items()))
         return out
+
+
+def first_nonzero(entries: Iterable[tuple]) -> tuple | None:
+    """The first (index, value) pair whose value is nonzero, or None."""
+    return next(((idx, v) for idx, v in entries if v), None)
+
+
+def residual_check(name: str, entries: Iterable[tuple], labels: Sequence[str],
+                   what: str = "residual") -> CheckResult:
+    """Pass when every value is zero; else witness the first nonzero entry."""
+    bad = first_nonzero(entries)
+    if bad is None:
+        return CheckResult(name, True)
+    idx, value = bad
+    args = ",".join(labels[i] for i in idx)
+    return CheckResult(name, False, witness=f"{what} at ({args}): {value}")
 
 
 @dataclass

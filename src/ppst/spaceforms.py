@@ -35,7 +35,7 @@ from .deformation import (
     detect_homothetic_origin,
     proportionality_constant,
 )
-from .linalg import bilinear, mat_vec, trace_product
+from .linalg import bilinear, trace_product
 from .models import (
     ChartModel,
     FrameModel,
@@ -44,6 +44,7 @@ from .models import (
     constant_value,
     exterior_derivative,
 )
+from .report import CheckResult, residual_check
 from .structures import ParacontactStructure, StructureError, nijenhuis_N1
 
 
@@ -71,25 +72,12 @@ def constant_curvature_of(s: ParacontactStructure) -> Fraction | None:
     return K
 
 
-@dataclass(frozen=True)
-class TheoremAssertion:
-    name: str
-    passed: bool
-    witness: str | None = None
-
-    def to_dict(self) -> dict:
-        out = {"name": self.name, "passed": self.passed}
-        if self.witness:
-            out["witness"] = self.witness
-        return out
-
-
 @dataclass
 class TheoremReport:
     structure_name: str | None
     quasi_para_sasakian: bool
     K: Fraction | None
-    assertions: list[TheoremAssertion] = field(default_factory=list)
+    assertions: list[CheckResult] = field(default_factory=list)
     reason: str | None = None
 
     @property
@@ -134,53 +122,54 @@ def check_constant_curvature_theorem(s: ParacontactStructure) -> TheoremReport:
     report = TheoremReport(s.name, True, K)
     add = report.assertions.append
     if K > 0:
-        add(TheoremAssertion("K_nonpositive", False, witness=f"K = {K} > 0"))
+        add(CheckResult("K_nonpositive", False, witness=f"K = {K} > 0"))
         return report
-    add(TheoremAssertion("K_nonpositive", True))
+    add(CheckResult("K_nonpositive", True))
     model = s.model
     d, n = model.dim, model.n
+    labels = model.basis_labels
     if K == 0:
-        add(_residual_assertion("A_vanishes", s.A, model))
+        add(residual_check("A_vanishes", s.A.items(), labels))
         nphi = covariant_derivative(s.phi, s.connection)
-        add(_residual_assertion("nabla_phi_vanishes", nphi, model))
+        add(residual_check("nabla_phi_vanishes", nphi.items(), labels))
         ok = cls.flags["paracosymplectic"]
-        add(TheoremAssertion("paracosymplectic", ok,
-                             witness=None if ok else cls.witnesses.get(
-                                 "paracosymplectic")))
+        add(CheckResult("paracosymplectic", ok,
+                        witness=None if ok else cls.witnesses.get(
+                            "paracosymplectic")))
         return report
 
     # K < 0: a nonzero constant lambda with A = lambda phi must exist
     lam = proportionality_constant(s)
     if lam is None or lam == 0:
-        add(TheoremAssertion("A_proportional_to_phi", False,
-                             witness="no nonzero constant lambda with A = lambda phi"))
+        add(CheckResult("A_proportional_to_phi", False,
+                        witness="no nonzero constant lambda with A = lambda phi"))
         return report
-    add(TheoremAssertion("A_proportional_to_phi", True, witness=f"lambda = {lam}"))
-    add(TheoremAssertion("K_equals_minus_lambda_squared", K == -lam ** 2,
-                         witness=f"K = {K}, lambda = {lam}"))
+    add(CheckResult("A_proportional_to_phi", True, witness=f"lambda = {lam}"))
+    add(CheckResult("K_equals_minus_lambda_squared", K == -lam ** 2,
+                    witness=f"K = {K}, lambda = {lam}"))
     ph, A = s.phi.rows(), s.A.rows()
     zero = model.zero
     tr = trace_product(ph, A, zero)
-    add(TheoremAssertion("trace_phi_A", tr == 2 * n * lam,
-                         witness=f"tr(phi A) = {tr}, 2n lambda = {2 * n * lam}"))
+    add(CheckResult("trace_phi_A", tr == 2 * n * lam,
+                    witness=f"tr(phi A) = {tr}, 2n lambda = {2 * n * lam}"))
     grows = s.g.rows()
     ev = s.eta.data
     ricci = s.curvature.ricci
     ent = {}
     for i, j in product(range(d), repeat=2):
         ent[(i, j)] = ricci[(i, j)] - grows[i][j] * (2 * n * K)
-    add(_entries_assertion("ricci_form", ent, model))
+    add(residual_check("ricci_form", ent.items(), labels))
     star = s.curvature.star_ricci
     ent = {}
     for i, j in product(range(d), repeat=2):
         ent[(i, j)] = star[(i, j)] - (ev[i] * ev[j] - grows[i][j]) * K
-    add(_entries_assertion("star_ricci_form", ent, model))
+    add(residual_check("star_ricci_form", ent.items(), labels))
     A_cols, phicols = tuple(zip(*A)), tuple(zip(*ph))
     ent = {}
     for i, j in product(range(d), repeat=2):
         ent[(i, j)] = (bilinear(grows, A_cols[i], phicols[j], zero)
                        + (grows[i][j] - ev[i] * ev[j]) * lam)
-    add(_entries_assertion("shape_phi_pairing", ent, model))
+    add(residual_check("shape_phi_pairing", ent.items(), labels))
     try:
         detected = detect_homothetic_origin(s)
     except StructureError as exc:
@@ -192,29 +181,9 @@ def check_constant_curvature_theorem(s: ParacontactStructure) -> TheoremReport:
     ok = detected is not None and detected == (lam, expected)
     if detected is not None and not ok:
         witness = f"recovered {detected[1]}, expected {expected}"
-    add(TheoremAssertion("homothetic_origin_recovered", ok,
-                         witness=witness if not ok else
-                         f"parameters {expected}"))
+    add(CheckResult("homothetic_origin_recovered", ok,
+                    witness=witness if not ok else f"parameters {expected}"))
     return report
-
-
-def _residual_assertion(name: str, T: TensorField, model) -> TheoremAssertion:
-    w = T.nonzero_witness()
-    if w is None:
-        return TheoremAssertion(name, True)
-    labels = model.basis_labels
-    args = ",".join(labels[i] for i in w[0])
-    return TheoremAssertion(name, False, witness=f"residual at ({args}): {w[1]}")
-
-
-def _entries_assertion(name: str, entries, model) -> TheoremAssertion:
-    labels = model.basis_labels
-    for idx, value in entries.items():
-        if value:
-            args = ",".join(labels[i] for i in idx)
-            return TheoremAssertion(name, False,
-                                    witness=f"residual at ({args}): {value}")
-    return TheoremAssertion(name, True)
 
 
 # ---------------------------------------------------------------------------
@@ -239,15 +208,23 @@ def _build_flat() -> ParacontactStructure:
                                 name="flat-paracosymplectic")
 
 
-def _build_frame_example() -> ParacontactStructure:
-    model = FrameModel(("e1", "e2", "xi"), (1, -1, 1), {(0, 1): (0, 0, 4)})
+def _standard_frame_structure(brackets, name: str | None = None,
+                              declare_frame: bool = False) -> ParacontactStructure:
+    """The 3-d frame structure phi e1 = e2, phi e2 = e1, xi = e3, eta = e^3
+    with the orthonormal (+,-,+) metric, over the given bracket table."""
+    model = FrameModel(("e1", "e2", "xi"), (1, -1, 1), brackets)
     phi = TensorField.from_rows(model, (1, 1), [[0, 1, 0], [1, 0, 0], [0, 0, 0]])
     xi = TensorField.vector(model, (0, 0, 1))
     eta = TensorField.covector(model, (0, 0, 1))
-    frame = (TensorField.vector(model, (1, 0, 0)),
-             TensorField.vector(model, (0, 1, 0)), xi)
+    frame = ((TensorField.vector(model, (1, 0, 0)),
+              TensorField.vector(model, (0, 1, 0)), xi) if declare_frame else None)
     return ParacontactStructure(model, phi, xi, model.orthonormal_metric(), eta,
-                                declared_frame=frame, name="example-frame")
+                                declared_frame=frame, name=name)
+
+
+def _build_frame_example() -> ParacontactStructure:
+    return _standard_frame_structure({(0, 1): (0, 0, 4)}, "example-frame",
+                                     declare_frame=True)
 
 
 def _build_chart(gxz: str, gzz: str, name: str) -> ParacontactStructure:
@@ -279,12 +256,8 @@ def _build_deformed() -> ParacontactStructure:
 
 
 def _build_negative() -> ParacontactStructure:
-    model = FrameModel(("e1", "e2", "xi"), (1, -1, 1), {(0, 1): (0, 2, 2)})
-    phi = TensorField.from_rows(model, (1, 1), [[0, 1, 0], [1, 0, 0], [0, 0, 0]])
-    xi = TensorField.vector(model, (0, 0, 1))
-    eta = TensorField.covector(model, (0, 0, 1))
-    return ParacontactStructure(model, phi, xi, model.orthonormal_metric(), eta,
-                                name="constant-negative-curvature")
+    return _standard_frame_structure({(0, 1): (0, 2, 2)},
+                                     "constant-negative-curvature")
 
 
 def model_catalog() -> tuple[ModelEntry, ...]:
@@ -336,33 +309,7 @@ class SearchHit:
     lam: Fraction
 
     def build(self) -> ParacontactStructure:
-        model = FrameModel(("e1", "e2", "xi"), (1, -1, 1), dict(self.brackets))
-        phi = TensorField.from_rows(model, (1, 1),
-                                    [[0, 1, 0], [1, 0, 0], [0, 0, 0]])
-        xi = TensorField.vector(model, (0, 0, 1))
-        eta = TensorField.covector(model, (0, 0, 1))
-        return ParacontactStructure(model, phi, xi, model.orthonormal_metric(),
-                                    eta, name="search-hit")
-
-
-def _jacobi_ok(c01, c02, c12) -> bool:
-    # single independent triple in dimension 3: J(e0, e1, e2) = 0
-    zero = Fraction(0)
-    table = {
-        (0, 1): c01, (1, 0): tuple(-x for x in c01),
-        (0, 2): c02, (2, 0): tuple(-x for x in c02),
-        (1, 2): c12, (2, 1): tuple(-x for x in c12),
-    }
-
-    def bracket_vec(v, k):
-        # [v, e_k]: column m of the matrix is [e_m, e_k]
-        cols = [table.get((m, k), (zero,) * 3) for m in range(3)]
-        return mat_vec(tuple(zip(*cols)), v, zero)
-
-    j1 = bracket_vec(c01, 2)
-    j2 = bracket_vec(c12, 0)
-    j3 = bracket_vec(tuple(-x for x in c02), 1)
-    return all(a + b + c == 0 for a, b, c in zip(j1, j2, j3))
+        return _standard_frame_structure(dict(self.brackets), "search-hit")
 
 
 def _qps_precheck_standard(c02, c12) -> bool:
@@ -384,11 +331,11 @@ def search_constant_negative_curvature(
     """Enumerate frame bracket tables over values^9 and keep the structures
     that are quasi-para-Sasakian of constant curvature K < 0.
 
-    Candidates failing the Jacobi identity are pruned before any geometry is
-    built, and (unless ``prefilter`` is False) so are those failing the
-    closed-form normality/closedness conditions; every reported hit has been
-    re-verified by the general tensor machinery.  ``limit`` stops the scan
-    after that many hits.
+    Unless ``prefilter`` is False, candidates failing the closed-form
+    normality/closedness conditions are pruned before any geometry is built;
+    a table failing the Jacobi identity is rejected by its frame model.
+    Every reported hit has been re-verified by the general tensor machinery.
+    ``limit`` stops the scan after that many hits.
     """
     vals = tuple(Fraction(v) for v in values)
     hits: list[SearchHit] = []
@@ -397,8 +344,6 @@ def search_constant_negative_curvature(
             for c12 in product(vals, repeat=3):
                 if prefilter and not _qps_precheck_standard(c02, c12):
                     continue
-                if not _jacobi_ok(c01, c02, c12):
-                    continue
                 brackets = {}
                 if any(c01):
                     brackets[(0, 1)] = c01
@@ -406,19 +351,13 @@ def search_constant_negative_curvature(
                     brackets[(0, 2)] = c02
                 if any(c12):
                     brackets[(1, 2)] = c12
-                try:
-                    model = FrameModel(("e1", "e2", "xi"), (1, -1, 1), brackets)
+                try:  # the frame model rejects a table failing Jacobi
+                    s = _standard_frame_structure(brackets)
                 except GeometryError:
                     continue
-                phi = TensorField.from_rows(model, (1, 1),
-                                            [[0, 1, 0], [1, 0, 0], [0, 0, 0]])
-                xi = TensorField.vector(model, (0, 0, 1))
-                eta = TensorField.covector(model, (0, 0, 1))
-                s = ParacontactStructure(model, phi, xi,
-                                         model.orthonormal_metric(), eta)
                 if not nijenhuis_N1(s).is_zero:
                     continue
-                if exterior_derivative(s.Phi).nonzero_witness() is not None:
+                if not exterior_derivative(s.Phi).is_zero:
                     continue
                 K = constant_curvature_of(s)
                 if K is None or K >= 0:

@@ -26,7 +26,7 @@ arithmetic in both chart and frame modes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import product
 from typing import Mapping, Sequence
@@ -56,6 +56,7 @@ from .models import (
     lie_derivative,
     sample_point,
 )
+from .report import CheckResult, first_nonzero, residual_check
 
 
 class StructureError(Exception):
@@ -69,17 +70,9 @@ class StructureError(Exception):
         self.report = report
 
 
-@dataclass(frozen=True)
-class AxiomCheck:
-    name: str
-    passed: bool
-    witness: str | None = None
-    residual: str | None = None
-
-
 @dataclass
 class AxiomReport:
-    checks: list[AxiomCheck]
+    checks: list[CheckResult]
     sample_point: dict[str, Fraction]
     eigen_dims: tuple[int, int] | None = None
     inertia: tuple[int, int, int] | None = None
@@ -88,7 +81,7 @@ class AxiomReport:
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    def failures(self) -> list[AxiomCheck]:
+    def failures(self) -> list[CheckResult]:
         return [c for c in self.checks if not c.passed]
 
     def to_dict(self) -> dict:
@@ -97,12 +90,7 @@ class AxiomReport:
             "sample_point": {k: str(v) for k, v in self.sample_point.items()},
             "eigen_dims": list(self.eigen_dims) if self.eigen_dims else None,
             "inertia": list(self.inertia) if self.inertia else None,
-            "checks": [
-                {"name": c.name, "passed": c.passed,
-                 **({"witness": c.witness} if c.witness else {}),
-                 **({"residual": c.residual} if c.residual else {})}
-                for c in self.checks
-            ],
+            "checks": [c.to_dict() for c in self.checks],
         }
 
 
@@ -284,13 +272,6 @@ def _evaluate_matrix(s: ParacontactStructure, T: TensorField,
             for i in range(d)]
 
 
-def _witness(model: ManifoldModel, idx: tuple[int, ...], value: Scalar,
-             what: str) -> str:
-    labels = model.basis_labels
-    args = ",".join(labels[i] for i in idx)
-    return f"{what} at ({args}): {value}"
-
-
 def validate_structure(s: ParacontactStructure,
                        point: Mapping[str, Fraction] | None = None) -> AxiomReport:
     """Check every structure axiom as an exact residual.
@@ -306,49 +287,45 @@ def validate_structure(s: ParacontactStructure,
     xv, ev = s.xi.vec(), s.eta.data
     zero = model.zero
     pt = dict(point) if point is not None else sample_point(model)
-    checks: list[AxiomCheck] = []
+    checks: list[CheckResult] = []
 
-    def residual_check(name: str, entries: Mapping[tuple[int, ...], Scalar],
-                       what: str) -> None:
-        bad = next(((idx, v) for idx, v in entries.items() if v), None)
-        if bad is None:
-            checks.append(AxiomCheck(name, True))
-        else:
-            idx, v = bad
-            checks.append(AxiomCheck(name, False,
-                                     witness=_witness(model, idx, v, what),
-                                     residual=str(v)))
+    def axiom(name: str, entries: Mapping[tuple[int, ...], Scalar],
+              what: str) -> None:
+        check = residual_check(name, entries.items(), model.basis_labels, what)
+        if not check.passed:  # the report also keeps the residual value
+            value = first_nonzero(entries.items())[1]
+            check = replace(check, details={"residual": str(value)})
+        checks.append(check)
 
     # phi^2 = Id - eta (x) xi
     ent = {}
     for k, j in product(range(d), repeat=2):
         delta = model.one if k == j else zero
         ent[(k, j)] = dot(ph[k], phicols[j], zero) - delta + xv[k] * ev[j]
-    residual_check("phi_squared", ent, "phi^2 - Id + eta(x)xi")
+    axiom("phi_squared", ent, "phi^2 - Id + eta(x)xi")
 
     # eta(xi) = 1
-    residual_check("eta_xi", {(): dot(ev, xv, zero) - model.one}, "eta(xi) - 1")
+    axiom("eta_xi", {(): dot(ev, xv, zero) - model.one}, "eta(xi) - 1")
 
     # g(phi X, phi Y) + g(X, Y) - eta(X) eta(Y) = 0
     ent = {}
     for i, j in product(range(d), repeat=2):
         ent[(i, j)] = (bilinear(grows, phicols[i], phicols[j], zero)
                        + grows[i][j] - ev[i] * ev[j])
-    residual_check("metric_phi_compatibility", ent,
-                   "g(phi.,phi.) + g - eta(x)eta")
+    axiom("metric_phi_compatibility", ent, "g(phi.,phi.) + g - eta(x)eta")
 
     # eta = g(., xi)
     g_xi = mat_vec(grows, xv, zero)
-    residual_check("eta_is_g_xi", {(j,): ev[j] - g_xi[j] for j in range(d)},
-                   "eta != g(.,xi); residual")
+    axiom("eta_is_g_xi", {(j,): ev[j] - g_xi[j] for j in range(d)},
+          "eta != g(.,xi); residual")
 
     # phi xi = 0
     phi_xi = mat_vec(ph, xv, zero)
-    residual_check("phi_xi", {(k,): phi_xi[k] for k in range(d)}, "phi(xi)")
+    axiom("phi_xi", {(k,): phi_xi[k] for k in range(d)}, "phi(xi)")
 
     # eta o phi = 0
-    residual_check("eta_phi", {(j,): dot(ev, phicols[j], zero) for j in range(d)},
-                   "eta(phi .)")
+    axiom("eta_phi", {(j,): dot(ev, phicols[j], zero) for j in range(d)},
+          "eta(phi .)")
 
     # metric signature (n+1, n) at the sample point
     inertia: tuple[int, int, int] | None
@@ -356,12 +333,12 @@ def validate_structure(s: ParacontactStructure,
         gmat = _evaluate_matrix(s, s.g, pt)
         inertia = linalg.symmetric_signature(gmat)
         ok = inertia == (n + 1, n, 0)
-        checks.append(AxiomCheck("metric_signature", ok,
-                                 witness=None if ok else
-                                 f"inertia {inertia} at {pt}, expected {(n + 1, n, 0)}"))
+        checks.append(CheckResult("metric_signature", ok,
+                                  witness=None if ok else
+                                  f"inertia {inertia} at {pt}, expected {(n + 1, n, 0)}"))
     except EvaluationError as exc:  # e.g. a constraint violated at a custom point
         inertia = None
-        checks.append(AxiomCheck("metric_signature", False, witness=str(exc)))
+        checks.append(CheckResult("metric_signature", False, witness=str(exc)))
 
     # eigendistributions of phi: dim D+ = dim D- = n
     eigen: tuple[int, int] | None
@@ -374,12 +351,12 @@ def validate_structure(s: ParacontactStructure,
             dims.append(d - linalg.rank(m))
         eigen = (dims[0], dims[1])
         ok = eigen == (n, n)
-        checks.append(AxiomCheck("eigendistributions", ok,
-                                 witness=None if ok else
-                                 f"dim(D+, D-) = {eigen}, expected {(n, n)}"))
+        checks.append(CheckResult("eigendistributions", ok,
+                                  witness=None if ok else
+                                  f"dim(D+, D-) = {eigen}, expected {(n, n)}"))
     except EvaluationError as exc:
         eigen = None
-        checks.append(AxiomCheck("eigendistributions", False, witness=str(exc)))
+        checks.append(CheckResult("eigendistributions", False, witness=str(exc)))
 
     # declared frame, when given, must be an honest phi-basis
     if s.declared_frame is not None:
@@ -389,13 +366,13 @@ def validate_structure(s: ParacontactStructure,
                        inertia=inertia)
 
 
-def _declared_frame_check(s: ParacontactStructure, checks: list[AxiomCheck]) -> None:
+def _declared_frame_check(s: ParacontactStructure, checks: list[CheckResult]) -> None:
     model = s.model
     d, n = model.dim, model.n
     frame = s.declared_frame
     if len(frame) != d:
-        checks.append(AxiomCheck("declared_frame_phi_basis", False,
-                                 witness=f"expected {d} frame fields, got {len(frame)}"))
+        checks.append(CheckResult("declared_frame_phi_basis", False,
+                                  witness=f"expected {d} frame fields, got {len(frame)}"))
         return
     grows = s.g.rows()
     ph = s.phi.rows()
@@ -411,27 +388,27 @@ def _declared_frame_check(s: ParacontactStructure, checks: list[AxiomCheck]) -> 
             value = bilinear(grows, cols[a], cols[b], zero)
             res = value - model.scalar(expected)
             if res:
-                checks.append(AxiomCheck(
+                checks.append(CheckResult(
                     "declared_frame_phi_basis", False,
                     witness=(f"g({frame_names[a]},{frame_names[b]}) = {value} "
                              f"(should be {expected})"),
-                    residual=str(res)))
+                    details={"residual": str(res)}))
                 return
     # Y_i = phi X_i and the last field is xi
     for i in range(n):
         img = mat_vec(ph, cols[i], zero)
         diff = [a - b for a, b in zip(img, cols[n + i])]
         if any(diff):
-            checks.append(AxiomCheck(
+            checks.append(CheckResult(
                 "declared_frame_phi_basis", False,
                 witness=f"phi({frame_names[i]}) != {frame_names[n + i]}"))
             return
     xdiff = [a - b for a, b in zip(cols[d - 1], s.xi.vec())]
     if any(xdiff):
-        checks.append(AxiomCheck("declared_frame_phi_basis", False,
-                                 witness="last declared frame field is not xi"))
+        checks.append(CheckResult("declared_frame_phi_basis", False,
+                                  witness="last declared frame field is not xi"))
         return
-    checks.append(AxiomCheck("declared_frame_phi_basis", True))
+    checks.append(CheckResult("declared_frame_phi_basis", True))
 
 
 # ---------------------------------------------------------------------------
@@ -448,7 +425,7 @@ def build_phi_basis(s: ParacontactStructure) -> tuple[TensorField, ...]:
     model = s.model
     d, n = model.dim, model.n
     if s.declared_frame is not None:
-        checks: list[AxiomCheck] = []
+        checks: list[CheckResult] = []
         _declared_frame_check(s, checks)
         if all(c.passed for c in checks):
             return s.declared_frame
@@ -528,7 +505,7 @@ def classify(s: ParacontactStructure,
     if not report.passed:
         names = ", ".join(c.name for c in report.failures())
         raise StructureError(f"structure fails axioms: {names}", report)
-    model = s.model
+    labels = s.model.basis_labels
     deta = exterior_derivative(s.eta)
     dPhi = exterior_derivative(s.Phi)
     N1 = s.N1
@@ -538,11 +515,11 @@ def classify(s: ParacontactStructure,
     witnesses: dict[str, str] = {}
 
     def record(flag: str, residual: TensorField, what: str) -> bool:
-        w = residual.nonzero_witness()
-        flags[flag] = w is None
-        if w is not None:
-            witnesses[flag] = _witness(model, w[0], w[1], what)
-        return flags[flag]
+        check = residual_check(flag, residual.items(), labels, what)
+        flags[flag] = check.passed
+        if not check.passed:
+            witnesses[flag] = check.witness
+        return check.passed
 
     pcm = record("paracontact_metric", s.Phi - deta, "Phi - deta")
     if pcm:
@@ -555,20 +532,15 @@ def classify(s: ParacontactStructure,
     if not flags["para_sasakian"]:
         witnesses["para_sasakian"] = witnesses.get("normal",
                                                    witnesses.get("paracontact_metric", ""))
-    closed_dPhi = dPhi.nonzero_witness()
-    closed_deta = deta.nonzero_witness()
-    flags["paracosymplectic"] = closed_dPhi is None and closed_deta is None
+    closed_dPhi = residual_check("dPhi", dPhi.items(), labels, "dPhi")
+    closed_deta = residual_check("deta", deta.items(), labels, "deta")
+    flags["paracosymplectic"] = closed_dPhi.passed and closed_deta.passed
     if not flags["paracosymplectic"]:
-        w = closed_dPhi or closed_deta
-        what = "dPhi" if closed_dPhi is not None else "deta"
-        witnesses["paracosymplectic"] = _witness(model, w[0], w[1], what)
-    flags["quasi_para_sasakian"] = normal and closed_dPhi is None
+        witnesses["paracosymplectic"] = closed_dPhi.witness or closed_deta.witness
+    flags["quasi_para_sasakian"] = normal and closed_dPhi.passed
     if not flags["quasi_para_sasakian"]:
-        if not normal:
-            witnesses["quasi_para_sasakian"] = witnesses["normal"]
-        else:
-            witnesses["quasi_para_sasakian"] = _witness(
-                model, closed_dPhi[0], closed_dPhi[1], "dPhi")
+        witnesses["quasi_para_sasakian"] = witnesses.get("normal",
+                                                         closed_dPhi.witness)
     flags["proper_quasi_para_sasakian"] = (flags["quasi_para_sasakian"]
                                            and not flags["para_sasakian"]
                                            and not flags["paracosymplectic"])

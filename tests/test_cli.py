@@ -11,7 +11,9 @@ from importlib import resources
 import jsonschema
 import pytest
 
+import ppst.cli
 from ppst.cli import main, run_command
+from ppst.models import TensorField
 from ppst.parser import MAX_DIGITS
 from ppst.report import digest_text
 from ppst.spaceforms import model_catalog
@@ -48,6 +50,21 @@ def test_curvature_example_frame_json():
     assert names == ["torsion_free", "metric_compatibility",
                      "curvature_antisymmetry", "first_bianchi"]
     assert all(c["passed"] for c in payload["checks"])
+
+
+def test_curvature_residual_witness_names_basis_labels(monkeypatch):
+    monkeypatch.setattr(
+        ppst.cli, "torsion_residual",
+        lambda conn: TensorField.from_entries(conn.model, (1, 2), {(0, 1, 2): 3}))
+    report = run_command(["curvature", "--model", "example-frame"])
+    assert report.exit_code == 1
+    torsion = report.checks[0]
+    assert (torsion.name, torsion.passed) == ("torsion_free", False)
+    assert torsion.witness == "residual at (e1,e2,xi): 3"
+    assert torsion.details is None
+    assert all(c.passed for c in report.checks[1:])
+    assert "  witness: residual at (e1,e2,xi): 3\n" in report.to_text()
+    jsonschema.validate(json.loads(report.to_json()), _schema())
 
 
 def test_check_printed_chart_fails_with_witnesses():

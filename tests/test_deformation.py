@@ -143,7 +143,7 @@ def test_report_serialization():
     assert d["alpha"] == "-2" and d["beta"] == "4"
     assert d["homothetic"] is True
     assert d["passed"] is True
-    assert [e["key"] for e in d["relations"]] == ["i00", "i5", "i6", "i777"]
+    assert [e["name"] for e in d["relations"]] == ["i00", "i5", "i6", "i777"]
 
 
 def test_proportionality_constant():

@@ -29,7 +29,6 @@ def test_frame_example_full_suite_symbolic():
     assert list(report.results) == list(IDENTITY_KEYS)
     for key, res in report.results.items():
         assert res.passed, (key, res.witness)
-        assert res.mode == "symbolic"
     assert report.results["R1.3"].details == {"S(xi,xi)": "-8", "tr(A^2)": "8"}
     assert report.results["S2"].details == {
         "r": "8", "r*": "-24", "tr(phi A)": "4"}
@@ -76,8 +75,6 @@ def test_sampled_mode_on_chart():
     assert len(report.sample_points) >= 5
     # every point satisfies the chart constraint z != 0
     assert all(p["z"] != 0 for p in report.sample_points)
-    for res in report.results.values():
-        assert res.mode == "sampled"
 
 
 def test_sampled_mode_rejects_too_few_points():
@@ -95,7 +92,7 @@ def test_check_single():
     assert res.passed
     assert res.details["tr(phi A)"] == "4"
     res = check_single(frame_example(), "p1")
-    assert res.passed and res.key == "p1"
+    assert res.passed and res.name == "p1"
     with pytest.raises(KeyError):
         check_single(frame_example(), "S3")
 
@@ -167,11 +164,11 @@ def test_report_serialization():
     d = report.to_dict()
     assert d["structure"] == "example-frame"
     assert d["passed"] is True
-    keys = [e["key"] for e in d["identities"]]
+    keys = [e["name"] for e in d["identities"]]
     assert keys == sorted(IDENTITY_KEYS)
+    assert d["mode"] == "symbolic"
     for entry in d["identities"]:
         assert entry["passed"] is True
-        assert entry["mode"] == "symbolic"
 
 
 def test_basis_labels_in_context():

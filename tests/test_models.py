@@ -136,6 +136,18 @@ def test_chart_arithmetic_skips_provable_gcds(monkeypatch):
     assert calls == {"_canonical": 0, "_poly_gcd": 0}
 
 
+def test_polynomial_derivative_skips_canonical(monkeypatch):
+    """d(n/1) = n'/1 is canonical as it stands."""
+    p = parse_expr("x^2*y - 3*z + 1/2", ("x", "y", "z"))
+    q = parse_expr("5", ("x", "y", "z"))
+    calls = _count_kernel_calls(monkeypatch)
+    dx, dy, dz = (p.derivative(v) for v in ("x", "y", "z"))
+    dq = q.derivative("x")
+    assert calls == {"_canonical": 0, "_poly_gcd": 0}
+    assert (str(dx), str(dy), str(dz), str(dq)) == ("2*x*y", "x^2", "-3", "0")
+    assert dq.is_zero and dq == parse_expr("0", ("x", "y", "z"))
+
+
 def test_chart_pipeline_sympy_gcd_count(monkeypatch):
     """Pinned count of GCDs the chart-1+z2 pipeline sends to sympy."""
     s = import_text((GOLDEN / "chart-1+z2.spec").read_text(encoding="utf-8"))

@@ -55,17 +55,17 @@ def test_chart_printed_fails_with_witnesses():
     eta_check = checks["eta_is_g_xi"]
     assert not eta_check.passed
     assert "eta != g(.,xi)" in eta_check.witness
-    assert eta_check.residual == "(-2*y)/(z)"
+    assert eta_check.details["residual"] == "(-2*y)/(z)"
     # the declared orthonormal frame is not orthonormal: g(e1,e1) = 1 + 28y^2
     frame_check = checks["declared_frame_phi_basis"]
     assert not frame_check.passed
     assert "g(e1,e1)" in frame_check.witness
-    assert frame_check.residual == "28*y^2"
+    assert frame_check.details["residual"] == "28*y^2"
     assert "28*y^2 + 1" in frame_check.witness
     # compatibility fails; first failing slot is (dx, dz) with residual 2y/z
     compat = checks["metric_phi_compatibility"]
     assert not compat.passed
-    assert compat.residual == "(2*y)/(z)"
+    assert compat.details["residual"] == "(2*y)/(z)"
     # the zz slot carries the quadratic residual 12y^2/z^2
     s = chart_printed()
     ph, grows, ev = s.phi.rows(), s.g.rows(), s.eta.data

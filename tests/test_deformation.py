@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -22,7 +23,7 @@ from ppst.deformation import (
     proportionality_constant,
     verify_deformation_relations,
 )
-from ppst.models import FrameModel, TensorField
+from ppst.models import ChartModel, FrameModel, TensorField
 from ppst.structures import ParacontactStructure, StructureError
 
 
@@ -158,6 +159,35 @@ def test_proportionality_constant():
     xi = TensorField.vector(model, (0, 0, 1))
     s = ParacontactStructure(model, phi, xi, model.orthonormal_metric())
     assert proportionality_constant(s) is None
+
+
+def _shape_stub(model, phi_rows, a_rows):
+    """A stand-in structure carrying only phi and A."""
+    return SimpleNamespace(model=model,
+                           phi=TensorField.from_rows(model, (1, 1), phi_rows),
+                           A=TensorField.from_rows(model, (1, 1), a_rows))
+
+
+def test_proportionality_constant_none_paths():
+    frame = FrameModel(("e1", "e2", "xi"), (1, -1, 1))
+    chart = ChartModel(("x", "y", "z"))
+    phi = [[0, 1, 0], [1, 0, 0], [0, 0, 0]]
+    two_phi = [[0, 2, 0], [2, 0, 0], [0, 0, 0]]
+    assert proportionality_constant(_shape_stub(frame, phi, two_phi)) == 2
+    # no nonzero phi entry to read lambda off
+    zero = [[0] * 3] * 3
+    assert proportionality_constant(_shape_stub(frame, zero, zero)) is None
+    # a ratio that is not constant
+    x_phi = [[0, "x", 0], ["x", 0, 0], [0, 0, 0]]
+    assert proportionality_constant(_shape_stub(chart, phi, x_phi)) is None
+    # A(e1)^1 != 0 where phi has no entry, before phi's first nonzero entry
+    early = [[1, 2, 0], [2, 0, 0], [0, 0, 0]]
+    assert proportionality_constant(_shape_stub(frame, phi, early)) is None
+    # after lambda = 2 is read off, a later entry breaks it
+    late = [[0, 2, 0], [3, 0, 0], [0, 0, 0]]
+    assert proportionality_constant(_shape_stub(frame, phi, late)) is None
+    late = [[0, 2, 0], [2, 0, 0], [0, 0, 1]]
+    assert proportionality_constant(_shape_stub(frame, phi, late)) is None
 
 
 def test_detect_homothetic_origin_frame():

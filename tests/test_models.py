@@ -8,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from ppst import expr
+from _models import chart_corrected, negative_curvature_frame
+from ppst import expr, linalg
 from ppst.deformation import DeformationParams, verify_deformation_relations
 from ppst.expr import RationalExpr
 from ppst.identities import run_suite
@@ -301,6 +302,46 @@ def test_lie_derivative_endomorphism_frame():
     xi = TensorField.vector(m, (0, 0, 1))
     # [xi, phi e_j] = 0 and phi[xi, e_j] = 0 for this table
     assert lie_derivative(phi, xi).is_zero
+
+
+@pytest.mark.parametrize("build, fields", [
+    (chart_corrected, (("y", "x*z", "1/z"), ("z", "1", "x"), ("1", "y^2", "0"))),
+    (negative_curvature_frame, (("1", "2", "-1"), ("0", "1", "3"), ("1/2", "0", "1"))),
+], ids=["example-chart-corrected", "negative-curvature-frame"])
+def test_lie_derivative_matches_its_definition(build, fields):
+    """(L_X eta)Y, (L_X g)(Y,Z) and (L_X phi)Y against their definitions."""
+    s = build()
+    m = s.model
+    zero = m.zero
+    X, V, W = (TensorField.vector(m, comps) for comps in fields)
+    # non-basis arguments, each with a bracket term
+    Y = lie_bracket(X, V) + V
+    Z = lie_bracket(V, W) + W
+    x, y, z = X.vec(), Y.vec(), Z.vec()
+
+    def along_x(f):
+        return linalg.dot(x, [m.diff(i, f) for i in range(m.dim)], zero)
+
+    def br(u, v):
+        return lie_bracket(TensorField.vector(m, u), TensorField.vector(m, v)).vec()
+
+    eta, g, phi = s.eta.data, s.g.rows(), s.phi.rows()
+    xy, xz = br(x, y), br(x, z)
+
+    l_eta = lie_derivative(s.eta, X).data
+    assert (linalg.dot(l_eta, y, zero)
+            == along_x(linalg.dot(eta, y, zero)) - linalg.dot(eta, xy, zero))
+
+    l_g = lie_derivative(s.g, X).rows()
+    assert (linalg.bilinear(l_g, y, z, zero)
+            == along_x(linalg.bilinear(g, y, z, zero))
+            - linalg.bilinear(g, xy, z, zero) - linalg.bilinear(g, y, xz, zero))
+
+    l_phi = lie_derivative(s.phi, X).rows()
+    expected = [a - b for a, b in zip(br(x, linalg.mat_vec(phi, y, zero)),
+                                      linalg.mat_vec(phi, xy, zero))]
+    assert list(linalg.mat_vec(l_phi, y, zero)) == expected
+    assert any(expected)
 
 
 # -- chart <-> frame bridge --------------------------------------------------

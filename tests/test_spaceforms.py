@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -14,7 +15,7 @@ from _models import (
     negative_curvature_frame,
 )
 from ppst import spaceforms
-from ppst.models import FrameModel, TensorField
+from ppst.models import ChartModel, FrameModel, TensorField
 from ppst.spaceforms import (
     check_constant_curvature_theorem,
     constant_curvature_of,
@@ -36,6 +37,43 @@ def test_constant_curvature_values():
 
 def test_constant_curvature_of_deformed_example():
     assert constant_curvature_of(get_model("parasasakian-deformed")) is None
+
+
+def _curvature_stub(model, metric_rows, K, extra=()):
+    """A stand-in structure with R(e_i,e_j)e_k = K(g_jk e_i - g_ik e_j),
+    plus the (i, j, k, l) -> value entries of ``extra``."""
+    d, zero = model.dim, model.zero
+    g = TensorField.from_rows(model, (0, 2), metric_rows)
+    rows, K, extra = g.rows(), model.scalar(K), dict(extra)
+
+    def apply(i, j, k):
+        return tuple(K * ((rows[j][k] if l == i else zero)
+                          - (rows[i][k] if l == j else zero))
+                     + model.scalar(extra.get((i, j, k, l), 0))
+                     for l in range(d))
+
+    return SimpleNamespace(model=model, g=g,
+                           curvature=SimpleNamespace(apply=apply))
+
+
+def test_constant_curvature_of_none_paths():
+    frame = FrameModel(("e1", "e2", "xi"), (1, -1, 1))
+    chart = ChartModel(("x", "y", "z"))
+    g = [[1, 0, 0], [0, -1, 0], [0, 0, 1]]
+    assert constant_curvature_of(_curvature_stub(frame, g, -1)) == -1
+    assert constant_curvature_of(_curvature_stub(chart, g, 3)) == 3
+    # no nonzero coefficient to read K off
+    assert constant_curvature_of(_curvature_stub(frame, [[0] * 3] * 3, 0)) is None
+    # a ratio that is not constant
+    assert constant_curvature_of(_curvature_stub(chart, g, "x")) is None
+    # R(e1,e1)e1 has no coefficient, and comes before the first nonzero one
+    assert constant_curvature_of(
+        _curvature_stub(frame, g, -1, {(0, 0, 0, 0): 1})) is None
+    # after K = -1 is read off (e1,e2,e1,e2), a later coefficient breaks it
+    assert constant_curvature_of(
+        _curvature_stub(frame, g, -1, {(2, 1, 1, 2): 5})) is None
+    assert constant_curvature_of(
+        _curvature_stub(frame, g, -1, {(2, 2, 2, 2): 5})) is None
 
 
 # -- theorem ------------------------------------------------------------------

@@ -13,9 +13,9 @@ Layers, bottom up:
 
 - :mod:`ppst.expr` / :mod:`ppst.parser`: canonical multivariate rational
   expressions and their grammar.
-- :mod:`ppst.linalg`: exact matrices (inverse, determinant, nullspace,
-  inertia) and the contraction kernel (dot, mat_vec, bilinear,
-  trace_product).
+- :mod:`ppst.linalg`: exact matrices (one row reduction for rank,
+  nullspace and inverse; inertia) and the contraction kernel (dot,
+  mat_vec, bilinear, trace_product).
 - :mod:`ppst.models`: chart and frame manifold models, tensor fields,
   brackets, Lie and exterior derivatives.
 - :mod:`ppst.curvature`: Levi-Civita connection, Riemann/Ricci/star-Ricci

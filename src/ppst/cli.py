@@ -176,12 +176,7 @@ def _cmd_check(args, s, source, digest) -> Report:
 
 
 def _cmd_classify(args, s, source, digest) -> Report:
-    try:
-        cls = s.classification()
-    except StructureError as exc:
-        checks = (exc.report.checks if exc.report is not None
-                  else [CheckResult("axioms", False, witness=str(exc))])
-        return Report("classify", source, digest, checks=checks)
+    cls = s.classification()
     data = {
         "classification": cls.label,
         "flags": dict(cls.flags),
@@ -283,12 +278,7 @@ def _cmd_deform(args, s, source, digest) -> Report:
 
 
 def _cmd_theorem(args, s, source, digest) -> Report:
-    try:
-        rep = check_constant_curvature_theorem(s)
-    except StructureError as exc:
-        checks = (exc.report.checks if exc.report is not None
-                  else [CheckResult("axioms", False, witness=str(exc))])
-        return Report("theorem", source, digest, checks=checks)
+    rep = check_constant_curvature_theorem(s)
     checks = rep.assertions
     data = {
         "theorem_status": rep.status,
@@ -357,8 +347,10 @@ def _execute(args: argparse.Namespace) -> Report:
     except _InputError as exc:
         return error_report(command, source, str(exc), digest=digest)
     except (StructureError, GeometryError) as exc:
-        check = CheckResult("computable", False, witness=str(exc))
-        return Report(command, source, digest, checks=[check])
+        axioms = exc.report if isinstance(exc, StructureError) else None
+        checks = (axioms.checks if axioms is not None
+                  else [CheckResult("computable", False, witness=str(exc))])
+        return Report(command, source, digest, checks=checks)
 
 
 def run_command(argv: Sequence[str]) -> Report:

@@ -93,15 +93,12 @@ class CurvatureData:
 
 def metric_inverse(g: TensorField) -> tuple[tuple[Scalar, ...], ...]:
     rows = g.rows()
-    d = g.model.dim
-    for i in range(d):
-        for j in range(d):
-            if rows[i][j] - rows[j][i]:
-                raise GeometryError("metric must be symmetric")
-    det = linalg.determinant(rows)
-    if not det:
-        raise DegenerateMetricError("metric determinant is identically zero")
-    return linalg.invert_matrix(rows, g.model.one)
+    if rows != tuple(zip(*rows)):
+        raise GeometryError("metric must be symmetric")
+    try:
+        return linalg.invert_matrix(rows, g.model.one)
+    except linalg.SingularMatrixError:
+        raise DegenerateMetricError("metric determinant is identically zero") from None
 
 
 def levi_civita(g: TensorField, model: ManifoldModel | None = None) -> ConnectionData:

@@ -33,7 +33,7 @@ from itertools import product
 
 from .curvature import covariant_derivative
 from .linalg import mat_vec
-from .models import TensorField, constant_value
+from .models import TensorField, constant_ratio
 from .report import CheckResult, residual_check
 from .structures import ParacontactStructure, StructureError
 
@@ -177,21 +177,7 @@ def verify_deformation_relations(s: ParacontactStructure,
 
 def proportionality_constant(s: ParacontactStructure) -> Fraction | None:
     """The constant lambda with A = lambda phi, or None when there is none."""
-    ph = s.phi.rows()
-    A = s.A.rows()
-    d = s.model.dim
-    lam = None
-    for k, i in product(range(d), repeat=2):
-        if ph[k][i]:
-            lam = constant_value(A[k][i] / ph[k][i])
-            if lam is None:
-                return None
-            break
-    if lam is None:
-        return None
-    if not (s.A - s.phi * lam).is_zero:
-        return None
-    return lam
+    return constant_ratio(zip(s.A.data, s.phi.data))
 
 
 def detect_homothetic_origin(

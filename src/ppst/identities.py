@@ -30,9 +30,10 @@ Keys, in canonical order, with the identity each one checks
         + g(AX, phi Y) tr(phi A) - g(AX, AY)
   S2    r* + r = -tr(phi A)^2
 
-Chart-mode structures are verified symbolically by default; ``sampled``
-mode instead judges each residual at >= 5 deterministic exact rational
-points (weaker, and recorded as such in the report).
+Structures are verified symbolically by default; ``sampled`` mode instead
+judges each residual at exact rational points over the scalar variables
+(weaker, and recorded as such in the report): five on a chart, and the one
+point {} on a frame, whose scalars are constants.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import product
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .curvature import covariant_derivative
 from .linalg import bilinear, dot, mat_vec, trace_product
@@ -174,78 +175,51 @@ class _Context:
                      + [f"Y{i+1}" for i in range(n)] + ["xi"])
 
 
-def _scalar_entries(ctx: _Context, fn, arity: int) -> dict[tuple[int, ...], Scalar]:
-    return {idx: fn(*idx) for idx in product(range(ctx.d), repeat=arity)}
-
-
-def _vector_entries(ctx: _Context, fn, arity: int) -> dict[tuple[int, ...], Scalar]:
-    out = {}
-    for idx in product(range(ctx.d), repeat=arity):
-        vec = fn(*idx)
-        for l in range(ctx.d):
-            out[idx + (l,)] = vec[l]
-    return out
-
-
-def _residuals(ctx: _Context, key: str) -> tuple[dict[tuple[int, ...], Scalar], dict[str, str]]:
-    """Residual components for one identity, plus scalar details."""
+def _residual_fn(ctx: _Context, key: str):
+    """(arity, fn): fn maps basis arguments to one identity's residual value,
+    a scalar or a vector."""
     d = ctx.d
     xi = ctx.xi_index
-    details: dict[str, str] = {}
-
     if key == "p1":
-        return _scalar_entries(ctx, lambda a, b: ctx.gA[a][b] + ctx.gA[b][a], 2), details
+        return 2, lambda a, b: ctx.gA[a][b] + ctx.gA[b][a]
     if key == "P5":
         def res(a, b):
             lead = ctx.nabla_phi_b[a][b]
             coeff = ctx.gAphi[a][b]
-            out = []
-            for l in range(d):
-                val = lead[l] + coeff * ctx.xi_vec[l] + ctx.eta_b[b] * ctx.phi_A_b[a][l]
-                out.append(val)
-            return tuple(out)
-        return _vector_entries(ctx, res, 2), details
+            return tuple(lead[l] + coeff * ctx.xi_vec[l]
+                         + ctx.eta_b[b] * ctx.phi_A_b[a][l] for l in range(d))
+        return 2, res
     if key == "P6a":
-        return _vector_entries(ctx, lambda b: ctx.nabla_phi_b[xi][b], 1), details
+        return 1, lambda b: ctx.nabla_phi_b[xi][b]
     if key == "P6b":
-        vec = ctx.A_b[xi]
-        return {(l,): vec[l] for l in range(d)}, details
+        return 0, lambda: ctx.A_b[xi]
     if key == "P6c":
-        return {(b,): ctx.nabla_eta_xi[b] for b in range(d)}, details
+        return 1, lambda b: ctx.nabla_eta_xi[b]
     if key == "P2":
-        def res(b):
-            return tuple(ctx.A_phi_b[b][l] - ctx.phi_A_b[b][l] for l in range(d))
-        return _vector_entries(ctx, res, 1), details
+        return 1, lambda b: tuple(ctx.A_phi_b[b][l] - ctx.phi_A_b[b][l]
+                                  for l in range(d))
     if key == "P3":
-        def val(a, b):
-            return ctx.g(ctx.A_phi_b[a], ctx.phi_b[b]) + ctx.gA[a][b]
-        return _scalar_entries(ctx, val, 2), details
+        return 2, lambda a, b: ctx.g(ctx.A_phi_b[a], ctx.phi_b[b]) + ctx.gA[a][b]
     if key == "P4":
-        def val(a, b):
-            return ctx.g(ctx.A_phi_b[a], ctx.cols[b]) + ctx.gAphi[a][b]
-        return _scalar_entries(ctx, val, 2), details
+        return 2, lambda a, b: ctx.g(ctx.A_phi_b[a], ctx.cols[b]) + ctx.gAphi[a][b]
     if key == "R1":
         def res(a, b):
             lead = ctx.R3[xi][a][b]
             grad = ctx.nabla_A_b[a][b]
             return tuple(lead[l] + grad[l] for l in range(d))
-        return _vector_entries(ctx, res, 2), details
+        return 2, res
     if key == "R1.1":
-        def val(a, b):
-            return ctx.g(ctx.R3[xi][a][b], ctx.cols[xi]) - ctx.gAA[a][b]
-        return _scalar_entries(ctx, val, 2), details
+        return 2, lambda a, b: (ctx.g(ctx.R3[xi][a][b], ctx.cols[xi])
+                                - ctx.gAA[a][b])
     if key == "R1.2":
         def val(a, b, c):
             return (ctx.g(ctx.R3_phi[xi][a][b], ctx.phi_b[c])
                     + ctx.g(ctx.R3[xi][a][b], ctx.cols[c])
                     - ctx.gAA[a][b] * ctx.eta_b[c]
                     + ctx.gAA[a][c] * ctx.eta_b[b])
-        return _scalar_entries(ctx, val, 3), details
+        return 3, val
     if key == "R1.3":
-        lhs = ctx.S_b[xi][xi]
-        details["S(xi,xi)"] = str(lhs)
-        details["tr(A^2)"] = str(ctx.tr_A2)
-        return {(): lhs + ctx.tr_A2}, details
+        return 0, lambda: ctx.S_b[xi][xi] + ctx.tr_A2
     if key == "RXYY":
         def val(a, b, c, e):
             return (ctx.g(ctx.R3_phi[a][b][c], ctx.phi_b[e])
@@ -256,44 +230,51 @@ def _residuals(ctx: _Context, key: str) -> tuple[dict[tuple[int, ...], Scalar], 
                     - ctx.gAphi[a][c] * ctx.gAphi[b][e]
                     - ctx.gA[a][c] * ctx.gA[b][e]
                     + ctx.gA[a][e] * ctx.gA[b][c])
-        return _scalar_entries(ctx, val, 4), details
+        return 4, val
     if key == "S1":
         def val(a, b):
             return (ctx.Sstar_b[a][b] + ctx.S_b[a][b]
                     - ctx.S_b[a][xi] * ctx.eta_b[b]
                     - ctx.gAphi[a][b] * ctx.tr_phiA
                     + ctx.gAA[a][b])
-        return _scalar_entries(ctx, val, 2), details
+        return 2, val
     if key == "S2":
-        details["r"] = str(ctx.r)
-        details["r*"] = str(ctx.rstar)
-        details["tr(phi A)"] = str(ctx.tr_phiA)
-        return {(): ctx.rstar + ctx.r + ctx.tr_phiA * ctx.tr_phiA}, details
+        return 0, lambda: ctx.rstar + ctx.r + ctx.tr_phiA * ctx.tr_phiA
     raise KeyError(f"unknown identity key {key!r}")
 
 
-# keys whose residual entries end with a vector-component index to strip
-_VECTOR_KEYS = {"P5", "P6a", "P2", "R1"}
+def _residuals(ctx: _Context, key: str) -> Iterator[tuple[tuple[int, ...], Scalar]]:
+    """(basis arguments, value) pairs of one identity's residual.
+
+    A vector value gives one pair per component, named by its arguments
+    only; no arguments name ``scalar``, the label after the basis.
+    """
+    arity, fn = _residual_fn(ctx, key)
+    for args in product(range(ctx.d), repeat=arity):
+        value = fn(*args)
+        for v in value if isinstance(value, tuple) else (value,):
+            yield args or (ctx.d,), v
 
 
-def _witness_args(ctx: _Context, key: str, idx: tuple[int, ...]) -> tuple[int, ...]:
-    """The basis arguments a witness names: a vector identity drops the
-    component, and no arguments name ``scalar``, the label after the basis."""
-    if key in _VECTOR_KEYS:
-        idx = idx[:-1]
-    elif key == "P6b":
-        idx = ()
-    return idx or (ctx.d,)
+def _details(ctx: _Context, key: str) -> dict[str, str] | None:
+    """The scalars a scalar identity reports next to its verdict."""
+    xi = ctx.xi_index
+    if key == "R1.3":
+        return {"S(xi,xi)": str(ctx.S_b[xi][xi]), "tr(A^2)": str(ctx.tr_A2)}
+    if key == "S2":
+        return {"r": str(ctx.r), "r*": str(ctx.rstar),
+                "tr(phi A)": str(ctx.tr_phiA)}
+    return None
 
 
 def _judge(ctx: _Context, key: str, mode: str,
            points: Sequence[Mapping[str, Fraction]]) -> CheckResult:
-    entries, details = _residuals(ctx, key)
-    details = details or None
+    details = _details(ctx, key)
     labels = ctx.labels + ("scalar",)
-    named = [(_witness_args(ctx, key, idx), v) for idx, v in entries.items()]
     if mode == "symbolic":
-        return replace(residual_check(key, named, labels), details=details)
+        return replace(residual_check(key, _residuals(ctx, key), labels),
+                       details=details)
+    named = list(_residuals(ctx, key))
     cons = ctx.model.constraints
     for point in points:
         check = residual_check(
@@ -320,7 +301,8 @@ def run_suite(s: ParacontactStructure, mode: str = "auto",
               only: Sequence[str] | None = None) -> IdentityReport:
     """Run the identity suite; refuses on non-quasi-para-Sasakian input.
 
-    mode: "auto" (symbolic), "symbolic", or "sampled" (>= 5 exact points).
+    mode: "auto" (symbolic), "symbolic", or "sampled" (``sample_points``, or
+    >= 5 given points).
     """
     cls = s.classification()  # raises StructureError on axiom failure
     if not cls.flags["quasi_para_sasakian"]:

@@ -7,6 +7,10 @@ identity or zero where one must be synthesized.  Everything is small and
 dense; dimensions here are at most 2n+1 for the models treated by this
 package.
 
+One Gauss-Jordan row reduction, ``_rref``, serves ``rank``, ``nullspace``
+and ``invert_matrix`` (the right half of rref [M | I]; a missing pivot
+means singular, so no determinant is computed).
+
 The contraction kernel ``dot``, ``mat_vec``, ``bilinear`` and
 ``trace_product`` computes u.v, m v, u^T m v and tr(a b) over row tuples;
 the geometry modules build g(u, v), phi v, eta(v), tr(phi A) and the like
@@ -70,83 +74,19 @@ def _rows(mat: Sequence[Sequence[F]]) -> list[list[F]]:
     return [list(row) for row in mat]
 
 
-def determinant(mat: Sequence[Sequence[F]]) -> F:
-    """Exact determinant by fraction-free-enough Gaussian elimination."""
-    m = _rows(mat)
-    n = len(m)
-    det = None
-    sign = 1
-    for k in range(n):
-        pivot_row = next((r for r in range(k, n) if m[r][k]), None)
-        if pivot_row is None:
-            zero = m[k][k] - m[k][k]
-            return zero
-        if pivot_row != k:
-            m[k], m[pivot_row] = m[pivot_row], m[k]
-            sign = -sign
-        pivot = m[k][k]
-        det = pivot if det is None else det * pivot
-        for r in range(k + 1, n):
-            if m[r][k]:
-                f = m[r][k] / pivot
-                m[r] = [a - f * b for a, b in zip(m[r], m[k])]
-    return det if sign > 0 else -det
+def _rref(mat: Sequence[Sequence[F]]) -> tuple[list[list[F]], list[int]]:
+    """Reduced row echelon form by Gauss-Jordan: (rows, pivot_columns).
 
-
-def invert_matrix(mat: Sequence[Sequence[F]], one: F) -> Matrix:
-    """Exact inverse via Gauss-Jordan; raises SingularMatrixError."""
-    n = len(mat)
-    zero = one - one
-    m = _rows(mat)
-    inv = [[one if i == j else zero for j in range(n)] for i in range(n)]
-    for k in range(n):
-        pivot_row = next((r for r in range(k, n) if m[r][k]), None)
-        if pivot_row is None:
-            raise SingularMatrixError("matrix is singular over the field")
-        m[k], m[pivot_row] = m[pivot_row], m[k]
-        inv[k], inv[pivot_row] = inv[pivot_row], inv[k]
-        pivot = m[k][k]
-        m[k] = [a / pivot for a in m[k]]
-        inv[k] = [a / pivot for a in inv[k]]
-        for r in range(n):
-            if r != k and m[r][k]:
-                f = m[r][k]
-                m[r] = [a - f * b for a, b in zip(m[r], m[k])]
-                inv[r] = [a - f * b for a, b in zip(inv[r], inv[k])]
-    return tuple(tuple(row) for row in inv)
-
-
-def rank(mat: Sequence[Sequence[F]]) -> int:
-    m = _rows(mat)
-    if not m:
-        return 0
-    nrows, ncols = len(m), len(m[0])
-    r = 0
-    for c in range(ncols):
-        pivot_row = next((i for i in range(r, nrows) if m[i][c]), None)
-        if pivot_row is None:
-            continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        pivot = m[r][c]
-        m[r] = [a / pivot for a in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        r += 1
-        if r == nrows:
-            break
-    return r
-
-
-def nullspace(mat: Sequence[Sequence[F]], one: F) -> list[tuple[F, ...]]:
-    """Basis of the right nullspace, via reduced row echelon form."""
-    zero = one - one
+    Each pivot is scaled to one and cleared from every other row; the
+    elimination stops once every row holds a pivot.
+    """
     m = _rows(mat)
     nrows, ncols = len(m), len(m[0]) if m else 0
     pivots: list[int] = []
-    r = 0
     for c in range(ncols):
+        r = len(pivots)
+        if r == nrows:
+            break
         pivot_row = next((i for i in range(r, nrows) if m[i][c]), None)
         if pivot_row is None:
             continue
@@ -158,16 +98,37 @@ def nullspace(mat: Sequence[Sequence[F]], one: F) -> list[tuple[F, ...]]:
                 f = m[i][c]
                 m[i] = [a - f * b for a, b in zip(m[i], m[r])]
         pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    free = [c for c in range(ncols) if c not in pivots]
+    return m, pivots
+
+
+def invert_matrix(mat: Sequence[Sequence[F]], one: F) -> Matrix:
+    """Exact inverse, the right half of rref [M | I]; raises SingularMatrixError."""
+    n = len(mat)
+    zero = one - one
+    rows, pivots = _rref([list(row) + [one if i == j else zero for j in range(n)]
+                          for i, row in enumerate(mat)])
+    if pivots[:n] != list(range(n)):
+        raise SingularMatrixError("matrix is singular over the field")
+    return tuple(tuple(row[n:]) for row in rows)
+
+
+def rank(mat: Sequence[Sequence[F]]) -> int:
+    return len(_rref(mat)[1])
+
+
+def nullspace(mat: Sequence[Sequence[F]], one: F) -> list[tuple[F, ...]]:
+    """Basis of the right nullspace: one vector per non-pivot column."""
+    zero = one - one
+    rows, pivots = _rref(mat)
+    ncols = len(mat[0]) if mat else 0
     basis = []
-    for c in free:
+    for c in range(ncols):
+        if c in pivots:
+            continue
         v = [zero] * ncols
         v[c] = one
-        for i, pc in enumerate(pivots):
-            v[pc] = -m[i][c]
+        for row, pc in zip(rows, pivots):
+            v[pc] = -row[c]
         basis.append(tuple(v))
     return basis
 

@@ -61,6 +61,26 @@ def evaluate_at(value: Scalar | int, point: Mapping[str, Fraction | int],
     return Fraction(value)
 
 
+def constant_ratio(pairs: Iterable[tuple[Scalar, Scalar]]) -> Fraction | None:
+    """The rational constant c with a = c b for every (a, b) pair, or None.
+
+    c is read off the first pair with b != 0; the scan stops at the first
+    pair that breaks a = c b, also at a nonzero a before that b.
+    """
+    c = None
+    for a, b in pairs:
+        if c is None:
+            if b:
+                c = constant_value(a / b)
+                if c is None:
+                    return None
+            elif a:
+                return None
+        elif a - b * c:
+            return None
+    return c
+
+
 class GeometryError(Exception):
     """Geometric precondition failures (dimensions, valences, degeneracy)."""
 
@@ -404,28 +424,30 @@ class TensorField:
 Vec = tuple[Scalar, ...]
 
 
+def _apply_vec(model: ManifoldModel, X: Vec, f: Scalar) -> Scalar:
+    """X(f) = X^i e_i(f), differentiating only along the nonzero X^i."""
+    acc = model.zero
+    for i, a in enumerate(X):
+        if a:
+            df = model.diff(i, f)
+            if df:
+                acc = acc + a * df
+    return acc
+
+
 def _bracket_comps(model: ManifoldModel, X: Vec, Y: Vec) -> Vec:
     """[X, Y]^k = X(Y^k) - Y(X^k) + X^i Y^j c^k_ij."""
     d = model.dim
     zero = model.zero
     out = []
     for k in range(d):
-        acc = (linalg.dot(X, [model.diff(i, Y[k]) for i in range(d)], zero)
-               - linalg.dot(Y, [model.diff(i, X[k]) for i in range(d)], zero))
+        acc = _apply_vec(model, X, Y[k]) - _apply_vec(model, Y, X[k])
         if isinstance(model, FrameModel):
             c_k = [[model.bracket_vector(i, j)[k] for j in range(d)]
                    for i in range(d)]
             acc = acc + linalg.bilinear(c_k, X, Y, zero)
         out.append(acc)
     return tuple(out)
-
-
-def _apply_vec(model: ManifoldModel, X: Vec, f: Scalar) -> Scalar:
-    acc = model.zero
-    for i in range(model.dim):
-        if X[i]:
-            acc = acc + X[i] * model.diff(i, f)
-    return acc
 
 
 def lie_bracket(X: TensorField, Y: TensorField) -> TensorField:
@@ -479,55 +501,38 @@ def exterior_derivative(omega: TensorField) -> TensorField:
 
 
 def lie_derivative(T: TensorField, X: TensorField) -> TensorField:
-    """Lie derivative of a (0,1), (0,2) or (1,1) tensor along a vector field."""
+    """Lie derivative of a tensor field of any valence along a vector field.
+
+    With [X, e_m] = B_m^k e_k, a component is X applied to it, plus one
+    bracket term per upper slot, minus one per lower slot:
+
+      (L_X T)^{..i..}_{..j..} = X(T^{..i..}_{..j..})
+          + sum_m B_m^i T^{..m..}_{..j..} - sum_m B_j^m T^{..i..}_{..m..}
+    """
     if X.valence != (1, 0) or X.model is not T.model:
         raise GeometryError("lie_derivative needs a vector field on the same model")
     model = T.model
     d = model.dim
     Xv = X.vec()
-    bracket_with_basis = [
-        _bracket_comps(model, Xv, model.delta(j)) for j in range(d)]
-    if T.valence == (0, 1):
-        w = T.data
-        out = []
-        for j in range(d):
-            val = _apply_vec(model, Xv, w[j])
-            for k in range(d):
-                if bracket_with_basis[j][k]:
-                    val = val - bracket_with_basis[j][k] * w[k]
-            out.append(val)
-        return TensorField.covector(model, out)
-    if T.valence == (0, 2):
-        rows = T.rows()
-        entries = {}
-        for j in range(d):
-            for k in range(d):
-                val = _apply_vec(model, Xv, rows[j][k])
-                for m in range(d):
-                    bj = bracket_with_basis[j][m]
-                    bk = bracket_with_basis[k][m]
-                    if bj:
-                        val = val - bj * rows[m][k]
-                    if bk:
-                        val = val - bk * rows[j][m]
-                entries[(j, k)] = val
-        return TensorField.from_entries(model, (0, 2), entries)
-    if T.valence == (1, 1):
-        rows = T.rows()
-        entries = {}
-        for j in range(d):
-            # (L_X T)(e_j) = [X, T e_j] - T([X, e_j])
-            Tej = tuple(rows[i][j] for i in range(d))
-            lead = _bracket_comps(model, Xv, Tej)
-            for i in range(d):
-                val = lead[i]
-                for m in range(d):
-                    bm = bracket_with_basis[j][m]
-                    if bm:
-                        val = val - rows[i][m] * bm
-                entries[(i, j)] = val
-        return TensorField.from_entries(model, (1, 1), entries)
-    raise GeometryError(f"unsupported valence {T.valence} for lie_derivative")
+    B = [_bracket_comps(model, Xv, model.delta(m)) for m in range(d)]
+    # slot_terms[p][i] lists (m, coefficient) of the slot-p term at index i
+    upper = [[(m, B[m][i]) for m in range(d) if B[m][i]] for i in range(d)]
+    lower = [[(m, -B[i][m]) for m in range(d) if B[i][m]] for i in range(d)]
+    r, s = T.valence
+    slot_terms = [upper] * r + [lower] * s
+    strides = [d ** (r + s - 1 - p) for p in range(r + s)]
+    data = T.data
+    out = []
+    for off, (idx, t) in enumerate(T.items()):
+        val = _apply_vec(model, Xv, t)
+        for i, terms, stride in zip(idx, slot_terms, strides):
+            base = off - i * stride
+            for m, coeff in terms[i]:
+                other = data[base + m * stride]
+                if other:
+                    val = val + coeff * other
+        out.append(val)
+    return TensorField(model, T.valence, out)
 
 
 # ---------------------------------------------------------------------------
@@ -600,16 +605,17 @@ _CANDIDATES = (Fraction(1), Fraction(2), Fraction(1, 2), Fraction(3), Fraction(-
 
 
 def sample_points(model: ManifoldModel, count: int) -> list[dict[str, Fraction]]:
-    """Deterministic exact rational points satisfying the model constraints."""
-    if not isinstance(model, ChartModel):
-        return [{} for _ in range(count)]
+    """Deterministic exact points over the scalar variables satisfying the
+    model constraints; a model without variables has the one point {}."""
+    if not model.scalar_variables:
+        return [{}]
     points: list[dict[str, Fraction]] = []
     ncand = len(_CANDIDATES)
     for k in range(1000):
         if len(points) == count:
             break
         point = {c: _CANDIDATES[(k + 3 * i) % ncand]
-                 for i, c in enumerate(model.coordinates)}
+                 for i, c in enumerate(model.scalar_variables)}
         if point in points:
             continue
         if all(con.holds_at(point) for con in model.constraints):
@@ -617,10 +623,6 @@ def sample_points(model: ManifoldModel, count: int) -> list[dict[str, Fraction]]
     if len(points) < count:
         raise GeometryError("could not find enough constraint-satisfying points")
     return points
-
-
-def sample_point(model: ManifoldModel) -> dict[str, Fraction]:
-    return sample_points(model, 1)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,8 @@ absolute value at most MAX_EXPONENT and binds tighter than unary minus, so
 The size of every value is bounded before it is computed: a number has at
 most MAX_DIGITS digits, and a sum, product, quotient or power whose
 predicted numerator or denominator has more than MAX_TERMS terms, or a
-coefficient of more than MAX_DIGITS digits, is a ParseError.
+coefficient of more than MAX_DIGITS digits, is a ParseError.  So is a value
+whose operations predict more than MAX_VALUE_TERMS terms in all.
 
 Errors carry 1-based character positions.  Division by a structurally zero
 expression raises ZeroDenominatorError, as in the kernel.
@@ -44,6 +45,10 @@ MAX_EXPONENT = 100
 # and a few digits
 MAX_TERMS = 1000
 MAX_DIGITS = 500
+
+# bound on the terms all operations of one value predict together, as a
+# value can chain many operations, each under MAX_TERMS (say 0*(x+y+z)^40)
+MAX_VALUE_TERMS = 4000
 
 
 class ParseError(Exception):
@@ -125,20 +130,25 @@ def _predicted_power_size(a: RationalExpr, n: int) -> tuple[int, float]:
     return comb(n + t - 1, t - 1), n * (ma + log10(t))
 
 
-def _check_size(size: tuple[int, float], position: int) -> None:
-    terms, digits = size
-    if terms > MAX_TERMS:
-        raise ParseError(f"result would exceed {MAX_TERMS} terms", position)
-    if digits > MAX_DIGITS:
-        raise ParseError(f"result would exceed {MAX_DIGITS} digits in a "
-                         f"coefficient", position)
-
-
 class _Parser:
     def __init__(self, text: str, variables: tuple[str, ...]):
         self.tokens = _tokenize(text)
         self.pos = 0
         self.variables = variables
+        self.terms_left = MAX_VALUE_TERMS
+
+    def charge(self, size: tuple[int, float], position: int) -> None:
+        """Admit an operation of the predicted size, or raise ParseError."""
+        terms, digits = size
+        if terms > MAX_TERMS:
+            raise ParseError(f"result would exceed {MAX_TERMS} terms", position)
+        if digits > MAX_DIGITS:
+            raise ParseError(f"result would exceed {MAX_DIGITS} digits in a "
+                             f"coefficient", position)
+        self.terms_left -= terms
+        if self.terms_left < 0:
+            raise ParseError(f"value would build more than {MAX_VALUE_TERMS} "
+                             f"terms in all", position)
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.pos]
@@ -167,7 +177,7 @@ class _Parser:
             if kind == "op" and op in "+-":
                 self.next()
                 rhs = self.term()
-                _check_size(_predicted_size(op, value, rhs), position)
+                self.charge(_predicted_size(op, value, rhs), position)
                 value = value + rhs if op == "+" else value - rhs
             else:
                 return value
@@ -179,7 +189,7 @@ class _Parser:
             if kind == "op" and op in "*/":
                 self.next()
                 rhs = self.factor()
-                _check_size(_predicted_size(op, value, rhs), position)
+                self.charge(_predicted_size(op, value, rhs), position)
                 if op == "*":
                     value = value * rhs
                 else:
@@ -223,7 +233,7 @@ class _Parser:
                     or int(digits) > MAX_EXPONENT):
                 raise ParseError(f"exponent exceeds {MAX_EXPONENT} in absolute "
                                  f"value", position)
-            _check_size(_predicted_power_size(value, int(digits)), op_position)
+            self.charge(_predicted_power_size(value, int(digits)), op_position)
             try:
                 value = value ** (sign * int(digits))
             except ZeroDenominatorError:

@@ -41,7 +41,7 @@ from .models import (
     FrameModel,
     GeometryError,
     TensorField,
-    constant_value,
+    constant_ratio,
     exterior_derivative,
 )
 from .report import CheckResult, residual_check
@@ -50,26 +50,14 @@ from .structures import ParacontactStructure, StructureError, nijenhuis_N1
 
 def constant_curvature_of(s: ParacontactStructure) -> Fraction | None:
     """The constant K with R(X,Y)Z = K(g(Y,Z)X - g(X,Z)Y), or None."""
-    model = s.model
-    d = model.dim
+    d = s.model.dim
     R = s.curvature.apply
     grows = s.g.rows()
-    zero = model.zero
-    K = None
-    for i, j, k, l in product(range(d), repeat=4):
-        coeff = (grows[j][k] if l == i else zero) - (grows[i][k] if l == j else zero)
-        if coeff:
-            K = constant_value(R(i, j, k)[l] / coeff)
-            if K is None:
-                return None
-            break
-    if K is None:  # degenerate metric cannot reach here; defensive
-        return None
-    for i, j, k, l in product(range(d), repeat=4):
-        coeff = (grows[j][k] if l == i else zero) - (grows[i][k] if l == j else zero)
-        if R(i, j, k)[l] - coeff * K:
-            return None
-    return K
+    zero = s.model.zero
+    return constant_ratio(
+        (R(i, j, k)[l],
+         (grows[j][k] if l == i else zero) - (grows[i][k] if l == j else zero))
+        for i, j, k, l in product(range(d), repeat=4))
 
 
 @dataclass

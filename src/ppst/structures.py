@@ -54,7 +54,7 @@ from .models import (
     evaluate_at,
     exterior_derivative,
     lie_derivative,
-    sample_point,
+    sample_points,
 )
 from .report import CheckResult, first_nonzero, residual_check
 
@@ -286,7 +286,7 @@ def validate_structure(s: ParacontactStructure,
     phicols = tuple(zip(*ph))
     xv, ev = s.xi.vec(), s.eta.data
     zero = model.zero
-    pt = dict(point) if point is not None else sample_point(model)
+    pt = dict(point) if point is not None else sample_points(model, 1)[0]
     checks: list[CheckResult] = []
 
     def axiom(name: str, entries: Mapping[tuple[int, ...], Scalar],

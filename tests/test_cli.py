@@ -197,7 +197,9 @@ def test_oversized_numbers_in_spec_exit_2(tmp_path, value, message):
     ("(e1+e2+xi)^100*xi", "would exceed 1000 terms"),
     ("(2^100)^100*xi", "would exceed 500 digits"),
     ("1" + "0" * 2500 + "*xi", "too many digits"),
-], ids=["many-terms", "nested-power", "2501-digit-literal"])
+    (" + ".join(["0*(e1+e2+xi)^40"] * 20) + " + 4*xi",
+     "would build more than 4000 terms in all"),
+], ids=["many-terms", "nested-power", "2501-digit-literal", "many-discarded-powers"])
 def test_oversized_values_in_spec_exit_2_quickly(tmp_path, command, value, message):
     spec = _hostile_frame_spec(tmp_path, value)
     start = time.perf_counter()
@@ -286,6 +288,13 @@ def test_identities_command_and_modes():
     assert payload["exit_code"] == 0
     assert payload["data"]["mode"] == "sampled"
     assert len(payload["data"]["sample_points"]) == 5
+
+
+def test_identities_sampled_on_frame_reports_one_point():
+    payload = _validated(["identities", "--model", "example-frame",
+                          "--mode", "sampled"])
+    assert payload["exit_code"] == 0
+    assert payload["data"]["sample_points"] == [{}]
 
 
 def test_identities_refuses_non_qps(tmp_path):

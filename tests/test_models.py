@@ -18,6 +18,7 @@ from ppst.models import (
     FrameModel,
     GeometryError,
     TensorField,
+    constant_ratio,
     exterior_derivative,
     lie_bracket,
     lie_derivative,
@@ -304,6 +305,26 @@ def test_lie_derivative_endomorphism_frame():
     assert lie_derivative(phi, xi).is_zero
 
 
+def test_constant_ratio():
+    F = Fraction
+    assert constant_ratio([(F(0), F(0)), (F(6), F(3)), (F(-2), F(-1))]) == 2
+    assert constant_ratio([(F(0), F(0))]) is None  # no nonzero b
+    assert constant_ratio([(F(1), F(0)), (F(2), F(1))]) is None  # a before b
+    assert constant_ratio([(F(2), F(1)), (F(1), F(0))]) is None  # a after b
+    assert constant_ratio([(F(2), F(1)), (F(3), F(1))]) is None
+    x = chart3().scalar("x")
+    assert constant_ratio([(x * 3, x), (x - x, x)]) is None
+    assert constant_ratio([(x * 3, x), (x * 6, x * 2)]) == 3
+    assert constant_ratio([(x, chart3().one)]) is None  # not constant
+
+    def pairs():  # the scan stops at the first pair that breaks the ratio
+        yield F(1), F(1)
+        yield F(2), F(1)
+        raise AssertionError("read past the breaking pair")
+
+    assert constant_ratio(pairs()) is None
+
+
 @pytest.mark.parametrize("build, fields", [
     (chart_corrected, (("y", "x*z", "1/z"), ("z", "1", "x"), ("1", "y^2", "0"))),
     (negative_curvature_frame, (("1", "2", "-1"), ("0", "1", "3"), ("1/2", "0", "1"))),
@@ -342,6 +363,8 @@ def test_lie_derivative_matches_its_definition(build, fields):
                                       linalg.mat_vec(phi, xy, zero))]
     assert list(linalg.mat_vec(l_phi, y, zero)) == expected
     assert any(expected)
+    # any valence: on a vector field the Lie derivative is the bracket
+    assert lie_derivative(Y, X) == lie_bracket(X, Y)
 
 
 # -- chart <-> frame bridge --------------------------------------------------

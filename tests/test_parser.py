@@ -7,8 +7,8 @@ from fractions import Fraction
 import pytest
 
 from ppst.expr import RationalExpr, ZeroDenominatorError
-from ppst.parser import (MAX_DIGITS, MAX_EXPONENT, ParseError, UnknownVariableError,
-                         parse_expr)
+from ppst.parser import (MAX_DIGITS, MAX_EXPONENT, MAX_VALUE_TERMS, ParseError,
+                         UnknownVariableError, parse_expr)
 
 VARS = ("x", "y", "z")
 
@@ -76,6 +76,15 @@ def test_size_bounds():
         with pytest.raises(ParseError, match=message) as info:
             parse_expr(text, VARS)
         assert info.value.position == position
+
+
+def test_value_budget_bounds_operations_together():
+    # each (x+y+z)^20 predicts 231 terms, each 0*(...) one more
+    assert parse_expr(" + ".join(["0*(x+y+z)^20"] * 16), VARS).is_zero
+    with pytest.raises(ParseError, match=f"more than {MAX_VALUE_TERMS} terms "
+                                         f"in all") as info:
+        parse_expr(" + ".join(["0*(x+y+z)^20"] * 17), VARS)
+    assert info.value.position == 250
 
 
 def test_unknown_variable_position():

@@ -36,6 +36,20 @@ tuples aligned with the variable tuple.  The GCD of two genuinely
 multivariate, multi-term polynomials is delegated to sympy through a ZZ
 polynomial ring built once per variable tuple (see _poly_gcd); monomial
 and constant cases are handled natively.
+
+One computation meets the same reductions again and again: a chart
+pipeline makes about ten ``_canonical`` calls per distinct num/den pair.
+So a value's variable tuple is a :class:`Variables`, a tuple that carries
+a memo from the num/den pair given to ``_canonical`` to its canonical
+form, and ``_canonical`` reduces each distinct pair once per memo.  The
+memo is shared by every value built on the same ``Variables`` object: a
+chart model builds one for its coordinates and re-homes every scalar onto
+it, so the memo lives exactly as long as the chart and its structures.
+It is not process-wide on purpose.  A command reduces the values of one
+chart, so a process-wide cache would add only reuse across unrelated
+inputs, which one request per process never gets; it would hold every
+value ever reduced for the life of the process; and the work one chart
+costs would depend on what ran before it in the same process.
 """
 
 from __future__ import annotations
@@ -70,6 +84,24 @@ class EvaluationError(ExprError):
 
 class ConstraintViolation(EvaluationError):
     """Raised when a point violates a domain constraint (e.g. z = 0)."""
+
+
+class Variables(tuple):
+    """An ordered tuple of variable names with a memo of canonical forms.
+
+    Equality, hashing and printing are those of the plain tuple; ``memo``
+    maps the (num, den) items given to ``_canonical`` to its result.
+    """
+
+    def __new__(cls, names: Iterable[str] = ()):
+        out = super().__new__(cls, names)
+        out.memo = {}
+        return out
+
+    @classmethod
+    def of(cls, names: Iterable[str]) -> "Variables":
+        """``names`` itself if it is a Variables, else a fresh one."""
+        return names if isinstance(names, Variables) else cls(names)
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +199,7 @@ def _poly_gcd(variables: tuple[str, ...], a: PolyDict,
     Both operands are scaled to integer-primitive polynomials, so the GCD
     runs in ZZ[variables]; the scales go back onto the cofactors.
     """
-    ring = _zz_ring(variables)
+    ring = _zz_ring(tuple(variables))  # the cache must not keep a memo alive
     ca, cb = _content(a), _content(b)
     pa = ring.from_dict({m: (c / ca).numerator for m, c in a.items()})
     pb = ring.from_dict({m: (c / cb).numerator for m, c in b.items()})
@@ -185,7 +217,7 @@ def _normalized(num: PolyDict, den: PolyDict) -> tuple[PolyTerms, PolyTerms]:
             _terms({m: c / scale for m, c in den.items()}))
 
 
-def _canonical(variables: tuple[str, ...], num: PolyDict,
+def _canonical(variables: Variables, num: PolyDict,
                den: PolyDict) -> tuple[PolyTerms, PolyTerms]:
     num = {m: c for m, c in num.items() if c}
     den = {m: c for m, c in den.items() if c}
@@ -193,6 +225,16 @@ def _canonical(variables: tuple[str, ...], num: PolyDict,
         raise ZeroDenominatorError("denominator is identically zero")
     if not num:
         return (), ((_zero_mono(len(variables)), Fraction(1)),)
+    key = (frozenset(num.items()), frozenset(den.items()))
+    out = variables.memo.get(key)
+    if out is None:
+        out = variables.memo[key] = _reduced(variables, num, den)
+    return out
+
+
+def _reduced(variables: tuple[str, ...], num: PolyDict,
+             den: PolyDict) -> tuple[PolyTerms, PolyTerms]:
+    """Canonical form of num/den, both nonzero with no zero coefficient."""
     # shared monomial content
     mins_n = tuple(map(min, zip(*num)))
     mins_d = tuple(map(min, zip(*den)))
@@ -207,7 +249,7 @@ def _canonical(variables: tuple[str, ...], num: PolyDict,
     return _normalized(num, den)
 
 
-def _cancel(variables: tuple[str, ...], num: PolyTerms,
+def _cancel(variables: Variables, num: PolyTerms,
             den: PolyTerms) -> tuple[PolyTerms, PolyTerms]:
     """Reduce num/den, a numerator and a denominator of canonical values."""
     if _is_one(den, len(variables)) or (len(num) == 1 and not any(num[0][0])):
@@ -282,7 +324,7 @@ class RationalExpr:
 
     def __init__(self, variables: Iterable[str], num: Mapping[Monomial, Fraction | int],
                  den: Mapping[Monomial, Fraction | int] | None = None):
-        variables = tuple(variables)
+        variables = Variables.of(variables)
         if len(set(variables)) != len(variables):
             raise ValueError("duplicate variable names")
         nd = {tuple(m): Fraction(c) for m, c in num.items()}
@@ -294,7 +336,7 @@ class RationalExpr:
                     raise ValueError(f"bad monomial {m} for variables {variables}")
         self._set(variables, *_canonical(variables, nd, dd))
 
-    def _set(self, variables: tuple[str, ...], num: PolyTerms,
+    def _set(self, variables: Variables, num: PolyTerms,
              den: PolyTerms) -> None:
         object.__setattr__(self, "variables", variables)
         object.__setattr__(self, "num", num)
@@ -302,7 +344,7 @@ class RationalExpr:
         object.__setattr__(self, "_hash", None)
 
     @classmethod
-    def _make(cls, variables: tuple[str, ...], num: PolyTerms,
+    def _make(cls, variables: Variables, num: PolyTerms,
               den: PolyTerms) -> "RationalExpr":
         """Wrap a num/den pair that is already in canonical form."""
         out = object.__new__(cls)
@@ -316,12 +358,12 @@ class RationalExpr:
 
     @classmethod
     def constant(cls, value: Fraction | int, variables: Iterable[str] = ()) -> "RationalExpr":
-        variables = tuple(variables)
+        variables = Variables.of(variables)
         return cls(variables, {_zero_mono(len(variables)): Fraction(value)})
 
     @classmethod
     def variable(cls, name: str, variables: Iterable[str]) -> "RationalExpr":
-        variables = tuple(variables)
+        variables = Variables.of(variables)
         if name not in variables:
             raise VariableMismatchError(f"unknown variable {name!r}")
         mono = tuple(1 if v == name else 0 for v in variables)

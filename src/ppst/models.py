@@ -34,7 +34,7 @@ from itertools import combinations, product
 from typing import Iterable, Mapping, Sequence, Union
 
 from . import linalg
-from .expr import DomainConstraint, RationalExpr
+from .expr import DomainConstraint, RationalExpr, Variables
 from .parser import parse_expr
 from .report import first_nonzero
 
@@ -136,12 +136,16 @@ class ManifoldModel:
 class ChartModel(ManifoldModel):
     """A single coordinate chart, optionally with nonzero-constraints.
 
-    Scalars are RationalExpr over the coordinate tuple.
+    Scalars are RationalExpr over the coordinate tuple.  ``coordinates`` is
+    one :class:`~ppst.expr.Variables` object (kept as given if it already
+    is one), and ``scalar`` re-homes every value onto it, so all scalars of
+    the chart and of the structures on it share one memo of canonical
+    forms: each distinct num/den pair is reduced once per chart.
     """
 
     def __init__(self, coordinates: Iterable[str],
                  constraints: Iterable[DomainConstraint | RationalExpr | str] = ()):
-        self.coordinates = tuple(coordinates)
+        self.coordinates = Variables.of(coordinates)
         self.dim = len(self.coordinates)
         self.scalar_variables = self.coordinates
         self._check_dim()
@@ -159,8 +163,11 @@ class ChartModel(ManifoldModel):
 
     def scalar(self, value: ScalarLike) -> RationalExpr:
         if isinstance(value, RationalExpr):
-            if value.variables == self.scalar_variables:
+            if value.variables is self.scalar_variables:
                 return value
+            if value.variables == self.scalar_variables:
+                return RationalExpr._make(self.scalar_variables, value.num,
+                                          value.den)
             if value.is_constant:
                 return RationalExpr.constant(value.constant_value(),
                                              self.scalar_variables)
@@ -223,6 +230,9 @@ class FrameModel(ManifoldModel):
             table[i][j] = vec
             table[j][i] = tuple(-c for c in vec)
         self._table = tuple(tuple(row) for row in table)
+        # slabs[k][i][j] = c^k_ij, the k-th components of the table
+        self.slabs = tuple(tuple(tuple(vec[k] for vec in row) for row in table)
+                           for k in range(self.dim))
         self._check_jacobi()
 
     def scalar(self, value: ScalarLike) -> Fraction:
@@ -443,9 +453,7 @@ def _bracket_comps(model: ManifoldModel, X: Vec, Y: Vec) -> Vec:
     for k in range(d):
         acc = _apply_vec(model, X, Y[k]) - _apply_vec(model, Y, X[k])
         if isinstance(model, FrameModel):
-            c_k = [[model.bracket_vector(i, j)[k] for j in range(d)]
-                   for i in range(d)]
-            acc = acc + linalg.bilinear(c_k, X, Y, zero)
+            acc = acc + linalg.bilinear(model.slabs[k], X, Y, zero)
         out.append(acc)
     return tuple(out)
 

@@ -19,7 +19,10 @@ The size of every value is bounded before it is computed: a number has at
 most MAX_DIGITS digits, and a sum, product, quotient or power whose
 predicted numerator or denominator has more than MAX_TERMS terms, or a
 coefficient of more than MAX_DIGITS digits, is a ParseError.  So is a value
-whose operations predict more than MAX_VALUE_TERMS terms in all.
+whose operations predict more than MAX_VALUE_TERMS terms in all.  A sum or
+difference is charged its predicted terms less those its larger operand
+carries over beyond the smaller one, so a written-out sum of k monomials
+costs about 2k terms, not k^2/2.
 
 Errors carry 1-based character positions.  Division by a structurally zero
 expression raises ZeroDenominatorError, as in the kernel.
@@ -31,7 +34,7 @@ from fractions import Fraction
 from math import comb, log10
 from typing import Iterable
 
-from .expr import RationalExpr, ZeroDenominatorError
+from .expr import RationalExpr, Variables, ZeroDenominatorError
 
 
 # bound on |n| in x^n: the work and the size of x^n grow with n, and the
@@ -123,6 +126,15 @@ def _predicted_size(op: str, a: RationalExpr,
     return max(na * db, da * nb), ma + mb
 
 
+def _carried_terms(a: RationalExpr, b: RationalExpr) -> int:
+    """Terms by which the larger operand of a + b exceeds the smaller one.
+
+    A sum copies them into its result unchanged, so the budget does not
+    charge them again.
+    """
+    return abs(max(len(a.num), len(a.den)) - max(len(b.num), len(b.den)))
+
+
 def _predicted_power_size(a: RationalExpr, n: int) -> tuple[int, float]:
     """Terms and digits of a^n: a t-term sum to the n has C(n+t-1, t-1) terms."""
     na, da, ma = _size(a)
@@ -131,21 +143,25 @@ def _predicted_power_size(a: RationalExpr, n: int) -> tuple[int, float]:
 
 
 class _Parser:
-    def __init__(self, text: str, variables: tuple[str, ...]):
+    def __init__(self, text: str, variables: Variables):
         self.tokens = _tokenize(text)
         self.pos = 0
         self.variables = variables
         self.terms_left = MAX_VALUE_TERMS
 
-    def charge(self, size: tuple[int, float], position: int) -> None:
-        """Admit an operation of the predicted size, or raise ParseError."""
+    def charge(self, size: tuple[int, float], position: int,
+               carried: int = 0) -> None:
+        """Admit an operation of the predicted size, or raise ParseError.
+
+        The value budget is charged the predicted terms less ``carried``.
+        """
         terms, digits = size
         if terms > MAX_TERMS:
             raise ParseError(f"result would exceed {MAX_TERMS} terms", position)
         if digits > MAX_DIGITS:
             raise ParseError(f"result would exceed {MAX_DIGITS} digits in a "
                              f"coefficient", position)
-        self.terms_left -= terms
+        self.terms_left -= terms - carried
         if self.terms_left < 0:
             raise ParseError(f"value would build more than {MAX_VALUE_TERMS} "
                              f"terms in all", position)
@@ -177,7 +193,8 @@ class _Parser:
             if kind == "op" and op in "+-":
                 self.next()
                 rhs = self.term()
-                self.charge(_predicted_size(op, value, rhs), position)
+                self.charge(_predicted_size(op, value, rhs), position,
+                            _carried_terms(value, rhs))
                 value = value + rhs if op == "+" else value - rhs
             else:
                 return value
@@ -265,5 +282,9 @@ class _Parser:
 
 
 def parse_expr(text: str, variables: Iterable[str]) -> RationalExpr:
-    """Parse ``text`` over the declared variable tuple into canonical form."""
-    return _Parser(text, tuple(variables)).parse()
+    """Parse ``text`` over the declared variable tuple into canonical form.
+
+    The value keeps ``variables`` if it is a :class:`~ppst.expr.Variables`,
+    so it shares that tuple's memo of canonical forms.
+    """
+    return _Parser(text, Variables.of(variables)).parse()

@@ -297,6 +297,17 @@ def test_identities_sampled_on_frame_reports_one_point():
     assert payload["data"]["sample_points"] == [{}]
 
 
+def test_identities_on_failing_axioms_lists_every_axiom_check():
+    identities = _validated(["identities", "--model", "example-chart-printed"])
+    classify = _validated(["classify", "--model", "example-chart-printed"])
+    assert identities["exit_code"] == 1
+    assert identities["checks"] == classify["checks"]
+    failed = [c for c in identities["checks"] if not c["passed"]]
+    assert [c["name"] for c in failed] == [
+        "metric_phi_compatibility", "eta_is_g_xi", "declared_frame_phi_basis"]
+    assert all(c["witness"] and c["details"]["residual"] for c in failed)
+
+
 def test_identities_refuses_non_qps(tmp_path):
     spec = tmp_path / "nq.spec"
     spec.write_text("""\

@@ -7,12 +7,14 @@ from fractions import Fraction
 
 import pytest
 
+from ppst import expr
 from ppst.expr import (
     ConstraintViolation,
     DomainConstraint,
     EvaluationError,
     RationalExpr,
     VariableMismatchError,
+    Variables,
     ZeroDenominatorError,
     derivative,
     evaluate,
@@ -97,6 +99,36 @@ def test_constant_lifts_across_variable_tuples():
     c = RationalExpr.constant(3)
     assert (c + X) == (X + 3)
     assert (c * X) == 3 * X
+
+
+# -- memo of canonical forms ------------------------------------------------
+
+def test_variables_behave_as_the_plain_tuple():
+    v = Variables(("x", "y"))
+    assert v == ("x", "y") and hash(v) == hash(("x", "y"))
+    assert repr(v) == repr(("x", "y")) and v.memo == {}
+    assert Variables.of(v) is v and Variables.of(("x", "y")) is not v
+
+
+def test_values_keep_their_variables_object():
+    v = Variables(VARS)
+    e = parse_expr("(x + y)/(1 + z^2)", v)
+    assert e.variables is v
+    assert (e * e + e).variables is v and e.derivative("z").variables is v
+    assert type(parse_expr("x", VARS).variables) is Variables
+
+
+def test_memo_reduces_each_pair_once_per_variables(monkeypatch):
+    calls = []
+    gcd = expr._poly_gcd
+    monkeypatch.setattr(expr, "_poly_gcd",
+                        lambda *args: calls.append(1) or gcd(*args))
+    num, den = {(1, 1, 0): 1, (0, 0, 2): 1}, {(1, 0, 0): 1, (0, 1, 0): 1}
+    first = Variables(VARS)
+    a, b = RationalExpr(first, num, den), RationalExpr(first, num, den)
+    assert len(calls) == 1 and a == b
+    c = RationalExpr(Variables(VARS), num, den)
+    assert len(calls) == 2 and c == a
 
 
 # -- calculus ---------------------------------------------------------------

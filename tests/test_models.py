@@ -10,7 +10,11 @@ import pytest
 
 from _models import chart_corrected, negative_curvature_frame
 from ppst import expr, linalg
-from ppst.deformation import DeformationParams, verify_deformation_relations
+from ppst.deformation import (
+    DeformationParams,
+    apply_deformation,
+    verify_deformation_relations,
+)
 from ppst.expr import RationalExpr
 from ppst.identities import run_suite
 from ppst.models import (
@@ -155,7 +159,37 @@ def test_chart_pipeline_sympy_gcd_count(monkeypatch):
     s = import_text((GOLDEN / "chart-1+z2.spec").read_text(encoding="utf-8"))
     calls = _count_kernel_calls(monkeypatch)
     _run_pipeline(s)
-    assert calls["_poly_gcd"] == 410
+    assert calls["_poly_gcd"] == 48
+
+
+def test_chart_memo_is_per_chart(monkeypatch):
+    """Each import of a chart reduces its values afresh: no process-wide reuse."""
+    text = (GOLDEN / "chart-1+z2.spec").read_text(encoding="utf-8")
+    calls = _count_kernel_calls(monkeypatch)
+    counts = []
+    for _ in range(2):
+        s = import_text(text)
+        before = calls["_poly_gcd"]
+        _run_pipeline(s)
+        counts.append(calls["_poly_gcd"] - before)
+    assert counts == [48, 48]
+
+
+def test_chart_tensors_share_the_coordinates_memo():
+    """Every scalar of a chart's tensors lives on the model's Variables object."""
+    s = import_text((GOLDEN / "chart-1+z2.spec").read_text(encoding="utf-8"))
+    model = s.model
+    deformed = apply_deformation(s, DeformationParams(-2, 4))
+    # values parsed over an equal plain tuple must be re-homed, too
+    foreign = TensorField.vector(model, [parse_expr(v, ("x", "y", "z"))
+                                         for v in ("y/(1+z^2)", "3", "x")])
+    tensors = [foreign]
+    for t in (s, deformed):
+        tensors += [t.phi, t.xi, t.g, t.eta, t.Phi, t.N1, t.A, t.h,
+                    *t.phi_basis, t.curvature.riemann]
+    tensors += s.declared_frame
+    assert all(c.variables is model.coordinates
+               for t in tensors for c in t.data)
 
 
 # -- tensor fields -----------------------------------------------------------

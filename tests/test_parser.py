@@ -87,6 +87,13 @@ def test_value_budget_bounds_operations_together():
     assert info.value.position == 250
 
 
+def test_value_budget_charges_a_written_out_sum_linearly():
+    # 500 distinct monomials x^i*y^j, 0 <= i, j < 23, typed out one by one
+    monomials = [f"x^{i}*y^{j}" for i in range(23) for j in range(23)][:500]
+    value = parse_expr(" + ".join(monomials), VARS)
+    assert len(value.num) == 500 and value.is_polynomial
+
+
 def test_unknown_variable_position():
     with pytest.raises(UnknownVariableError) as info:
         parse_expr("x + w*z", VARS)

@@ -2,8 +2,41 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 from ppst.models import ChartModel, FrameModel, TensorField
+from ppst.specfile import import_text
 from ppst.structures import ParacontactStructure
+
+GOLDEN = Path(__file__).parent / "golden"
+
+# three non-basis vector fields on a golden chart with non-monomial
+# denominators and on a dim-5 frame, for the differential operators'
+# checks against their invariant definitions
+GOLDEN_FIELDS = [
+    ("chart-1+z2.spec",
+     (("y", "x*z", "1/(1+z^2)"), ("z", "1", "x"), ("1", "y^2", "x/(1+z^2)"))),
+    ("heisenberg5-c4.spec",
+     (("1", "2", "-1", "0", "3"), ("0", "1", "3", "1/2", "-1"),
+      ("1/2", "0", "1", "2", "1"))),
+]
+
+
+def golden_structure(spec: str) -> ParacontactStructure:
+    return import_text((GOLDEN / spec).read_text(encoding="utf-8"))
+
+
+def feed(T: TensorField, *vectors) -> list:
+    """Components of T with the given component tuples in its last slots."""
+    m = T.model
+    out = [m.zero] * m.dim ** (T.rank - len(vectors))
+    block = m.dim ** len(vectors)
+    for off, (idx, t) in enumerate(T.items()):
+        for v, i in zip(vectors, idx[T.rank - len(vectors):]):
+            t = t * v[i]
+        if t:
+            out[off // block] = out[off // block] + t
+    return out
 
 
 def frame_example() -> ParacontactStructure:

@@ -7,6 +7,7 @@ from itertools import product
 
 import pytest
 
+from _models import GOLDEN_FIELDS, feed, golden_structure
 from ppst import linalg
 from ppst.models import (
     ChartModel,
@@ -195,6 +196,48 @@ def test_chart_frame_curvature_table_agreement():
 
     for (i, j, k), expected in CURVATURE_TABLE.items():
         assert R_of(i, j, k) == tuple(m.scalar(c) for c in expected), (i, j, k)
+
+
+@pytest.mark.parametrize("spec, fields", GOLDEN_FIELDS,
+                         ids=["chart-1+z2", "heisenberg5-c4"])
+def test_covariant_derivative_matches_its_definition(spec, fields):
+    """(nabla_X eta)Y, (nabla_X Phi)(Y,Z), (nabla_X phi)Y and a (1,2) tensor
+    against the Leibniz rule, with nabla_X Y = X(Y) + Gamma(X, Y)."""
+    s = golden_structure(spec)
+    m, conn = s.model, s.connection
+    d, zero = m.dim, m.zero
+    X, Y, Z = ([m.scalar(c) for c in comps] for comps in fields)
+    # gamma[k][i][j] = Gamma^k_ij
+    gamma = [[[conn.coeffs[i][j][k] for j in range(d)] for i in range(d)]
+             for k in range(d)]
+
+    def along(V, f):
+        return linalg.dot(V, [m.diff(i, f) for i in range(d)], zero)
+
+    def nabla(V, W):
+        return [along(V, w) + linalg.bilinear(gk, V, W, zero)
+                for w, gk in zip(W, gamma)]
+
+    XY, XZ = nabla(X, Y), nabla(X, Z)
+    ph, g, ev = s.phi.rows(), s.g.rows(), s.eta.data
+    T = TensorField.from_entries(m, (1, 2), {
+        (k, i, j): ph[k][i] * ev[j] + g[k][j] * (k + 2 * i - j)
+        for k, i, j in product(range(d), repeat=3)})
+
+    def D(tensor):
+        return covariant_derivative(tensor, conn)
+
+    eta, Phi, phi = s.eta, s.Phi, s.phi
+    assert (feed(D(eta), X, Y)
+            == [along(X, feed(eta, Y)[0]) - feed(eta, XY)[0]])
+    expected = (along(X, feed(Phi, Y, Z)[0]) - feed(Phi, XY, Z)[0]
+                - feed(Phi, Y, XZ)[0])
+    assert feed(D(Phi), X, Y, Z) == [expected] and expected
+    expected = [a - b for a, b in zip(nabla(X, feed(phi, Y)), feed(phi, XY))]
+    assert feed(D(phi), X, Y) == expected and any(expected)
+    expected = [a - b - c for a, b, c in zip(
+        nabla(X, feed(T, Y, Z)), feed(T, XY, Z), feed(T, Y, XZ))]
+    assert feed(D(T), X, Y, Z) == expected and any(expected)
 
 
 def test_covariant_derivative_of_scalar_like_tensor():

@@ -4,11 +4,17 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
-from _models import chart_corrected, negative_curvature_frame
+from _models import (
+    GOLDEN,
+    GOLDEN_FIELDS,
+    chart_corrected,
+    feed,
+    golden_structure,
+    negative_curvature_frame,
+)
 from ppst import expr, linalg
 from ppst.deformation import (
     DeformationParams,
@@ -32,8 +38,6 @@ from ppst.models import (
 from ppst.parser import parse_expr
 from ppst.spaceforms import check_constant_curvature_theorem
 from ppst.specfile import import_text
-
-GOLDEN = Path(__file__).parent / "golden"
 
 
 def chart3() -> ChartModel:
@@ -160,6 +164,14 @@ def test_chart_pipeline_sympy_gcd_count(monkeypatch):
     calls = _count_kernel_calls(monkeypatch)
     _run_pipeline(s)
     assert calls["_poly_gcd"] == 48
+
+
+def test_chart_pipeline_canonical_count(monkeypatch):
+    """Pinned count of _canonical calls the chart-1+z2 pipeline makes."""
+    s = golden_structure("chart-1+z2.spec")
+    calls = _count_kernel_calls(monkeypatch)
+    _run_pipeline(s)
+    assert calls["_canonical"] == 1074
 
 
 def test_chart_memo_is_per_chart(monkeypatch):
@@ -295,6 +307,45 @@ def test_d_squared_is_zero_frame():
     m = example_frame()
     omega = TensorField.covector(m, (3, Fraction(-1, 2), 1))
     assert exterior_derivative(exterior_derivative(omega)).is_zero
+
+
+def _open_two_form(s, x) -> TensorField:
+    """eta ^ g(x, .), a 2-form that is not closed on the golden inputs."""
+    ev = s.eta.data
+    w = linalg.mat_vec(s.g.rows(), x, s.model.zero)
+    return TensorField.from_rows(s.model, (0, 2), [
+        [ev[i] * w[j] - ev[j] * w[i] for j in range(s.model.dim)]
+        for i in range(s.model.dim)])
+
+
+@pytest.mark.parametrize("spec, fields", GOLDEN_FIELDS,
+                         ids=["chart-1+z2", "heisenberg5-c4"])
+def test_exterior_derivative_matches_its_definition(spec, fields):
+    """deta(X,Y) and dPhi(X,Y,Z), also for a 2-form that is not closed,
+    against the invariant formula with lie_bracket."""
+    s = golden_structure(spec)
+    m = s.model
+    X, Y, Z = (TensorField.vector(m, comps) for comps in fields)
+    x, y, z = X.vec(), Y.vec(), Z.vec()
+
+    def along(v, f):
+        return linalg.dot(v, [m.diff(i, f) for i in range(m.dim)], m.zero)
+
+    xy, xz, yz = (lie_bracket(U, V).vec() for U, V in ((X, Y), (X, Z), (Y, Z)))
+
+    def eta(u):
+        return feed(s.eta, u)[0]
+
+    (lhs,) = feed(exterior_derivative(s.eta), x, y)
+    assert 2 * lhs == along(x, eta(y)) - along(y, eta(x)) - eta(xy) and lhs
+    for omega in (s.Phi, _open_two_form(s, x)):
+        def w(u, v, omega=omega):
+            return feed(omega, u, v)[0]
+
+        expected = (along(x, w(y, z)) - along(y, w(x, z)) + along(z, w(x, y))
+                    - w(xy, z) + w(xz, y) - w(yz, x))
+        assert feed(exterior_derivative(omega), x, y, z) == [expected / 3]
+    assert expected
 
 
 def test_exterior_derivative_requires_antisymmetry():

@@ -17,7 +17,8 @@ Layers, bottom up:
   nullspace and inverse; inertia) and the contraction kernel (dot,
   mat_vec, bilinear, trace_product).
 - :mod:`ppst.models`: chart and frame manifold models, tensor fields,
-  brackets, Lie and exterior derivatives.
+  brackets, the exterior derivative of any degree, and the one derivation
+  rule behind the Lie and covariant derivatives.
 - :mod:`ppst.curvature`: Levi-Civita connection, Riemann/Ricci/star-Ricci
   data and their verification residuals.
 - :mod:`ppst.structures`: almost paracontact metric structures, axiom

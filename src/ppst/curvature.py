@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import product
 
 from . import linalg
@@ -34,6 +34,7 @@ from .models import (
     Scalar,
     TensorField,
     Vec,
+    _derivation,
 )
 
 Coeffs = tuple[tuple[Vec, ...], ...]
@@ -129,48 +130,24 @@ def levi_civita(g: TensorField, model: ManifoldModel | None = None) -> Connectio
     return ConnectionData(model, tuple(coeffs), g, ginv)
 
 
-def nabla_field(conn: ConnectionData, X: Vec, Y: Vec) -> Vec:
-    """Components of nabla_X Y for arbitrary vector fields (not tensorial in Y)."""
-    model = conn.model
-    zero = model.zero
-    # column i is nabla_{e_i} Y = e_i(Y) + Gamma_i Y; where X^i = 0 the
-    # column is skipped by mat_vec, so Y stands in for it
-    cols = [tuple(model.diff(i, y) + gy for y, gy in
-                  zip(Y, mat_vec(tuple(zip(*conn.coeffs[i])), Y, zero)))
-            if x else Y for i, x in enumerate(X)]
-    return mat_vec(tuple(zip(*cols)), X, zero)
-
-
 def covariant_derivative(T: TensorField, conn: ConnectionData) -> TensorField:
     """nabla T with the direction as the first lower slot.
 
     For valence (r, s) input the output has valence (r, s+1) and index
-    order (uppers..., direction, lowers...).
+    order (uppers..., direction, lowers...).  nabla_{e_k} is the derivation
+    with e_k(f) on scalars and nabla_{e_k} e_m on basis fields.
     """
     model = conn.model
     if T.model is not model:
         raise GeometryError("tensor and connection live on different models")
     d = model.dim
     r, s = T.valence
-    entries = {}
-    for uppers in product(range(d), repeat=r):
-        for k in range(d):
-            for lowers in product(range(d), repeat=s):
-                val = model.diff(k, T[uppers + lowers])
-                for p in range(r):
-                    for m in range(d):
-                        gm = conn.coeffs[k][m][uppers[p]]
-                        if gm:
-                            idx = uppers[:p] + (m,) + uppers[p + 1:] + lowers
-                            val = val + gm * T[idx]
-                for q in range(s):
-                    for m in range(d):
-                        gm = conn.coeffs[k][lowers[q]][m]
-                        if gm:
-                            idx = uppers + lowers[:q] + (m,) + lowers[q + 1:]
-                            val = val - gm * T[idx]
-                entries[uppers + (k,) + lowers] = val
-    return TensorField.from_entries(model, (r, s + 1), entries)
+    along = [_derivation(T, partial(model.diff, k), conn.coeffs[k])
+             for k in range(d)]
+    block = d ** s
+    data = [c for u in range(0, d ** (r + s), block) for k in range(d)
+            for c in along[k][u:u + block]]
+    return TensorField(model, (r, s + 1), data)
 
 
 def riemann(conn: ConnectionData) -> CurvatureData:

@@ -11,10 +11,13 @@ its own exact scalar field:
   ``fractions.Fraction`` constants.
 
 Both expose the same operational surface (zero, one, scalar, diff,
-bracket_vector, ...), so the differential-geometry operators (Lie bracket,
-exterior derivative, Lie derivative) and everything built on them are
-written once against it, using only the operations both fields share:
-+, -, *, /, equality, truthiness as the zero test, and str.  The two
+bracket_vector, ...), so the differential-geometry operators and everything
+built on them are written once against it, using only the operations both
+fields share: +, -, *, /, equality, truthiness as the zero test, and str.
+One exterior derivative serves forms of every degree, and one derivation
+rule, ``_derivation``, extends a derivation from scalars and basis fields
+to tensors of any valence: it is the Lie derivative here and the
+covariant derivative in :mod:`ppst.curvature`.  The two
 helpers :func:`constant_value` and :func:`evaluate_at` cover what only
 rational functions need (a constant test, a point evaluation).  A tensor
 field stores one exact scalar per component; index order is upper slots
@@ -466,81 +469,94 @@ def lie_bracket(X: TensorField, Y: TensorField) -> TensorField:
 
 
 def exterior_derivative(omega: TensorField) -> TensorField:
-    """d omega for 1-forms and 2-forms.
+    """d omega for a p-form of any degree p >= 1.
 
-    Conventions (the 1/(p+1) scaling; consistent with d(d omega) = 0):
-      2 dω(X,Y) = X ω(Y) - Y ω(X) - ω([X,Y])
-      3 dΩ(X,Y,Z) = sum_cyc X Ω(Y,Z) - sum_cyc Ω([X,Y],Z)
+    With the 1/(p+1) scaling (consistent with d(d omega) = 0):
+
+      (p+1) dω(X_0..X_p) = sum_a (-1)^a X_a ω(..X̂_a..)
+          + sum_{a<b} (-1)^(a+b) ω([X_a, X_b], ..X̂_a..X̂_b..)
     """
     model = omega.model
-    d = model.dim
-    if omega.valence == (0, 1):
-        w = omega.data
-        half = Fraction(1, 2)
-        entries = {}
-        for i in range(d):
-            for j in range(d):
-                cij = model.bracket_vector(i, j)
-                val = model.diff(i, w[j]) - model.diff(j, w[i])
-                for k in range(d):
-                    if cij[k]:
-                        val = val - cij[k] * w[k]
-                entries[(i, j)] = val * half
-        return TensorField.from_entries(model, (0, 2), entries)
-    if omega.valence == (0, 2):
-        rows = omega.rows()
-        for i in range(d):
-            for j in range(d):
-                if rows[i][j] + rows[j][i]:
-                    raise GeometryError("exterior_derivative needs an antisymmetric 2-form")
-        third = Fraction(1, 3)
-        entries = {}
-        for i, j, k in product(range(d), repeat=3):
-            val = (model.diff(i, rows[j][k]) + model.diff(j, rows[k][i])
-                   + model.diff(k, rows[i][j]))
-            for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
-                vab = model.bracket_vector(a, b)
-                for m in range(d):
-                    if vab[m]:
-                        val = val - vab[m] * rows[m][c]
-            entries[(i, j, k)] = val * third
-        return TensorField.from_entries(model, (0, 3), entries)
-    raise GeometryError(f"unsupported form valence {omega.valence}")
+    r, p = omega.valence
+    if r or p < 1:
+        raise GeometryError(f"unsupported form valence {omega.valence}")
+    d, n = model.dim, p + 1
+    w = omega.data
+    pw = [d ** k for k in range(n + 1)]
+    # a p-form changes sign when two adjacent slots swap
+    for off, idx in enumerate(omega.indices()):
+        for q in range(p - 1):
+            swapped = off + (idx[q + 1] - idx[q]) * (pw[p - 1 - q] - pw[p - 2 - q])
+            if w[off] + w[swapped]:
+                raise GeometryError("exterior_derivative needs an antisymmetric form")
+    # brackets[i][j] lists the nonzero (m, c^m_ij)
+    brackets = [[[(m, c) for m, c in enumerate(model.bracket_vector(i, j)) if c]
+                 for j in range(d)] for i in range(d)]
+    scale = Fraction(1, n)
+    out = []
+    for off, idx in enumerate(product(range(d), repeat=n)):
+        val = model.zero
+        for a, i in enumerate(idx):
+            # offsets are read digit-wise in base d: rest is ω's offset of
+            # idx without slot a, base that of idx without slots a and b
+            rest = off // pw[n - a] * pw[p - a] + off % pw[p - a]
+            df = model.diff(i, w[rest])
+            if df:
+                val = val - df if a % 2 else val + df
+            for b in range(a + 1, n):
+                base = rest // pw[n - b] * pw[p - b] + rest % pw[p - b]
+                for m, c in brackets[i][idx[b]]:
+                    other = w[m * pw[p - 1] + base]
+                    if other:
+                        val = val - c * other if (a + b) % 2 else val + c * other
+        out.append(val * scale)
+    return TensorField(model, (0, n), out)
 
 
-def lie_derivative(T: TensorField, X: TensorField) -> TensorField:
-    """Lie derivative of a tensor field of any valence along a vector field.
+def _derivation(T: TensorField, act, images: Sequence[Vec]) -> list[Scalar]:
+    """Components of D(T) for the derivation D that acts on scalars as
+    ``act`` and on basis fields as D(e_m) = images[m] = B_m^k e_k.
 
-    With [X, e_m] = B_m^k e_k, a component is X applied to it, plus one
-    bracket term per upper slot, minus one per lower slot:
+    By the Leibniz rule a component is ``act`` of it, plus one term per
+    upper slot, minus one per lower slot:
 
-      (L_X T)^{..i..}_{..j..} = X(T^{..i..}_{..j..})
+      D(T)^{..i..}_{..j..} = act(T^{..i..}_{..j..})
           + sum_m B_m^i T^{..m..}_{..j..} - sum_m B_j^m T^{..i..}_{..m..}
     """
-    if X.valence != (1, 0) or X.model is not T.model:
-        raise GeometryError("lie_derivative needs a vector field on the same model")
-    model = T.model
-    d = model.dim
-    Xv = X.vec()
-    B = [_bracket_comps(model, Xv, model.delta(m)) for m in range(d)]
-    # slot_terms[p][i] lists (m, coefficient) of the slot-p term at index i
-    upper = [[(m, B[m][i]) for m in range(d) if B[m][i]] for i in range(d)]
-    lower = [[(m, -B[i][m]) for m in range(d) if B[i][m]] for i in range(d)]
+    d = T.model.dim
     r, s = T.valence
-    slot_terms = [upper] * r + [lower] * s
-    strides = [d ** (r + s - 1 - p) for p in range(r + s)]
+    # terms[i] lists (m, B) for the slot term at index i
+    upper = [[(m, images[m][i]) for m in range(d) if images[m][i]] for i in range(d)]
+    lower = [[(m, images[i][m]) for m in range(d) if images[i][m]] for i in range(d)]
+    slots = list(zip([upper] * r + [lower] * s,
+                     [d ** (r + s - 1 - q) for q in range(r + s)],
+                     [True] * r + [False] * s))
     data = T.data
     out = []
     for off, (idx, t) in enumerate(T.items()):
-        val = _apply_vec(model, Xv, t)
-        for i, terms, stride in zip(idx, slot_terms, strides):
+        val = act(t)
+        for i, (terms, stride, add) in zip(idx, slots):
             base = off - i * stride
-            for m, coeff in terms[i]:
+            for m, c in terms[i]:
                 other = data[base + m * stride]
                 if other:
-                    val = val + coeff * other
+                    # subtracting, not adding -c: the chart memo keys on
+                    # the signed num/den pair of each product
+                    val = val + c * other if add else val - c * other
         out.append(val)
-    return TensorField(model, T.valence, out)
+    return out
+
+
+def lie_derivative(T: TensorField, X: TensorField) -> TensorField:
+    """Lie derivative of a tensor field of any valence along a vector field:
+    the derivation with X(f) on scalars and [X, e_m] on basis fields."""
+    if X.valence != (1, 0) or X.model is not T.model:
+        raise GeometryError("lie_derivative needs a vector field on the same model")
+    model = T.model
+    Xv = X.vec()
+    images = [_bracket_comps(model, Xv, model.delta(m)) for m in range(model.dim)]
+    return TensorField(model, T.valence,
+                       _derivation(T, lambda f: _apply_vec(model, Xv, f), images))
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from itertools import product
+from itertools import combinations_with_replacement, product
 from typing import Mapping, Sequence
 
 from . import linalg
@@ -374,26 +374,20 @@ def _declared_frame_check(s: ParacontactStructure, checks: list[CheckResult]) ->
         checks.append(CheckResult("declared_frame_phi_basis", False,
                                   witness=f"expected {d} frame fields, got {len(frame)}"))
         return
-    grows = s.g.rows()
     ph = s.phi.rows()
     zero = model.zero
     cols = [f.vec() for f in frame]
-    eps = phi_basis_eps(s)
     frame_names = (["e" + str(i + 1) for i in range(d - 1)] + ["xi"]
                    if not isinstance(model, FrameModel) else list(model.labels))
-    # Gram matrix must be diag(+1 x n, -1 x n, +1)
-    for a in range(d):
-        for b in range(a, d):
-            expected = Fraction(eps[a]) if a == b else Fraction(0)
-            value = bilinear(grows, cols[a], cols[b], zero)
-            res = value - model.scalar(expected)
-            if res:
-                checks.append(CheckResult(
-                    "declared_frame_phi_basis", False,
-                    witness=(f"g({frame_names[a]},{frame_names[b]}) = {value} "
-                             f"(should be {expected})"),
-                    details={"residual": str(res)}))
-                return
+    mismatch = _gram_mismatch(s, cols)
+    if mismatch:
+        a, b, value, expected = mismatch
+        checks.append(CheckResult(
+            "declared_frame_phi_basis", False,
+            witness=(f"g({frame_names[a]},{frame_names[b]}) = {value} "
+                     f"(should be {expected})"),
+            details={"residual": str(value - expected)}))
+        return
     # Y_i = phi X_i and the last field is xi
     for i in range(n):
         img = mat_vec(ph, cols[i], zero)
@@ -469,24 +463,29 @@ def build_phi_basis(s: ParacontactStructure) -> tuple[TensorField, ...]:
         xs.append(TensorField.vector(model, xvec))
         ys.append(TensorField.vector(model, yvec))
     basis = tuple(xs) + tuple(ys) + (s.xi,)
-    _verify_phi_basis(s, basis)
+    mismatch = _gram_mismatch(s, [f.vec() for f in basis])
+    if mismatch:
+        a, b, value, _ = mismatch
+        raise StructureError(f"phi-basis verification failed: g(b{a},b{b}) = {value}")
     return basis
 
 
-def _verify_phi_basis(s: ParacontactStructure, basis: tuple[TensorField, ...]) -> None:
-    model = s.model
-    d = model.dim
+def _gram_mismatch(s: ParacontactStructure, cols: Sequence[Sequence[Scalar]],
+                   ) -> tuple[int, int, Scalar, int] | None:
+    """The first (a, b, g(b_a, b_b), expected), a <= b, where the Gram
+    matrix of the fields differs from the phi-basis's diag(+1 x n, -1 x n,
+    +1), or None.  a <= b suffices for a symmetric metric, the only kind
+    levi_civita accepts.
+    """
     grows = s.g.rows()
-    zero = model.zero
+    zero = s.model.zero
     eps = phi_basis_eps(s)
-    cols = [f.vec() for f in basis]
-    for a in range(d):
-        for b in range(d):
-            acc = bilinear(grows, cols[a], cols[b], zero)
-            expected = eps[a] if a == b else 0
-            if acc - model.scalar(expected):
-                raise StructureError(
-                    f"phi-basis verification failed: g(b{a},b{b}) = {acc}")
+    for a, b in combinations_with_replacement(range(len(cols)), 2):
+        expected = eps[a] if a == b else 0
+        value = bilinear(grows, cols[a], cols[b], zero)
+        if value - s.model.scalar(expected):
+            return a, b, value, expected
+    return None
 
 
 def phi_basis_eps(s: ParacontactStructure) -> tuple[int, ...]:

@@ -29,6 +29,7 @@ from ppst.models import (
     GeometryError,
     TensorField,
     constant_ratio,
+    constant_value,
     exterior_derivative,
     lie_bracket,
     lie_derivative,
@@ -36,8 +37,13 @@ from ppst.models import (
     sample_points,
 )
 from ppst.parser import parse_expr
-from ppst.spaceforms import check_constant_curvature_theorem
+from ppst.spaceforms import (
+    check_constant_curvature_theorem,
+    get_model,
+    model_catalog,
+)
 from ppst.specfile import import_text
+from ppst.structures import ParacontactStructure
 
 
 def chart3() -> ChartModel:
@@ -355,6 +361,29 @@ def test_exterior_derivative_requires_antisymmetry():
         exterior_derivative(sym)
 
 
+@pytest.mark.parametrize("spec, fields", GOLDEN_FIELDS,
+                         ids=["chart-1+z2", "heisenberg5-c4"])
+def test_d_squared_is_zero_on_a_two_form(spec, fields):
+    """d(d Omega) = 0 for a 2-form that is not closed: the degree-3 case."""
+    s = golden_structure(spec)
+    d_omega = exterior_derivative(
+        _open_two_form(s, [s.model.scalar(c) for c in fields[0]]))
+    assert not d_omega.is_zero
+    dd_omega = exterior_derivative(d_omega)
+    assert dd_omega.valence == (0, 4) and dd_omega.is_zero
+
+
+def test_exterior_derivative_rejects_what_is_not_a_form():
+    m = example_frame()
+    # antisymmetric in the first two slots only, then in the last two only
+    for entries in ({(0, 1, 2): 1, (1, 0, 2): -1}, {(0, 1, 2): 1, (0, 2, 1): -1}):
+        with pytest.raises(GeometryError, match="antisymmetric form"):
+            exterior_derivative(TensorField.from_entries(m, (0, 3), entries))
+    phi = TensorField.from_rows(m, (1, 1), [[0, 1, 0], [1, 0, 0], [0, 0, 0]])
+    with pytest.raises(GeometryError, match=r"unsupported form valence \(1, 1\)"):
+        exterior_derivative(phi)
+
+
 # -- Lie derivative ----------------------------------------------------------
 
 def test_lie_derivative_metric_translation_killing():
@@ -482,6 +511,76 @@ def test_realize_frame_rejects_non_constant():
                TensorField.vector(m, ("0", "0", "1"))]
     with pytest.raises(GeometryError):
         realize_frame(m, vectors, g, ("a", "b", "c"))
+
+
+# every chart of the catalog and of the goldens: None where its frame
+# realizes, else the message realize_frame refuses it with
+CHART_FRAMES = {
+    "flat-paracosymplectic": None,
+    "example-chart-corrected": None,
+    "chart-1+z2.spec": None,
+    "example-chart-printed": "frame metric is not constant: g(0,0) = 28*y^2 + 1",
+    "chart-1+y2+z.spec":
+        "frame re-expression is not constant: (-2*y)/(y^2 + z + 1)",
+}
+
+
+def _chart_structure(name):
+    return golden_structure(name) if name.endswith(".spec") else get_model(name)
+
+
+def _realized_structure(s):
+    """The structure re-expressed in the frame realize_frame builds from the
+    declared frame, or from the coordinate fields where none is declared."""
+    m = s.model
+    d = m.dim
+    vectors = s.declared_frame or [TensorField.vector(m, m.delta(i))
+                                   for i in range(d)]
+    labels = [f"e{i + 1}" for i in range(d - 1)] + ["xi"]
+    frame, fg = realize_frame(m, vectors, s.g, labels)
+    cols = [v.vec() for v in vectors]
+    inv = linalg.invert_matrix(tuple(zip(*cols)), m.one)
+    ph = s.phi.rows()
+    phi_cols = [linalg.mat_vec(inv, linalg.mat_vec(ph, c, m.zero), m.zero)
+                for c in cols]
+    return ParacontactStructure(
+        frame, TensorField.from_rows(frame, (1, 1), list(zip(*phi_cols))),
+        TensorField.vector(frame, linalg.mat_vec(inv, s.xi.vec(), m.zero)),
+        fg, TensorField.covector(frame, [linalg.dot(s.eta.data, c, m.zero)
+                                         for c in cols]))
+
+
+def test_chart_frames_cover_every_chart():
+    names = {e.name for e in model_catalog()
+             if isinstance(e.build().model, ChartModel)}
+    names |= {p.name for p in GOLDEN.glob("*.spec")
+              if isinstance(golden_structure(p.name).model, ChartModel)}
+    assert names == set(CHART_FRAMES)
+
+
+@pytest.mark.parametrize("name", [n for n, v in CHART_FRAMES.items() if v is None])
+def test_realized_frame_matches_its_chart(name):
+    """Class label, r, r*, theorem status and K agree between a chart and the
+    frame it realizes (for example-chart-corrected [b1,b2] = -4 xi, not the
+    +4 xi of example-frame)."""
+    s = _chart_structure(name)
+    fs = _realized_structure(s)
+    assert fs.classification().label == s.classification().label
+    for chart_value, frame_value in ((s.curvature.scalar, fs.curvature.scalar),
+                                     (s.curvature.star_scalar,
+                                      fs.curvature.star_scalar)):
+        assert constant_value(chart_value) == frame_value
+    chart_theorem = check_constant_curvature_theorem(s)
+    frame_theorem = check_constant_curvature_theorem(fs)
+    assert (frame_theorem.status, frame_theorem.K) == (chart_theorem.status,
+                                                       chart_theorem.K)
+
+
+@pytest.mark.parametrize("name", [n for n, v in CHART_FRAMES.items() if v])
+def test_realize_frame_refuses_a_chart_without_a_constant_frame(name):
+    with pytest.raises(GeometryError) as info:
+        _realized_structure(_chart_structure(name))
+    assert str(info.value) == CHART_FRAMES[name]
 
 
 # -- sample points -----------------------------------------------------------

@@ -26,7 +26,7 @@ from functools import cached_property, partial
 from itertools import product
 
 from . import linalg
-from .linalg import bilinear, mat_vec, trace_product
+from .linalg import bilinear, mat_vec, signed_sum, trace_product
 from .models import (
     DegenerateMetricError,
     GeometryError,
@@ -121,10 +121,12 @@ def levi_civita(g: TensorField, model: ManifoldModel | None = None) -> Connectio
         for j in range(d):
             rhs = []
             for l in range(d):
-                val = (model.diff(i, grows[j][l]) + model.diff(j, grows[i][l])
-                       - model.diff(l, grows[i][j])
-                       + gc[i][j][l] - gc[i][l][j] - gc[j][l][i])
-                rhs.append(val * half)
+                val = signed_sum(
+                    (model.diff(i, grows[j][l]), model.diff(j, grows[i][l]),
+                     gc[i][j][l]),
+                    (model.diff(l, grows[i][j]), gc[i][l][j], gc[j][l][i]),
+                    zero)
+                rhs.append(val * half if val else val)
             row.append(mat_vec(ginv, rhs, zero))
         coeffs.append(tuple(row))
     return ConnectionData(model, tuple(coeffs), g, ginv)
@@ -168,8 +170,9 @@ def riemann(conn: ConnectionData) -> CurvatureData:
             ji = mat_vec(nabla_op[j], G[i][k], zero)
             br = mat_vec(gamma_k[k], cij, zero)
             rv[i, j, k] = tuple(
-                model.diff(i, G[j][k][l]) - model.diff(j, G[i][k][l])
-                + ij[l] - ji[l] - br[l] for l in range(d))
+                signed_sum((model.diff(i, G[j][k][l]), ij[l]),
+                           (model.diff(j, G[i][k][l]), ji[l], br[l]), zero)
+                for l in range(d))
     nested = tuple(tuple(tuple(tuple(rv[i, j, k][l] for j in range(d))
                                for i in range(d)) for k in range(d))
                    for l in range(d))
@@ -182,12 +185,8 @@ def ricci_scalar(curv: CurvatureData, g: TensorField) -> tuple[TensorField, Scal
     d = model.dim
     zero = model.zero
     R = curv._nested
-    entries = {}
-    for j, k in product(range(d), repeat=2):
-        acc = zero
-        for a in range(d):
-            acc = acc + R[a][k][a][j]
-        entries[(j, k)] = acc
+    entries = {(j, k): signed_sum((R[a][k][a][j] for a in range(d)), (), zero)
+               for j, k in product(range(d), repeat=2)}
     S = TensorField.from_entries(model, (0, 2), entries)
     r = trace_product(_inverse_of(curv, g), S.rows(), zero)
     curv.ricci, curv.scalar = S, r

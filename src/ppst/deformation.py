@@ -32,7 +32,7 @@ from fractions import Fraction
 from itertools import product
 
 from .curvature import covariant_derivative
-from .linalg import mat_vec
+from .linalg import dot, mat_vec, signed_sum
 from .models import TensorField, constant_ratio
 from .report import CheckResult, residual_check
 from .structures import ParacontactStructure, StructureError
@@ -120,9 +120,9 @@ def verify_deformation_relations(s: ParacontactStructure,
     zero = model.zero
     conn, conn2 = s.connection, st.connection  # also checks g, g~ symmetric
     A_cols, A2_cols = tuple(zip(*s.A.rows())), tuple(zip(*st.A.rows()))
-    ev = s.eta.data
     # Bv[i][j] = B(e_i, e_j) = t (eta(e_j) A e_i + eta(e_i) A e_j)
-    Bv = [[tuple(t * (ev[j] * A_cols[i][l] + ev[i] * A_cols[j][l])
+    tev = [t * e if t and e else zero for e in s.eta.data]
+    Bv = [[tuple(dot((tev[j], tev[i]), (A_cols[i][l], A_cols[j][l]), zero)
                  for l in range(d)) for j in range(d)] for i in range(d)]
     report = DeformationReport(structure_name=s.name, params=params)
 
@@ -131,7 +131,7 @@ def verify_deformation_relations(s: ParacontactStructure,
             lhs = conn2.nabla_basis(i, j)
             rhs = conn.nabla_basis(i, j)
             for l in range(d):
-                yield (i, j), lhs[l] - rhs[l] - Bv[i][j][l]
+                yield (i, j), signed_sum((lhs[l],), (rhs[l], Bv[i][j][l]), zero)
 
     report.results["i00"] = residual_check("i00", i00_entries(), labels)
 
@@ -168,8 +168,9 @@ def verify_deformation_relations(s: ParacontactStructure,
             t1 = mat_vec(B_op[i], Bv[j][k], zero)
             t2 = mat_vec(B_op[j], Bv[i][k], zero)
             for l in range(d):
-                corr = (nB[(l, i, j, k)] - nB[(l, j, i, k)] + t1[l] - t2[l])
-                yield (i, j, k), lhs[l] - rhs[l] - corr
+                yield (i, j, k), signed_sum(
+                    (lhs[l], nB[(l, j, i, k)], t2[l]),
+                    (rhs[l], nB[(l, i, j, k)], t1[l]), zero)
 
     report.results["i777"] = residual_check("i777", i777_entries(), labels)
     return report

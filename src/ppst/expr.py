@@ -41,7 +41,9 @@ One computation meets the same reductions again and again: a chart
 pipeline makes about ten ``_canonical`` calls per distinct num/den pair.
 So a value's variable tuple is a :class:`Variables`, a tuple that carries
 a memo from the num/den pair given to ``_canonical`` to its canonical
-form, and ``_canonical`` reduces each distinct pair once per memo.  The
+form, and ``_canonical`` reduces each distinct pair once per memo; n/d and
+(-n)/d count as one pair, keyed with the numerator whose lex-leading
+coefficient is positive.  The
 memo is shared by every value built on the same ``Variables`` object: a
 chart model builds one for its coordinates and re-homes every scalar onto
 it, so the memo lives exactly as long as the chart and its structures.
@@ -90,7 +92,8 @@ class Variables(tuple):
     """An ordered tuple of variable names with a memo of canonical forms.
 
     Equality, hashing and printing are those of the plain tuple; ``memo``
-    maps the (num, den) items given to ``_canonical`` to its result.
+    maps the (num, den) items given to ``_canonical``, num with a positive
+    lex-leading coefficient, to its result.
     """
 
     def __new__(cls, names: Iterable[str] = ()):
@@ -225,10 +228,17 @@ def _canonical(variables: Variables, num: PolyDict,
         raise ZeroDenominatorError("denominator is identically zero")
     if not num:
         return (), ((_zero_mono(len(variables)), Fraction(1)),)
+    # n/d and (-n)/d share one memo entry: canonical form is unique and
+    # normalizes only den, so the form of (-n)/d is that of n/d with -num
+    negative = num[_leading(num)] < 0
+    if negative:
+        num = _pneg(num)
     key = (frozenset(num.items()), frozenset(den.items()))
     out = variables.memo.get(key)
     if out is None:
         out = variables.memo[key] = _reduced(variables, num, den)
+    if negative:
+        return tuple((m, -c) for m, c in out[0]), out[1]
     return out
 
 

@@ -44,7 +44,7 @@ from itertools import product
 from typing import Iterator, Mapping, Sequence
 
 from .curvature import covariant_derivative
-from .linalg import bilinear, dot, mat_vec, trace_product
+from .linalg import bilinear, dot, mat_vec, signed_sum, trace_product
 from .models import (
     FrameModel,
     Scalar,
@@ -85,7 +85,17 @@ class IdentityReport:
 
 
 class _Context:
-    """Precomputed basis contractions shared by all identities."""
+    """Precomputed basis contractions shared by all identities.
+
+    With b_a the phi-basis fields, R3[a][b][c] = R(b_a, b_b) b_c and
+    R3_phi[a][b][c] = R(b_a, b_b) phi b_c are vectors, and the curvature
+    identities read the tables
+
+      gR[a][b][c][e]    = g(R(b_a, b_b) b_c, b_e),
+      gRphi[a][b][c][e] = g(R(b_a, b_b) phi b_c, phi b_e),
+
+    built once from them through the contraction kernel.
+    """
 
     def __init__(self, s: ParacontactStructure):
         self.s = s
@@ -127,6 +137,13 @@ class _Context:
                             for op in ops])
             self.R3_phi.append([[mat_vec(op, v, zero) for v in self.phi_b]
                                 for op in ops])
+        # g b_e and g phi b_e as covectors: g(u, b_e) = u . g b_e
+        g_b = [mat_vec(grows, c, zero) for c in self.cols]
+        g_phi_b = [mat_vec(grows, v, zero) for v in self.phi_b]
+        self.gR = [[[[dot(u, w, zero) for w in g_b] for u in rab]
+                    for rab in ra] for ra in self.R3]
+        self.gRphi = [[[[dot(u, w, zero) for w in g_phi_b] for u in rab]
+                       for rab in ra] for ra in self.R3_phi]
         self.xi_index = d - 1  # basis order puts xi last
         # covariant derivatives as (1,2)/(0,2) tensors, then basis-contracted
         conn = s.connection
@@ -180,14 +197,18 @@ def _residual_fn(ctx: _Context, key: str):
     a scalar or a vector."""
     d = ctx.d
     xi = ctx.xi_index
+    zero = ctx.zero
+    gA, gAphi, gAA, eta = ctx.gA, ctx.gAphi, ctx.gAA, ctx.eta_b
+    gR, gRphi = ctx.gR, ctx.gRphi
     if key == "p1":
         return 2, lambda a, b: ctx.gA[a][b] + ctx.gA[b][a]
     if key == "P5":
         def res(a, b):
             lead = ctx.nabla_phi_b[a][b]
-            coeff = ctx.gAphi[a][b]
-            return tuple(lead[l] + coeff * ctx.xi_vec[l]
-                         + ctx.eta_b[b] * ctx.phi_A_b[a][l] for l in range(d))
+            coeffs = (gAphi[a][b], eta[b])
+            return tuple(signed_sum(
+                (lead[l], dot(coeffs, (ctx.xi_vec[l], ctx.phi_A_b[a][l]), zero)),
+                (), zero) for l in range(d))
         return 2, res
     if key == "P6a":
         return 1, lambda b: ctx.nabla_phi_b[xi][b]
@@ -209,27 +230,26 @@ def _residual_fn(ctx: _Context, key: str):
             return tuple(lead[l] + grad[l] for l in range(d))
         return 2, res
     if key == "R1.1":
-        return 2, lambda a, b: (ctx.g(ctx.R3[xi][a][b], ctx.cols[xi])
-                                - ctx.gAA[a][b])
+        return 2, lambda a, b: signed_sum((gR[xi][a][b][xi],), (gAA[a][b],),
+                                          zero)
     if key == "R1.2":
         def val(a, b, c):
-            return (ctx.g(ctx.R3_phi[xi][a][b], ctx.phi_b[c])
-                    + ctx.g(ctx.R3[xi][a][b], ctx.cols[c])
-                    - ctx.gAA[a][b] * ctx.eta_b[c]
-                    + ctx.gAA[a][c] * ctx.eta_b[b])
+            return signed_sum(
+                (gRphi[xi][a][b][c], gR[xi][a][b][c],
+                 dot((gAA[a][c],), (eta[b],), zero)),
+                (dot((gAA[a][b],), (eta[c],), zero),), zero)
         return 3, val
     if key == "R1.3":
         return 0, lambda: ctx.S_b[xi][xi] + ctx.tr_A2
     if key == "RXYY":
         def val(a, b, c, e):
-            return (ctx.g(ctx.R3_phi[a][b][c], ctx.phi_b[e])
-                    + ctx.g(ctx.R3[a][b][c], ctx.cols[e])
-                    - ctx.eta_b[e] * ctx.g(ctx.R3[a][b][c], ctx.cols[xi])
-                    - ctx.eta_b[c] * ctx.g(ctx.R3[a][b][xi], ctx.cols[e])
-                    + ctx.gAphi[a][e] * ctx.gAphi[b][c]
-                    - ctx.gAphi[a][c] * ctx.gAphi[b][e]
-                    - ctx.gA[a][c] * ctx.gA[b][e]
-                    + ctx.gA[a][e] * ctx.gA[b][c])
+            gRab = gR[a][b]
+            return signed_sum(
+                (gRphi[a][b][c][e], gRab[c][e],
+                 dot((gAphi[a][e], gA[a][e]), (gAphi[b][c], gA[b][c]), zero)),
+                (dot((eta[e], eta[c]), (gRab[c][xi], gRab[xi][e]), zero),
+                 dot((gAphi[a][c], gA[a][c]), (gAphi[b][e], gA[b][e]), zero)),
+                zero)
         return 4, val
     if key == "S1":
         def val(a, b):

@@ -12,18 +12,23 @@ and ``invert_matrix`` (the right half of rref [M | I]; a missing pivot
 means singular, so no determinant is computed).
 
 The contraction kernel ``dot``, ``mat_vec``, ``bilinear`` and
-``trace_product`` computes u.v, m v, u^T m v and tr(a b) over row tuples;
-the geometry modules build g(u, v), phi v, eta(v), tr(phi A) and the like
-from it.  Each kernel function takes the field zero once and returns it
-when no term survives, and skips every term with a zero factor before
-multiplying: exact sums do not change, and on sparse frame data the
-skipped terms are most of the work.
+``trace_product`` computes u.v, m v, u^T m v and tr(a b) over row tuples,
+and ``signed_sum`` adds and subtracts given terms.  The geometry modules
+build g(u, v), phi v, eta(v), tr(phi A) and every per-component formula
+(Koszul sums, Riemann and Ricci components, residuals) from it, not with
++ and - of their own, so that a zero term costs a truthiness test and no
+field operation.  Each kernel function skips every zero term and every
+term with a zero factor before multiplying, starts its sum from the first
+surviving term, and returns the field zero it was given when no term
+survives, so its result is that zero or a field element.  Exact sums do
+not change, and on sparse frame data the skipped terms are most of the
+work.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence, TypeVar
+from typing import Iterable, Sequence, TypeVar
 
 F = TypeVar("F")
 Matrix = tuple[tuple[F, ...], ...]
@@ -33,41 +38,72 @@ class SingularMatrixError(Exception):
     """Raised when an exact inverse does not exist."""
 
 
+def signed_sum(plus: Iterable[F], minus: Iterable[F], zero: F) -> F:
+    """sum(plus) - sum(minus), skipping zero terms."""
+    acc = None
+    for t in plus:
+        if t:
+            acc = t if acc is None else acc + t
+    for t in minus:
+        if t:
+            acc = -t if acc is None else acc - t
+    return zero if acc is None else acc
+
+
 def dot(u: Sequence[F], v: Sequence[F], zero: F) -> F:
     """sum_i u_i v_i."""
-    acc = zero
+    acc = None
     for a, b in zip(u, v):
         if a and b:
-            acc = acc + a * b
+            acc = a * b if acc is None else acc + a * b
+    return zero if acc is None else acc
+
+
+def _support(v: Sequence[F]) -> list[tuple[int, F]]:
+    """The (j, v_j) with v_j nonzero."""
+    return [(j, b) for j, b in enumerate(v) if b]
+
+
+def _dot_support(row: Sequence[F], support: list[tuple[int, F]]) -> F | None:
+    """sum_j row_j v_j over the support of v, or None when no term survives."""
+    acc = None
+    for j, b in support:
+        a = row[j]
+        if a:
+            acc = a * b if acc is None else acc + a * b
     return acc
 
 
 def mat_vec(m: Sequence[Sequence[F]], v: Sequence[F], zero: F) -> tuple[F, ...]:
-    """The vector m v."""
-    return tuple(dot(row, v, zero) for row in m)
+    """The vector m v; each entry of v is tested once, not once per row."""
+    support = _support(v)
+    return tuple(zero if x is None else x
+                 for x in (_dot_support(row, support) for row in m))
 
 
 def bilinear(m: Sequence[Sequence[F]], u: Sequence[F], v: Sequence[F],
              zero: F) -> F:
     """sum_ij u_i m_ij v_j."""
-    acc = zero
+    support = _support(v)
+    acc = None
     for a, row in zip(u, m):
         if a:
-            b = dot(row, v, zero)
+            b = _dot_support(row, support)
             if b:
-                acc = acc + a * b
-    return acc
+                acc = a * b if acc is None else acc + a * b
+    return zero if acc is None else acc
 
 
 def trace_product(a: Sequence[Sequence[F]], b: Sequence[Sequence[F]],
                   zero: F) -> F:
     """tr(a b) = sum_km a_km b_mk."""
-    acc = zero
+    acc = None
     for k, row in enumerate(a):
         for m, x in enumerate(row):
-            if x and b[m][k]:
-                acc = acc + x * b[m][k]
-    return acc
+            y = b[m][k]
+            if x and y:
+                acc = x * y if acc is None else acc + x * y
+    return zero if acc is None else acc
 
 
 def _rows(mat: Sequence[Sequence[F]]) -> list[list[F]]:

@@ -439,26 +439,23 @@ Vec = tuple[Scalar, ...]
 
 def _apply_vec(model: ManifoldModel, X: Vec, f: Scalar) -> Scalar:
     """X(f) = X^i e_i(f), differentiating only along the nonzero X^i."""
-    acc = model.zero
-    for i, a in enumerate(X):
-        if a:
-            df = model.diff(i, f)
-            if df:
-                acc = acc + a * df
-    return acc
+    return linalg.dot(X, [model.diff(i, f) if a else a for i, a in enumerate(X)],
+                      model.zero)
 
 
 def _bracket_comps(model: ManifoldModel, X: Vec, Y: Vec) -> Vec:
-    """[X, Y]^k = X(Y^k) - Y(X^k) + X^i Y^j c^k_ij."""
-    d = model.dim
+    """[X, Y]^k = X(Y^k) - Y(X^k) + X^i Y^j c^k_ij.
+
+    A frame's scalars are constants and a chart's coordinate fields
+    commute, so only the last term is left on a frame and only the first
+    two on a chart.
+    """
     zero = model.zero
-    out = []
-    for k in range(d):
-        acc = _apply_vec(model, X, Y[k]) - _apply_vec(model, Y, X[k])
-        if isinstance(model, FrameModel):
-            acc = acc + linalg.bilinear(model.slabs[k], X, Y, zero)
-        out.append(acc)
-    return tuple(out)
+    if isinstance(model, FrameModel):
+        return tuple(linalg.bilinear(slab, X, Y, zero) for slab in model.slabs)
+    return tuple(linalg.signed_sum((_apply_vec(model, X, y),),
+                                   (_apply_vec(model, Y, x),), zero)
+                 for x, y in zip(X, Y))
 
 
 def lie_bracket(X: TensorField, Y: TensorField) -> TensorField:
@@ -495,21 +492,20 @@ def exterior_derivative(omega: TensorField) -> TensorField:
     scale = Fraction(1, n)
     out = []
     for off, idx in enumerate(product(range(d), repeat=n)):
-        val = model.zero
+        terms = ([], [])  # the terms added and those subtracted
         for a, i in enumerate(idx):
             # offsets are read digit-wise in base d: rest is ω's offset of
             # idx without slot a, base that of idx without slots a and b
             rest = off // pw[n - a] * pw[p - a] + off % pw[p - a]
-            df = model.diff(i, w[rest])
-            if df:
-                val = val - df if a % 2 else val + df
+            terms[a % 2].append(model.diff(i, w[rest]))
             for b in range(a + 1, n):
                 base = rest // pw[n - b] * pw[p - b] + rest % pw[p - b]
                 for m, c in brackets[i][idx[b]]:
                     other = w[m * pw[p - 1] + base]
                     if other:
-                        val = val - c * other if (a + b) % 2 else val + c * other
-        out.append(val * scale)
+                        terms[(a + b) % 2].append(c * other)
+        val = linalg.signed_sum(*terms, model.zero)
+        out.append(val * scale if val else val)
     return TensorField(model, (0, n), out)
 
 
@@ -540,8 +536,6 @@ def _derivation(T: TensorField, act, images: Sequence[Vec]) -> list[Scalar]:
             for m, c in terms[i]:
                 other = data[base + m * stride]
                 if other:
-                    # subtracting, not adding -c: the chart memo keys on
-                    # the signed num/den pair of each product
                     val = val + c * other if add else val - c * other
         out.append(val)
     return out

@@ -22,7 +22,9 @@ coefficient of more than MAX_DIGITS digits, is a ParseError.  So is a value
 whose operations predict more than MAX_VALUE_TERMS terms in all.  A sum or
 difference is charged its predicted terms less those its larger operand
 carries over beyond the smaller one, so a written-out sum of k monomials
-costs about 2k terms, not k^2/2.
+costs about 2k terms, not k^2/2.  The parser carries each value's size with
+it, so the budget scans the coefficients of a sum of k distinct monomials
+about 10k times in all, not k^2/2.
 
 Errors carry 1-based character positions.  Division by a structurally zero
 expression raises ZeroDenominatorError, as in the kernel.
@@ -106,18 +108,38 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
-def _size(value: RationalExpr) -> tuple[int, int, float]:
-    """Terms of num and den, and log10 of the largest coefficient part."""
+# terms of num and den, and log10 of the largest coefficient part
+Size = tuple[int, int, float]
+# a value paired with its size, which the parser computes once
+Sized = tuple[RationalExpr, Size]
+
+
+def _size(value: RationalExpr) -> Size:
+    """The size of a value, from a scan of its coefficients."""
     return (len(value.num), len(value.den),
             max(log10(max(abs(c.numerator), c.denominator))
                 for _, c in value.num + value.den))
 
 
-def _predicted_size(op: str, a: RationalExpr,
-                    b: RationalExpr) -> tuple[int, float]:
+def _sum_size(a: Sized, b: Sized, value: RationalExpr) -> Size:
+    """The size of value = a + b or a - b.
+
+    Over one denominator d, a canonical result with denominator d is
+    (n_a +- n_b)/d itself, and one with as many terms as both numerators
+    together merged no monomial, so its coefficients are those of the
+    operands and no scan is needed: a written-out sum of k monomials costs
+    k scans, not k^2/2.
+    """
+    (va, (na, da, ma)), (vb, (nb, _, mb)) = a, b
+    if va.den == vb.den == value.den and len(value.num) == na + nb:
+        return na + nb, da, max(ma, mb)
+    return _size(value)
+
+
+def _predicted_size(op: str, a: Sized, b: Sized) -> tuple[int, float]:
     """Predicted terms and digits of a op b, from the sizes of a and b."""
-    (na, da, ma), (nb, db, mb) = _size(a), _size(b)
-    if op in "+-" and a.den == b.den:
+    (va, (na, da, ma)), (vb, (nb, db, mb)) = a, b
+    if op in "+-" and va.den == vb.den:
         return max(na + nb, da), max(ma, mb) + log10(2)
     if op in "+-":
         return max(na * db + nb * da, da * db), ma + mb + log10(2)
@@ -135,9 +157,9 @@ def _carried_terms(a: RationalExpr, b: RationalExpr) -> int:
     return abs(max(len(a.num), len(a.den)) - max(len(b.num), len(b.den)))
 
 
-def _predicted_power_size(a: RationalExpr, n: int) -> tuple[int, float]:
+def _predicted_power_size(size: Size, n: int) -> tuple[int, float]:
     """Terms and digits of a^n: a t-term sum to the n has C(n+t-1, t-1) terms."""
-    na, da, ma = _size(a)
+    na, da, ma = size
     t = max(na, da)
     return comb(n + t - 1, t - 1), n * (ma + log10(t))
 
@@ -180,46 +202,48 @@ class _Parser:
             raise ParseError(f"expected {op!r}", position)
 
     def parse(self) -> RationalExpr:
-        value = self.expr()
+        value, _ = self.expr()
         kind, text, position = self.peek()
         if kind != "end":
             raise ParseError(f"unexpected trailing input {text!r}", position)
         return value
 
-    def expr(self) -> RationalExpr:
-        value = self.term()
+    def expr(self) -> Sized:
+        lhs = self.term()
         while True:
             kind, op, position = self.peek()
             if kind == "op" and op in "+-":
                 self.next()
                 rhs = self.term()
-                self.charge(_predicted_size(op, value, rhs), position,
-                            _carried_terms(value, rhs))
-                value = value + rhs if op == "+" else value - rhs
+                self.charge(_predicted_size(op, lhs, rhs), position,
+                            _carried_terms(lhs[0], rhs[0]))
+                value = lhs[0] + rhs[0] if op == "+" else lhs[0] - rhs[0]
+                lhs = value, _sum_size(lhs, rhs, value)
             else:
-                return value
+                return lhs
 
-    def term(self) -> RationalExpr:
-        value = self.factor()
+    def term(self) -> Sized:
+        lhs = self.factor()
         while True:
             kind, op, position = self.peek()
             if kind == "op" and op in "*/":
                 self.next()
                 rhs = self.factor()
-                self.charge(_predicted_size(op, value, rhs), position)
+                self.charge(_predicted_size(op, lhs, rhs), position)
                 if op == "*":
-                    value = value * rhs
+                    value = lhs[0] * rhs[0]
                 else:
                     try:
-                        value = value / rhs
+                        value = lhs[0] / rhs[0]
                     except ZeroDenominatorError:
                         raise ZeroDenominatorError(
                             f"division by zero expression (position {position})"
                         ) from None
+                lhs = value, _size(value)
             else:
-                return value
+                return lhs
 
-    def factor(self) -> RationalExpr:
+    def factor(self) -> Sized:
         negate = False
         while True:
             kind, op, _ = self.peek()
@@ -229,11 +253,11 @@ class _Parser:
                     negate = not negate
             else:
                 break
-        value = self.power()
-        return -value if negate else value
+        value, size = self.power()
+        return (-value if negate else value), size
 
-    def power(self) -> RationalExpr:
-        value = self.atom()
+    def power(self) -> Sized:
+        value, size = self.atom()
         kind, op, op_position = self.peek()
         if kind == "op" and op == "^":
             self.next()
@@ -250,16 +274,17 @@ class _Parser:
                     or int(digits) > MAX_EXPONENT):
                 raise ParseError(f"exponent exceeds {MAX_EXPONENT} in absolute "
                                  f"value", position)
-            self.charge(_predicted_power_size(value, int(digits)), op_position)
+            self.charge(_predicted_power_size(size, int(digits)), op_position)
             try:
                 value = value ** (sign * int(digits))
             except ZeroDenominatorError:
                 raise ZeroDenominatorError(
                     f"zero raised to a negative power (position {position})"
                 ) from None
-        return value
+            size = _size(value)
+        return value, size
 
-    def atom(self) -> RationalExpr:
+    def atom(self) -> Sized:
         kind, text, position = self.next()
         if kind == "num":
             if len(text) - text.count(".") > MAX_DIGITS:
@@ -269,15 +294,17 @@ class _Parser:
                 value = Fraction(int(whole + frac), 10 ** len(frac))
             else:
                 value = Fraction(int(text))
-            return RationalExpr.constant(value, self.variables)
+            const = RationalExpr.constant(value, self.variables)
+            return const, _size(const)
         if kind == "name":
             if text not in self.variables:
                 raise UnknownVariableError(f"unknown variable {text!r}", position)
-            return RationalExpr.variable(text, self.variables)
+            var = RationalExpr.variable(text, self.variables)
+            return var, _size(var)
         if kind == "op" and text == "(":
-            value = self.expr()
+            sized = self.expr()
             self.expect_op(")")
-            return value
+            return sized
         raise ParseError(f"expected a number, variable or '('", position)
 
 

@@ -42,7 +42,6 @@ from .models import (
     GeometryError,
     TensorField,
     constant_ratio,
-    exterior_derivative,
 )
 from .report import CheckResult, residual_check
 from .structures import ParacontactStructure, StructureError, nijenhuis_N1
@@ -345,7 +344,7 @@ def search_constant_negative_curvature(
                     continue
                 if not nijenhuis_N1(s).is_zero:
                     continue
-                if not exterior_derivative(s.Phi).is_zero:
+                if not s.dPhi.is_zero:
                     continue
                 K = constant_curvature_of(s)
                 if K is None or K >= 0:

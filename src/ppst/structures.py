@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from itertools import combinations_with_replacement, product
+from itertools import combinations, combinations_with_replacement, product
 from typing import Mapping, Sequence
 
 from . import linalg
@@ -42,7 +42,7 @@ from .curvature import (
     star_ricci_scalar,
 )
 from .expr import EvaluationError
-from .linalg import bilinear, dot, mat_vec
+from .linalg import bilinear, dot, mat_vec, signed_sum
 from .models import (
     ChartModel,
     FrameModel,
@@ -140,8 +140,8 @@ class ParacontactStructure:
     ``declared_frame`` optionally lists 2n+1 vector fields claimed to form a
     phi-basis in the order (X_1..X_n, Y_1..Y_n, xi); it is verified, never
     trusted.  If ``eta`` is omitted it is derived as g(., xi) and flagged.
-    All derived data (connection, curvature, Phi, N1, A, h, phi-basis) is
-    computed lazily once; instances are treated as immutable.
+    All derived data (connection, curvature, Phi, deta, dPhi, N1, A, h,
+    phi-basis) is computed lazily once; instances are treated as immutable.
     """
 
     def __init__(self, model: ManifoldModel, phi: TensorField, xi: TensorField,
@@ -189,6 +189,14 @@ class ParacontactStructure:
         return self._get("Phi", lambda: fundamental_form(self))
 
     @property
+    def deta(self) -> TensorField:
+        return self._get("deta", lambda: exterior_derivative(self.eta))
+
+    @property
+    def dPhi(self) -> TensorField:
+        return self._get("dPhi", lambda: exterior_derivative(self.Phi))
+
+    @property
     def N1(self) -> TensorField:
         return self._get("N1", lambda: nijenhuis_N1(self))
 
@@ -234,7 +242,7 @@ def nijenhuis_N1(s: ParacontactStructure) -> TensorField:
     d = model.dim
     ph = s.phi.rows()
     xv = s.xi.vec()
-    deta = exterior_derivative(s.eta)
+    deta = s.deta
     phicols = tuple(zip(*ph))
     zero = model.zero
     entries = {}
@@ -244,9 +252,12 @@ def nijenhuis_N1(s: ParacontactStructure) -> TensorField:
         t2 = _bracket_comps(model, phicols[i], phicols[j])
         t3 = mat_vec(ph, _bracket_comps(model, phicols[i], model.delta(j)), zero)
         t4 = mat_vec(ph, _bracket_comps(model, model.delta(i), phicols[j]), zero)
-        two_deta = 2 * deta[(i, j)]
+        dij = deta[(i, j)]
         for k in range(d):
-            entries[(k, i, j)] = t1[k] + t2[k] - t3[k] - t4[k] - two_deta * xv[k]
+            entries[(k, i, j)] = signed_sum(
+                (t1[k], t2[k]),
+                (t3[k], t4[k], 2 * dij * xv[k] if dij and xv[k] else zero),
+                zero)
     return TensorField.from_entries(model, (1, 2), entries)
 
 
@@ -327,18 +338,27 @@ def validate_structure(s: ParacontactStructure,
     axiom("eta_phi", {(j,): dot(ev, phicols[j], zero) for j in range(d)},
           "eta(phi .)")
 
-    # metric signature (n+1, n) at the sample point
-    inertia: tuple[int, int, int] | None
-    try:
-        gmat = _evaluate_matrix(s, s.g, pt)
-        inertia = linalg.symmetric_signature(gmat)
-        ok = inertia == (n + 1, n, 0)
-        checks.append(CheckResult("metric_signature", ok,
-                                  witness=None if ok else
-                                  f"inertia {inertia} at {pt}, expected {(n + 1, n, 0)}"))
-    except EvaluationError as exc:  # e.g. a constraint violated at a custom point
-        inertia = None
-        checks.append(CheckResult("metric_signature", False, witness=str(exc)))
+    # metric signature (n+1, n) at the sample point; inertia is defined
+    # for a symmetric g only, so an asymmetric pair is the witness
+    inertia: tuple[int, int, int] | None = None
+    asym = next(((i, j) for i, j in combinations(range(d), 2)
+                 if grows[i][j] != grows[j][i]), None)
+    if asym is not None:
+        i, j = asym
+        li, lj = model.basis_labels[i], model.basis_labels[j]
+        checks.append(CheckResult(
+            "metric_signature", False,
+            witness=f"g({li},{lj}) = {grows[i][j]}, g({lj},{li}) = {grows[j][i]}"))
+    else:
+        try:
+            inertia = linalg.symmetric_signature(_evaluate_matrix(s, s.g, pt))
+            ok = inertia == (n + 1, n, 0)
+            checks.append(CheckResult(
+                "metric_signature", ok, witness=None if ok else
+                f"inertia {inertia} at {pt}, expected {(n + 1, n, 0)}"))
+        except EvaluationError as exc:  # e.g. a constraint violated at a custom point
+            inertia = None
+            checks.append(CheckResult("metric_signature", False, witness=str(exc)))
 
     # eigendistributions of phi: dim D+ = dim D- = n
     eigen: tuple[int, int] | None
@@ -505,9 +525,7 @@ def classify(s: ParacontactStructure,
         names = ", ".join(c.name for c in report.failures())
         raise StructureError(f"structure fails axioms: {names}", report)
     labels = s.model.basis_labels
-    deta = exterior_derivative(s.eta)
-    dPhi = exterior_derivative(s.Phi)
-    N1 = s.N1
+    deta, dPhi, N1 = s.deta, s.dPhi, s.N1
     lxi_g = lie_derivative(s.g, s.xi)
 
     flags: dict[str, bool] = {}

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+from itertools import product
+
 import pytest
 
 from _models import (
     chart_corrected,
+    golden_structure,
     chart_printed,
     flat_cosymplectic,
     frame_example,
@@ -13,8 +16,27 @@ from _models import (
 )
 from ppst import identities
 from ppst.identities import IDENTITY_KEYS, check_single, run_suite
+from ppst.linalg import bilinear, mat_vec
 from ppst.models import FrameModel, TensorField
 from ppst.structures import ParacontactStructure, StructureError
+
+
+@pytest.mark.parametrize("spec", ["heisenberg5-c4.spec", "chart-1+z2.spec"])
+def test_curvature_tables_match_the_operator(spec):
+    """gR and gRphi against g(R(b_a, b_b) u, w) from the curvature operator."""
+    s = golden_structure(spec)
+    ctx = identities._Context(s)
+    zero, g, ph = s.model.zero, s.g.rows(), s.phi.rows()
+    cols = [b.vec() for b in s.phi_basis]
+    phi_cols = [mat_vec(ph, c, zero) for c in cols]
+    d = len(cols)
+    for a, b in product(range(d), repeat=2):
+        op = s.curvature.operator(cols[a], cols[b])
+        for c, e in product(range(d), repeat=2):
+            assert ctx.gR[a][b][c][e] == bilinear(
+                g, mat_vec(op, cols[c], zero), cols[e], zero)
+            assert ctx.gRphi[a][b][c][e] == bilinear(
+                g, mat_vec(op, phi_cols[c], zero), phi_cols[e], zero)
 
 
 def test_identity_keys_canonical_order():

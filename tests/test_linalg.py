@@ -79,3 +79,65 @@ def test_singular_matrix_has_no_inverse(name):
 def test_empty_matrix_has_rank_zero():
     assert linalg.rank(()) == 0
     assert linalg.nullspace((), F(1)) == []
+
+
+# kernel inputs per field: zero, then (u, v, m) dense, sparse and with
+# disjoint supports, where no term survives
+KERNEL_INPUTS = {
+    "fraction": (F(0), {
+        "dense": ((F(2), F(-1, 2), F(3)), (F(1), F(4), F(-2, 3)),
+                  _fractions([[1, 2, 0], ["1/3", -1, 5], [2, 2, 2]])),
+        "sparse": ((F(0), F(5), F(0)), (F(7), F(-1), F(0)),
+                   _fractions([[0, 0, 0], [0, 0, 3], [0, 4, 0]])),
+        "disjoint": ((F(0), F(5), F(0)), (F(7), F(0), F(0)),
+                     _fractions([[0, 0, 0], [0, 0, 3], [0, 0, 0]])),
+    }),
+    "chart": (CHART.zero, {
+        "dense": (_chart([["1 + y^2", "x", "-1/(1 + z)"]])[0],
+                  _chart([["x", "z", "y^2"]])[0],
+                  _chart([["1", "x", "0"], ["y", "1/(1 + y^2)", "z"],
+                          ["2", "x*z", "1"]])),
+        "sparse": (_chart([["0", "x*y", "0"]])[0], _chart([["1", "1 + z", "0"]])[0],
+                   _chart([["0", "0", "0"], ["0", "0", "x"], ["0", "y", "0"]])),
+        "disjoint": (_chart([["0", "x*y", "0"]])[0], _chart([["1", "0", "0"]])[0],
+                     _chart([["0", "0", "0"], ["0", "0", "x"], ["0", "0", "0"]])),
+    }),
+}
+
+
+def _naive(zero, plus, minus=()):
+    acc = zero
+    for t in plus:
+        acc = acc + t
+    for t in minus:
+        acc = acc - t
+    return acc
+
+
+@pytest.mark.parametrize("field", KERNEL_INPUTS)
+@pytest.mark.parametrize("shape", ["dense", "sparse", "disjoint"])
+def test_kernel_equals_the_naive_sum_and_stays_in_the_field(field, shape):
+    zero, inputs = KERNEL_INPUTS[field]
+    u, v, m = inputs[shape]
+    got = {
+        "signed_sum": linalg.signed_sum(u, v, zero),
+        "dot": linalg.dot(u, v, zero),
+        "bilinear": linalg.bilinear(m, u, v, zero),
+        "trace_product": linalg.trace_product(m, m, zero),
+    }
+    want = {
+        "signed_sum": _naive(zero, u, v),
+        "dot": _naive(zero, [a * b for a, b in zip(u, v)]),
+        "bilinear": _naive(zero, [u[i] * m[i][j] * v[j]
+                                  for i in range(3) for j in range(3)]),
+        "trace_product": _naive(zero, [m[k][j] * m[j][k]
+                                       for k in range(3) for j in range(3)]),
+    }
+    assert got == want
+    for value in got.values():
+        assert type(value) is type(zero)
+    if shape == "disjoint":  # no term survives: the given zero comes back
+        for name in ("dot", "bilinear", "trace_product"):
+            assert got[name] is zero
+    assert linalg.signed_sum((zero, zero), (zero,), zero) is zero
+    assert linalg.signed_sum((), (), zero) is zero

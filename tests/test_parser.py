@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from ppst import parser
 from ppst.expr import RationalExpr, ZeroDenominatorError
 from ppst.parser import (MAX_DIGITS, MAX_EXPONENT, MAX_VALUE_TERMS, ParseError,
                          UnknownVariableError, parse_expr)
@@ -92,6 +93,28 @@ def test_value_budget_charges_a_written_out_sum_linearly():
     monomials = [f"x^{i}*y^{j}" for i in range(23) for j in range(23)][:500]
     value = parse_expr(" + ".join(monomials), VARS)
     assert len(value.num) == 500 and value.is_polynomial
+
+
+def test_value_sizes_are_scanned_linearly(monkeypatch):
+    """The budget scans each value's coefficients once, and a merge-free sum
+    takes its size from its operands: a written-out sum of k monomials
+    scans about 10k coefficients, not k^2/2."""
+    scanned = []
+    size = parser._size
+
+    def counted(value):
+        scanned.append(len(value.num) + len(value.den))
+        return size(value)
+
+    monkeypatch.setattr(parser, "_size", counted)
+    monomials = [f"x^{i}*y^{j}" for i in range(27) for j in range(27)]
+    counts = {}
+    for k in (350, 700):
+        scanned.clear()
+        assert len(parse_expr(" + ".join(monomials[:k]), VARS).num) == k
+        counts[k] = (len(scanned), sum(scanned))
+    assert counts[700] == (2 * counts[350][0], 2 * counts[350][1])
+    assert counts[700][1] <= 10 * 700
 
 
 def test_unknown_variable_position():

@@ -13,7 +13,9 @@ from _models import (
     frame_example,
     negative_curvature_frame,
 )
+from ppst.cli import run_command
 from ppst.models import ChartModel, FrameModel, TensorField
+from ppst.specfile import import_text
 from ppst.structures import (
     ParacontactStructure,
     StructureError,
@@ -111,6 +113,50 @@ def test_signature_failure_detected():
     checks = _check_map(report)
     assert not checks["metric_signature"].passed
     assert not checks["metric_phi_compatibility"].passed
+
+
+ASYMMETRIC_METRIC_SPEC = """\
+[manifold]
+name = asymmetric-metric
+mode = frame
+dim = 3
+labels = e1, e2, xi
+signature = +1, -1, +1
+
+[brackets]
+e1, e2 = 4*xi
+
+[g]
+row1 = 1, 2, 0
+row2 = -2, -1, 0
+row3 = 0, 0, 1
+
+[phi]
+row1 = 0, 1, 0
+row2 = 1, 0, 0
+row3 = 0, 0, 0
+
+[xi]
+components = 0, 0, 1
+
+[eta]
+components = 0, 0, 1
+"""
+
+
+def test_asymmetric_metric_fails_signature_with_the_pair(tmp_path):
+    """The symmetric part diag(1, -1, 1) has the right inertia, so only the
+    asymmetric pair can witness the failure; every other axiom holds."""
+    report = import_text(ASYMMETRIC_METRIC_SPEC).axiom_report()
+    assert [c.name for c in report.failures()] == ["metric_signature"]
+    assert (_check_map(report)["metric_signature"].witness
+            == "g(e1,e2) = 2, g(e2,e1) = -2")
+    assert report.inertia is None
+    spec = tmp_path / "asymmetric.spec"
+    spec.write_text(ASYMMETRIC_METRIC_SPEC, encoding="utf-8")
+    cli_report = run_command(["check", str(spec)])
+    assert cli_report.exit_code == 1
+    assert "metric_inertia" not in cli_report.data
 
 
 # -- derived tensors ----------------------------------------------------------

@@ -23,8 +23,8 @@ whose operations predict more than MAX_VALUE_TERMS terms in all.  A sum or
 difference is charged its predicted terms less those its larger operand
 carries over beyond the smaller one, so a written-out sum of k monomials
 costs about 2k terms, not k^2/2.  The parser carries each value's size with
-it, so the budget scans the coefficients of a sum of k distinct monomials
-about 10k times in all, not k^2/2.
+it, so the budget of a written-out sum of k distinct monomials scans a
+number of coefficients linear in k, not k^2/2.
 
 Errors carry 1-based character positions.  Division by a structurally zero
 expression raises ZeroDenominatorError, as in the kernel.
@@ -127,8 +127,7 @@ def _sum_size(a: Sized, b: Sized, value: RationalExpr) -> Size:
     Over one denominator d, a canonical result with denominator d is
     (n_a +- n_b)/d itself, and one with as many terms as both numerators
     together merged no monomial, so its coefficients are those of the
-    operands and no scan is needed: a written-out sum of k monomials costs
-    k scans, not k^2/2.
+    operands and no scan is needed.
     """
     (va, (na, da, ma)), (vb, (nb, _, mb)) = a, b
     if va.den == vb.den == value.den and len(value.num) == na + nb:

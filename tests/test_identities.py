@@ -8,10 +8,10 @@ import pytest
 
 from _models import (
     chart_corrected,
-    golden_structure,
     chart_printed,
     flat_cosymplectic,
     frame_example,
+    golden_structure,
     negative_curvature_frame,
 )
 from ppst import identities

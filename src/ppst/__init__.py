@@ -54,7 +54,7 @@ from .deformation import (
     verify_deformation_relations,
 )
 from .expr import DomainConstraint, RationalExpr
-from .identities import IDENTITY_KEYS, IdentityReport, check_single, run_suite
+from .identities import IDENTITY_KEYS, IdentityReport, run_suite
 from .models import (
     ChartModel,
     FrameModel,
@@ -110,7 +110,6 @@ __all__ = [
     "TheoremReport",
     "apply_deformation",
     "check_constant_curvature_theorem",
-    "check_single",
     "classify",
     "constant_curvature_of",
     "detect_homothetic_origin",

@@ -42,12 +42,10 @@ from .deformation import (
 from .identities import run_suite
 from .linalg import bilinear, trace_product
 from .models import ChartModel, GeometryError, format_combination
-from .report import CheckResult, Report, digest_text, error_report, residual_check
+from .report import _ZERO_DIGEST, CheckResult, Report, digest_text, error_report, residual_check
 from .spaceforms import check_constant_curvature_theorem, get_model, model_catalog
 from .specfile import SpecFileError, export_spec, export_text, import_text
 from .structures import StructureError, validate_structure
-
-_ZERO_DIGEST = "sha256:" + "0" * 64
 
 
 class _InputError(Exception):

@@ -102,9 +102,9 @@ def metric_inverse(g: TensorField) -> tuple[tuple[Scalar, ...], ...]:
         raise DegenerateMetricError("metric determinant is identically zero") from None
 
 
-def levi_civita(g: TensorField, model: ManifoldModel | None = None) -> ConnectionData:
+def levi_civita(g: TensorField) -> ConnectionData:
     """The unique torsion-free metric connection of an exact metric."""
-    model = model or g.model
+    model = g.model
     if g.valence != (0, 2):
         raise GeometryError("metric must have valence (0,2)")
     d = model.dim
@@ -179,7 +179,7 @@ def riemann(conn: ConnectionData) -> CurvatureData:
     return CurvatureData(connection=conn, _nested=nested)
 
 
-def ricci_scalar(curv: CurvatureData, g: TensorField) -> tuple[TensorField, Scalar]:
+def ricci_scalar(curv: CurvatureData) -> tuple[TensorField, Scalar]:
     """(Ricci tensor, scalar curvature); also cached on the CurvatureData."""
     model = curv.model
     d = model.dim
@@ -188,19 +188,12 @@ def ricci_scalar(curv: CurvatureData, g: TensorField) -> tuple[TensorField, Scal
     entries = {(j, k): signed_sum((R[a][k][a][j] for a in range(d)), (), zero)
                for j, k in product(range(d), repeat=2)}
     S = TensorField.from_entries(model, (0, 2), entries)
-    r = trace_product(_inverse_of(curv, g), S.rows(), zero)
+    r = trace_product(curv.connection.metric_inverse, S.rows(), zero)
     curv.ricci, curv.scalar = S, r
     return S, r
 
 
-def _inverse_of(curv: CurvatureData, g: TensorField):
-    """g^-1 (symmetric), reusing the connection's when g is its metric."""
-    if g is curv.connection.metric:
-        return curv.connection.metric_inverse
-    return metric_inverse(g)
-
-
-def star_ricci_scalar(curv: CurvatureData, g: TensorField, phi: TensorField,
+def star_ricci_scalar(curv: CurvatureData, phi: TensorField,
                       ) -> tuple[TensorField, Scalar]:
     """(star-Ricci tensor, star scalar); assumes phi is g-skew-adjoint."""
     model = curv.model
@@ -219,7 +212,7 @@ def star_ricci_scalar(curv: CurvatureData, g: TensorField, phi: TensorField,
             img = [mat_vec(op, phicols[b], zero) for op in ops]
             entries[(a, b)] = -trace_product(ph, tuple(zip(*img)), zero)
     S = TensorField.from_entries(model, (0, 2), entries)
-    r = trace_product(_inverse_of(curv, g), S.rows(), zero)
+    r = trace_product(curv.connection.metric_inverse, S.rows(), zero)
     curv.star_ricci, curv.star_scalar = S, r
     return S, r
 
@@ -262,9 +255,8 @@ def first_bianchi_residual(curv: CurvatureData) -> TensorField:
     return TensorField.from_entries(model, (1, 3), entries)
 
 
-def ricci_symmetry_residual(curv: CurvatureData, g: TensorField) -> TensorField:
-    S, _ = (curv.ricci, curv.scalar) if curv.ricci is not None \
-        else ricci_scalar(curv, g)
+def ricci_symmetry_residual(curv: CurvatureData) -> TensorField:
+    S = curv.ricci if curv.ricci is not None else ricci_scalar(curv)[0]
     model = curv.model
     d = model.dim
     entries = {(j, k): S[(j, k)] - S[(k, j)] for j, k in product(range(d), repeat=2)}

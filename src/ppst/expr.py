@@ -10,8 +10,10 @@ Every value is kept in a canonical form:
 * zero is represented as num = 0, den = 1.
 
 Canonical form makes structural equality decide mathematical equality, so
-``is_identically_zero`` is a constant-time test.  Values are immutable and
-all operations are pure; cached canonical tuples make instances hashable.
+``is_zero`` is a constant-time test.  Values are immutable and all
+operations are pure; cached canonical tuples make instances hashable.
+Values over different variable tuples do not combine: arithmetic between
+them raises VariableMismatchError, also for constants.
 
 Arithmetic on two canonical operands n1/d1 and n2/d2 skips every GCD that
 canonical form already proves to be 1:
@@ -307,21 +309,17 @@ def _poly_str(variables: tuple[str, ...], terms: PolyTerms) -> str:
 
 @dataclass(frozen=True)
 class DomainConstraint:
-    """A coordinate-domain restriction, e.g. "z is nowhere zero".
-
-    Only the ``nonzero`` relation exists: the constrained expression must not
-    vanish at any admissible point.
-    """
+    """A coordinate-domain restriction: the expression vanishes nowhere."""
 
     expression: "RationalExpr"
-    relation: str = "nonzero"
-
-    def __post_init__(self) -> None:
-        if self.relation != "nonzero":
-            raise ValueError(f"unsupported constraint relation {self.relation!r}")
 
     def holds_at(self, point: Mapping[str, Fraction | int]) -> bool:
-        return self.expression.evaluate(point) != 0
+        """Whether the point lies in the domain; a point where the
+        expression is undefined lies outside it."""
+        try:
+            return self.expression.evaluate(point) != 0
+        except EvaluationError:
+            return False
 
     def __str__(self) -> str:
         return f"{self.expression} != 0"
@@ -421,10 +419,6 @@ class RationalExpr:
         if isinstance(other, RationalExpr):
             if other.variables == self.variables:
                 return other
-            if other.is_constant:
-                return RationalExpr.constant(other.constant_value(), self.variables)
-            if self.is_constant:
-                return other  # caller swaps roles via reflected op
             raise VariableMismatchError(
                 f"cannot combine expressions over {self.variables} and {other.variables}")
         if isinstance(other, (int, Fraction)):
@@ -437,8 +431,6 @@ class RationalExpr:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if o.variables != self.variables:
-            return o + self.constant_value()
         nv = len(self.variables)
         if _is_one(o.den, nv) or _is_one(self.den, nv):
             p, q = (o, self) if _is_one(o.den, nv) else (self, o)
@@ -472,8 +464,6 @@ class RationalExpr:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if o.variables != self.variables:
-            return o * self.constant_value()
         if not self.num:
             return self
         if not o.num:
@@ -498,8 +488,6 @@ class RationalExpr:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if o.variables != self.variables:
-            return RationalExpr.constant(self.constant_value(), o.variables) / o
         return self * o._reciprocal()
 
     def __rtruediv__(self, other: Scalar) -> "RationalExpr":
@@ -591,20 +579,3 @@ class RationalExpr:
 
     def __repr__(self) -> str:
         return f"RationalExpr({str(self)!r}, variables={self.variables!r})"
-
-
-# ---------------------------------------------------------------------------
-# functional API
-
-def derivative(expr: RationalExpr, var: str) -> RationalExpr:
-    return expr.derivative(var)
-
-
-def evaluate(expr: RationalExpr, point: Mapping[str, Fraction | int],
-             constraints: Iterable[DomainConstraint] = ()) -> Fraction:
-    return expr.evaluate(point, constraints)
-
-
-def is_identically_zero(expr: RationalExpr) -> bool:
-    """Exact zero test; canonical form makes this a structural check."""
-    return expr.is_zero

@@ -307,18 +307,8 @@ def _judge(ctx: _Context, key: str, mode: str,
     return CheckResult(key, True, details=details)
 
 
-def check_single(s: ParacontactStructure, key: str, mode: str = "auto",
-                 points: Sequence[Mapping[str, Fraction]] | None = None) -> CheckResult:
-    """Evaluate one identity; see run_suite for hypothesis handling."""
-    if key not in IDENTITY_KEYS:
-        raise KeyError(f"unknown identity key {key!r}; valid: {IDENTITY_KEYS}")
-    report = run_suite(s, mode=mode, points=points, only=(key,))
-    return report.results[key]
-
-
 def run_suite(s: ParacontactStructure, mode: str = "auto",
-              points: Sequence[Mapping[str, Fraction]] | None = None,
-              only: Sequence[str] | None = None) -> IdentityReport:
+              points: Sequence[Mapping[str, Fraction]] | None = None) -> IdentityReport:
     """Run the identity suite; refuses on non-quasi-para-Sasakian input.
 
     mode: "auto" (symbolic), "symbolic", or "sampled" (``sample_points``, or
@@ -343,7 +333,6 @@ def run_suite(s: ParacontactStructure, mode: str = "auto",
         else:
             pts = sample_points(s.model, 5)
     ctx = _Context(s)
-    keys = tuple(only) if only else IDENTITY_KEYS
-    results = {key: _judge(ctx, key, mode, pts) for key in keys}
+    results = {key: _judge(ctx, key, mode, pts) for key in IDENTITY_KEYS}
     return IdentityReport(structure_name=s.name, mode=mode, results=results,
                           sample_points=pts)

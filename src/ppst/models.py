@@ -171,9 +171,6 @@ class ChartModel(ManifoldModel):
             if value.variables == self.scalar_variables:
                 return RationalExpr._make(self.scalar_variables, value.num,
                                           value.den)
-            if value.is_constant:
-                return RationalExpr.constant(value.constant_value(),
-                                             self.scalar_variables)
             raise GeometryError(f"scalar over wrong variables: {value!r}")
         if isinstance(value, str):
             return parse_expr(value, self.scalar_variables)
@@ -314,10 +311,6 @@ class TensorField:
     # -- constructors --------------------------------------------------------
 
     @classmethod
-    def zero(cls, model: ManifoldModel, valence: tuple[int, int]) -> "TensorField":
-        return cls(model, valence, [0] * model.dim ** sum(valence))
-
-    @classmethod
     def from_entries(cls, model: ManifoldModel, valence: tuple[int, int],
                      entries: Mapping[tuple[int, ...], ScalarLike]) -> "TensorField":
         rank = sum(valence)
@@ -401,9 +394,6 @@ class TensorField:
         return TensorField(self.model, self.valence,
                            [a - b for a, b in zip(self.data, other.data)])
 
-    def __neg__(self) -> "TensorField":
-        return TensorField(self.model, self.valence, [-a for a in self.data])
-
     def __mul__(self, scalar: ScalarLike) -> "TensorField":
         s = self.model.scalar(scalar)
         return TensorField(self.model, self.valence, [a * s for a in self.data])
@@ -415,9 +405,6 @@ class TensorField:
             return NotImplemented
         return (self.model is other.model and self.valence == other.valence
                 and self.data == other.data)
-
-    def __hash__(self) -> int:
-        return hash((id(self.model), self.valence, self.data))
 
     @property
     def is_zero(self) -> bool:

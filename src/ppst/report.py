@@ -42,6 +42,10 @@ def digest_text(text: str) -> str:
     return "sha256:" + hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+# the digest tag of a report whose input was never read
+_ZERO_DIGEST = "sha256:" + "0" * 64
+
+
 @dataclass(frozen=True)
 class CheckResult:
     """One named pass/fail result with an optional witness and details."""
@@ -162,6 +166,6 @@ def _flatten(data: Mapping, prefix: str = "") -> list[tuple[str, str]]:
 
 
 def error_report(command: str, source: str, message: str,
-                 digest: str = "sha256:" + "0" * 64) -> Report:
+                 digest: str = _ZERO_DIGEST) -> Report:
     """A report for input that could not be processed (exit code 2)."""
     return Report(command, source, digest, error=message)

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations, combinations_with_replacement, product
 from typing import Mapping, Sequence
 
@@ -162,61 +163,61 @@ class ParacontactStructure:
         self.eta = eta
         self.declared_frame = tuple(declared_frame) if declared_frame else None
         self.name = name
-        self._cache: dict[str, object] = {}
 
     # -- lazy derived data ----------------------------------------------------
 
-    def _get(self, key: str, fn):
-        if key not in self._cache:
-            self._cache[key] = fn()
-        return self._cache[key]
-
-    @property
+    @cached_property
     def connection(self) -> ConnectionData:
-        return self._get("conn", lambda: levi_civita(self.g, self.model))
+        return levi_civita(self.g)
 
-    @property
+    @cached_property
     def curvature(self) -> CurvatureData:
-        def build():
-            curv = riemann(self.connection)
-            ricci_scalar(curv, self.g)
-            star_ricci_scalar(curv, self.g, self.phi)
-            return curv
-        return self._get("curv", build)
+        curv = riemann(self.connection)
+        ricci_scalar(curv)
+        star_ricci_scalar(curv, self.phi)
+        return curv
 
-    @property
+    @cached_property
     def Phi(self) -> TensorField:
-        return self._get("Phi", lambda: fundamental_form(self))
+        return fundamental_form(self)
 
-    @property
+    @cached_property
     def deta(self) -> TensorField:
-        return self._get("deta", lambda: exterior_derivative(self.eta))
+        return exterior_derivative(self.eta)
 
-    @property
+    @cached_property
     def dPhi(self) -> TensorField:
-        return self._get("dPhi", lambda: exterior_derivative(self.Phi))
+        return exterior_derivative(self.Phi)
 
-    @property
+    @cached_property
     def N1(self) -> TensorField:
-        return self._get("N1", lambda: nijenhuis_N1(self))
+        return nijenhuis_N1(self)
 
-    @property
+    @cached_property
     def A(self) -> TensorField:
-        return self._get("A", lambda: tensor_A(self))
+        return tensor_A(self)
 
-    @property
+    @cached_property
     def h(self) -> TensorField:
-        return self._get("h", lambda: tensor_h(self))
+        return tensor_h(self)
 
-    @property
+    @cached_property
     def phi_basis(self) -> tuple[TensorField, ...]:
-        return self._get("basis", lambda: build_phi_basis(self))
+        return build_phi_basis(self)
+
+    @cached_property
+    def _axioms(self) -> AxiomReport:
+        return validate_structure(self)
+
+    @cached_property
+    def _classification(self) -> Classification:
+        return classify(self)
 
     def axiom_report(self) -> AxiomReport:
-        return self._get("axioms", lambda: validate_structure(self))
+        return self._axioms
 
     def classification(self) -> Classification:
-        return self._get("classify", lambda: classify(self))
+        return self._classification
 
     def __repr__(self) -> str:
         kind = "chart" if isinstance(self.model, ChartModel) else "frame"
@@ -380,20 +381,20 @@ def validate_structure(s: ParacontactStructure,
 
     # declared frame, when given, must be an honest phi-basis
     if s.declared_frame is not None:
-        _declared_frame_check(s, checks)
+        checks.append(_declared_frame_check(s))
 
     return AxiomReport(checks=checks, sample_point=pt, eigen_dims=eigen,
                        inertia=inertia)
 
 
-def _declared_frame_check(s: ParacontactStructure, checks: list[CheckResult]) -> None:
+def _declared_frame_check(s: ParacontactStructure) -> CheckResult:
+    name = "declared_frame_phi_basis"
     model = s.model
     d, n = model.dim, model.n
     frame = s.declared_frame
     if len(frame) != d:
-        checks.append(CheckResult("declared_frame_phi_basis", False,
-                                  witness=f"expected {d} frame fields, got {len(frame)}"))
-        return
+        return CheckResult(name, False,
+                           witness=f"expected {d} frame fields, got {len(frame)}")
     ph = s.phi.rows()
     zero = model.zero
     cols = [f.vec() for f in frame]
@@ -402,27 +403,22 @@ def _declared_frame_check(s: ParacontactStructure, checks: list[CheckResult]) ->
     mismatch = _gram_mismatch(s, cols)
     if mismatch:
         a, b, value, expected = mismatch
-        checks.append(CheckResult(
-            "declared_frame_phi_basis", False,
+        return CheckResult(
+            name, False,
             witness=(f"g({frame_names[a]},{frame_names[b]}) = {value} "
                      f"(should be {expected})"),
-            details={"residual": str(value - expected)}))
-        return
+            details={"residual": str(value - expected)})
     # Y_i = phi X_i and the last field is xi
     for i in range(n):
         img = mat_vec(ph, cols[i], zero)
         diff = [a - b for a, b in zip(img, cols[n + i])]
         if any(diff):
-            checks.append(CheckResult(
-                "declared_frame_phi_basis", False,
-                witness=f"phi({frame_names[i]}) != {frame_names[n + i]}"))
-            return
+            return CheckResult(
+                name, False, witness=f"phi({frame_names[i]}) != {frame_names[n + i]}")
     xdiff = [a - b for a, b in zip(cols[d - 1], s.xi.vec())]
     if any(xdiff):
-        checks.append(CheckResult("declared_frame_phi_basis", False,
-                                  witness="last declared frame field is not xi"))
-        return
-    checks.append(CheckResult("declared_frame_phi_basis", True))
+        return CheckResult(name, False, witness="last declared frame field is not xi")
+    return CheckResult(name, True)
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +427,7 @@ def _declared_frame_check(s: ParacontactStructure, checks: list[CheckResult]) ->
 def build_phi_basis(s: ParacontactStructure) -> tuple[TensorField, ...]:
     """Return (X_1..X_n, Y_1..Y_n, xi) with the standard Gram matrix.
 
-    Uses the declared frame when present (after verification); otherwise
+    Uses the declared frame when the axiom report verified it; otherwise
     biorthogonalizes exact bases of the phi-eigendistributions.  Raises
     StructureError when the eigendistributions do not split n/n, which is
     an axiom failure.
@@ -439,12 +435,11 @@ def build_phi_basis(s: ParacontactStructure) -> tuple[TensorField, ...]:
     model = s.model
     d, n = model.dim, model.n
     if s.declared_frame is not None:
-        checks: list[CheckResult] = []
-        _declared_frame_check(s, checks)
-        if all(c.passed for c in checks):
+        check = next(c for c in s.axiom_report().checks
+                     if c.name == "declared_frame_phi_basis")
+        if check.passed:
             return s.declared_frame
-        raise StructureError(f"declared frame is not a phi-basis: "
-                             f"{checks[-1].witness}")
+        raise StructureError(f"declared frame is not a phi-basis: {check.witness}")
     ph = s.phi.rows()
     one, zero = model.one, model.zero
     plus_mat = tuple(tuple(ph[i][j] - (one if i == j else zero)
@@ -517,10 +512,9 @@ def phi_basis_eps(s: ParacontactStructure) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 # classification
 
-def classify(s: ParacontactStructure,
-             point: Mapping[str, Fraction] | None = None) -> Classification:
+def classify(s: ParacontactStructure) -> Classification:
     """Exact class membership; refuses with the axiom report on failure."""
-    report = validate_structure(s, point) if point is not None else s.axiom_report()
+    report = s.axiom_report()
     if not report.passed:
         names = ", ".join(c.name for c in report.failures())
         raise StructureError(f"structure fails axioms: {names}", report)

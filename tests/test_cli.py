@@ -19,6 +19,8 @@ from ppst.report import digest_text
 from ppst.spaceforms import model_catalog
 from ppst.specfile import export_text, import_spec
 
+from _models import GOLDEN
+
 
 def _schema() -> dict:
     text = (resources.files("ppst") / "schema" / "report-v1.json").read_text()
@@ -232,6 +234,33 @@ def test_check_at_custom_point():
                           "--point", "x=2,y=-1,z=1/3"])
     assert report.exit_code == 0
     assert report.data["sample_point"] == {"x": "2", "y": "-1", "z": "1/3"}
+
+
+def _undefined_constraint_spec(tmp_path):
+    """chart-1+z2 with a constraint 1/(x-1) that is undefined at x = 1,
+    the first candidate value of every sample point."""
+    text = (GOLDEN / "chart-1+z2.spec").read_text(encoding="utf-8")
+    text = text.replace("constraints = (1+z^2)", "constraints = z, 1/(x-1)")
+    assert "1/(x-1)" in text
+    spec = tmp_path / "undefined.spec"
+    spec.write_text(text, encoding="utf-8")
+    return spec
+
+
+@pytest.mark.parametrize("command",
+                         ["check", "classify", "identities", "curvature", "theorem"])
+def test_constraint_undefined_at_a_candidate_point_is_skipped(tmp_path, command):
+    report = run_command([command, str(_undefined_constraint_spec(tmp_path))])
+    assert report.exit_code == 0
+    if command == "check":
+        assert report.data["sample_point"]["x"] == "2"
+
+
+def test_point_where_a_constraint_is_undefined_rejected(tmp_path):
+    report = run_command(["check", str(_undefined_constraint_spec(tmp_path)),
+                          "--point", "x=1,y=1,z=1"])
+    assert report.exit_code == 2
+    assert report.error == "point violates domain constraint (1)/(x - 1) != 0"
 
 
 def test_both_spec_and_model_rejected(tmp_path):

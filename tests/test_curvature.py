@@ -87,19 +87,19 @@ def test_frame_curvature_table():
 def test_frame_ricci_and_scalar():
     m, g = example_frame()
     curv = riemann(levi_civita(g))
-    S, r = ricci_scalar(curv, g)
+    S, r = ricci_scalar(curv)
     assert S.rows() == tuple(
         tuple(m.scalar(v) for v in row)
         for row in ((8, 0, 0), (0, -8, 0), (0, 0, -8)))
     assert r == 8
-    assert ricci_symmetry_residual(curv, g).is_zero
+    assert ricci_symmetry_residual(curv).is_zero
 
 
 def test_frame_star_ricci_and_scalar():
     m, g = example_frame()
     phi = TensorField.from_rows(m, (1, 1), [[0, 1, 0], [1, 0, 0], [0, 0, 0]])
     curv = riemann(levi_civita(g))
-    Sstar, rstar = star_ricci_scalar(curv, g, phi)
+    Sstar, rstar = star_ricci_scalar(curv, phi)
     assert Sstar.rows() == tuple(
         tuple(m.scalar(v) for v in row)
         for row in ((-12, 0, 0), (0, 12, 0), (0, 0, 0)))
@@ -117,7 +117,7 @@ def test_flat_chart_is_flat():
     g = TensorField.from_rows(m, (0, 2), [[1, 0, 0], [0, -1, 0], [0, 0, 1]])
     curv = riemann(levi_civita(g))
     assert curv.riemann.is_zero
-    S, r = ricci_scalar(curv, g)
+    S, r = ricci_scalar(curv)
     assert S.is_zero and r.is_zero
 
 
@@ -147,7 +147,7 @@ def test_corrected_chart_connection_residuals():
 def test_corrected_chart_scalar_curvature():
     m, g, _ = corrected_chart()
     curv = riemann(levi_civita(g))
-    _, r = ricci_scalar(curv, g)
+    _, r = ricci_scalar(curv)
     assert r == 8
 
 

@@ -122,7 +122,7 @@ def test_failed_law_witnesses(monkeypatch):
         conn = st.connection
         coeffs = [list(row) for row in conn.coeffs]
         coeffs[0][1] = tuple(c + 1 for c in coeffs[0][1])
-        st._cache["conn"] = replace(
+        st.connection = replace(
             conn, coeffs=tuple(tuple(row) for row in coeffs))
         return st
 

@@ -16,9 +16,6 @@ from ppst.expr import (
     VariableMismatchError,
     Variables,
     ZeroDenominatorError,
-    derivative,
-    evaluate,
-    is_identically_zero,
 )
 from ppst.parser import parse_expr
 
@@ -66,10 +63,10 @@ def test_denominator_normalized_primitive_positive():
 
 
 def test_zero_is_canonical():
-    assert is_identically_zero(X - X)
-    assert is_identically_zero((X * Y - Y * X) / (Z ** 3 + 1))
+    assert (X - X).is_zero
+    assert ((X * Y - Y * X) / (Z ** 3 + 1)).is_zero
     assert str(X - X) == "0"
-    assert not is_identically_zero(X - Y)
+    assert not (X - Y).is_zero
 
 
 def test_cross_variable_difference_is_not_zero():
@@ -95,10 +92,12 @@ def test_variable_mismatch_rejected():
         X + other
 
 
-def test_constant_lifts_across_variable_tuples():
+def test_constant_over_other_variables_rejected():
     c = RationalExpr.constant(3)
-    assert (c + X) == (X + 3)
-    assert (c * X) == 3 * X
+    for combine in (lambda: c + X, lambda: X + c, lambda: c * X,
+                    lambda: X * c, lambda: c / X, lambda: X / c, lambda: c - X):
+        with pytest.raises(VariableMismatchError):
+            combine()
 
 
 # -- memo of canonical forms ------------------------------------------------
@@ -135,9 +134,9 @@ def test_memo_reduces_each_pair_once_per_variables(monkeypatch):
 
 def test_partial_derivative_quotient():
     e = (4 * Y) / Z
-    assert derivative(e, "z") == (-4 * Y) / (Z ** 2)
-    assert derivative(e, "y") == 4 / Z
-    assert derivative(e, "x").is_zero
+    assert e.derivative("z") == (-4 * Y) / (Z ** 2)
+    assert e.derivative("y") == 4 / Z
+    assert e.derivative("x").is_zero
 
 
 def test_derivative_unknown_variable():
@@ -147,30 +146,36 @@ def test_derivative_unknown_variable():
 
 def test_mixed_partials_commute():
     e = (X ** 2 * Y + 3 * Z) / (Y * Z + 1)
-    assert derivative(derivative(e, "y"), "z") == derivative(derivative(e, "z"), "y")
+    assert e.derivative("y").derivative("z") == e.derivative("z").derivative("y")
 
 
 # -- evaluation -------------------------------------------------------------
 
 def test_evaluate_exact():
     e = (1 + 28 * Y ** 2) / (Z ** 2)
-    assert evaluate(e, {"x": 0, "y": 1, "z": 2}) == Fraction(29, 4)
+    assert e.evaluate({"x": 0, "y": 1, "z": 2}) == Fraction(29, 4)
 
 
 def test_evaluate_checks_constraints_first():
     con = DomainConstraint(Z)
     with pytest.raises(ConstraintViolation):
-        evaluate(X + Y, {"x": 1, "y": 1, "z": 0}, [con])
+        (X + Y).evaluate({"x": 1, "y": 1, "z": 0}, [con])
+
+
+def test_constraint_fails_where_it_is_undefined():
+    con = DomainConstraint(1 / (X - 1))
+    assert not con.holds_at({"x": 1, "y": 0, "z": 0})
+    assert con.holds_at({"x": 2, "y": 0, "z": 0})
 
 
 def test_evaluate_denominator_vanishes():
     with pytest.raises(EvaluationError):
-        evaluate(X / (Z - 1), {"x": 1, "y": 0, "z": 1})
+        (X / (Z - 1)).evaluate({"x": 1, "y": 0, "z": 1})
 
 
 def test_evaluate_missing_variable():
     with pytest.raises(EvaluationError):
-        evaluate(X, {"y": 1, "z": 1})
+        X.evaluate({"y": 1, "z": 1})
 
 
 # -- seeded property tests --------------------------------------------------

@@ -15,7 +15,7 @@ from _models import (
     negative_curvature_frame,
 )
 from ppst import identities
-from ppst.identities import IDENTITY_KEYS, check_single, run_suite
+from ppst.identities import IDENTITY_KEYS, run_suite
 from ppst.linalg import bilinear, mat_vec
 from ppst.models import FrameModel, TensorField
 from ppst.structures import ParacontactStructure, StructureError
@@ -107,16 +107,6 @@ def test_sampled_mode_rejects_too_few_points():
 def test_unknown_mode_rejected():
     with pytest.raises(ValueError):
         run_suite(frame_example(), mode="numeric")
-
-
-def test_check_single():
-    res = check_single(frame_example(), "S2")
-    assert res.passed
-    assert res.details["tr(phi A)"] == "4"
-    res = check_single(frame_example(), "p1")
-    assert res.passed and res.name == "p1"
-    with pytest.raises(KeyError):
-        check_single(frame_example(), "S3")
 
 
 def test_suite_refuses_non_qps_structure():

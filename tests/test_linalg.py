@@ -141,3 +141,22 @@ def test_kernel_equals_the_naive_sum_and_stays_in_the_field(field, shape):
             assert got[name] is zero
     assert linalg.signed_sum((zero, zero), (zero,), zero) is zero
     assert linalg.signed_sum((), (), zero) is zero
+
+
+# each case: (symmetric matrix, inertia); zero diagonal entries send the
+# congruence diagonalization down its swap, row-sum and zero-row branches
+INERTIA_CASES = {
+    "hyperbolic-pair": ([[0, 1], [1, 0]], (1, 1, 0)),
+    "diagonal-swap": ([[0, 2], [2, 3]], (1, 1, 0)),
+    "zero-row": ([[1, 0, 0], [0, 0, 0], [0, 0, 0]], (1, 0, 2)),
+    "zero-first-row": ([[0, 0, 0], [0, 1, 0], [0, 0, -1]], (1, 1, 1)),
+    "null-frame-metric": ([[0, 1, 0], [1, 0, 0], [0, 0, 1]], (2, 1, 0)),
+    "null-pairs": ([[0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]],
+                   (2, 2, 0)),
+}
+
+
+@pytest.mark.parametrize("name", INERTIA_CASES)
+def test_symmetric_signature(name):
+    rows, inertia = INERTIA_CASES[name]
+    assert linalg.symmetric_signature(_fractions(rows)) == inertia

@@ -150,7 +150,7 @@ def test_theorem_residual_witnesses():
     assert failed == [("ricci_form", "residual at (e1,e2): 1")]
     # the K = 0 branch reads the tensor residual A itself
     s = flat_cosymplectic()
-    s._cache["A"] = TensorField.from_rows(
+    s.A = TensorField.from_rows(
         s.model, (1, 1), [[0, 0, 0], [0, 0, "y"], [0, 0, 0]])
     report = check_constant_curvature_theorem(s)
     failed = [(a.name, a.witness) for a in report.assertions if not a.passed]

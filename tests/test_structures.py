@@ -14,6 +14,7 @@ from _models import (
     negative_curvature_frame,
 )
 from ppst.cli import run_command
+from ppst.identities import run_suite
 from ppst.models import ChartModel, FrameModel, TensorField
 from ppst.specfile import import_text
 from ppst.structures import (
@@ -370,6 +371,22 @@ def test_eigendistribution_failure_reported():
     assert not checks["eigendistributions"].passed
     assert "expected (1, 1)" in checks["eigendistributions"].witness
     assert not checks["metric_phi_compatibility"].passed
+
+
+def test_null_frame_structure():
+    # g pairs e1 with e2 (both null), so every diagonal entry of g but the
+    # last is zero; phi = diag(1, -1, 0) and [e1, e2] = 2 xi
+    model = FrameModel(("e1", "e2", "xi"), (1, -1, 1), {(0, 1): (0, 0, 2)})
+    g = TensorField.from_rows(model, (0, 2), [[0, 1, 0], [1, 0, 0], [0, 0, 1]])
+    phi = TensorField.from_rows(model, (1, 1), [[1, 0, 0], [0, -1, 0], [0, 0, 0]])
+    xi = TensorField.vector(model, (0, 0, 1))
+    eta = TensorField.covector(model, (0, 0, 1))
+    s = ParacontactStructure(model, phi, xi, g, eta, name="null-frame")
+    report = s.axiom_report()
+    assert report.passed and report.inertia == (2, 1, 0)
+    assert s.classification().label == "para-Sasakian"
+    suite = run_suite(s)
+    assert suite.passed and len(suite.results) == 15
 
 
 def test_structure_repr_and_valence_guards():

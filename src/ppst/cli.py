@@ -23,6 +23,7 @@ never yields 1.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from fractions import Fraction
 from itertools import product
@@ -62,6 +63,7 @@ class _InputError(Exception):
 # argument parsing
 
 
+@functools.cache  # parse_args leaves the parser unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ppst",

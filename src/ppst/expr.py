@@ -1,7 +1,10 @@
 """Exact multivariate rational-function arithmetic over the rationals.
 
 A :class:`RationalExpr` is a quotient num/den of sparse polynomials with
-``fractions.Fraction`` coefficients in a fixed, ordered tuple of variables.
+rational coefficients in a fixed, ordered tuple of variables.  A coefficient
+is an ``int`` where integral, else a ``fractions.Fraction``: both exact, only
+ever divided by a Fraction (so never a float), and ``constant_value`` and
+``evaluate`` return a Fraction.
 Every value is kept in a canonical form:
 
 * num and den share no polynomial factor (GCD-reduced over Q[vars]);
@@ -58,6 +61,7 @@ costs would depend on what ran before it in the same process.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -65,8 +69,8 @@ from math import gcd, lcm
 from typing import Iterable, Mapping, Union
 
 Monomial = tuple[int, ...]
-PolyDict = dict[Monomial, Fraction]
-PolyTerms = tuple[tuple[Monomial, Fraction], ...]
+PolyDict = dict[Monomial, int | Fraction]
+PolyTerms = tuple[tuple[Monomial, int | Fraction], ...]
 Scalar = Union[int, Fraction, "RationalExpr"]
 
 
@@ -110,7 +114,7 @@ class Variables(tuple):
 
 
 # ---------------------------------------------------------------------------
-# raw polynomial helpers (dict-of-monomials with Fraction coefficients)
+# raw polynomial helpers (dict-of-monomials; _terms stores int or Fraction)
 
 def _zero_mono(nvars: int) -> Monomial:
     return (0,) * nvars
@@ -119,7 +123,7 @@ def _zero_mono(nvars: int) -> Monomial:
 def _padd(a: PolyDict, b: PolyDict) -> PolyDict:
     out = dict(a)
     for m, c in b.items():
-        s = out.get(m, Fraction(0)) + c
+        s = out.get(m, 0) + c
         if s:
             out[m] = s
         else:
@@ -135,8 +139,8 @@ def _pmul(a: PolyDict, b: PolyDict) -> PolyDict:
     out: PolyDict = {}
     for ma, ca in a.items():
         for mb, cb in b.items():
-            m = tuple(x + y for x, y in zip(ma, mb))
-            s = out.get(m, Fraction(0)) + ca * cb
+            m = tuple(map(operator.add, ma, mb))
+            s = out.get(m, 0) + ca * cb
             if s:
                 out[m] = s
             else:
@@ -150,7 +154,7 @@ def _pderiv(a: PolyDict, idx: int) -> PolyDict:
         e = m[idx]
         if e:
             dm = m[:idx] + (e - 1,) + m[idx + 1:]
-            out[dm] = out.get(dm, Fraction(0)) + c * e
+            out[dm] = out.get(dm, 0) + c * e
     return {m: c for m, c in out.items() if c}
 
 
@@ -181,6 +185,9 @@ def _is_one(a: PolyTerms, nvars: int) -> bool:
 
 
 def _terms(a: PolyDict) -> PolyTerms:
+    """The stored form of every polynomial: an integral coefficient is an int."""
+    if not {int}.issuperset(map(type, a.values())):
+        a = {m: c.numerator if c.denominator == 1 else c for m, c in a.items()}
     return tuple(sorted(a.items(), reverse=True))
 
 
@@ -218,8 +225,9 @@ def _normalized(num: PolyDict, den: PolyDict) -> tuple[PolyTerms, PolyTerms]:
     scale = _content(den)
     if den[_leading(den)] < 0:
         scale = -scale
-    return (_terms({m: c / scale for m, c in num.items()}),
-            _terms({m: c / scale for m, c in den.items()}))
+    if scale != 1:
+        num, den = ({m: c / scale for m, c in p.items()} for p in (num, den))
+    return _terms(num), _terms(den)
 
 
 def _canonical(variables: Variables, num: PolyDict,
@@ -229,7 +237,7 @@ def _canonical(variables: Variables, num: PolyDict,
     if not den:
         raise ZeroDenominatorError("denominator is identically zero")
     if not num:
-        return (), ((_zero_mono(len(variables)), Fraction(1)),)
+        return (), ((_zero_mono(len(variables)), 1),)
     # n/d and (-n)/d share one memo entry: canonical form is unique and
     # normalizes only den, so the form of (-n)/d is that of n/d with -num
     negative = num[_leading(num)] < 0
@@ -401,7 +409,7 @@ class RationalExpr:
     def constant_value(self) -> Fraction:
         if not self.is_constant:
             raise ExprError(f"not a constant: {self}")
-        return self.num[0][1] if self.num else Fraction(0)
+        return Fraction(self.num[0][1] if self.num else 0)
 
     @property
     def is_polynomial(self) -> bool:
@@ -526,7 +534,8 @@ class RationalExpr:
                                       self.den)
         d = self._dend()
         num = _padd(_pmul(_pderiv(n, idx), d), _pneg(_pmul(n, _pderiv(d, idx))))
-        return RationalExpr(self.variables, num, _pmul(d, d))
+        return RationalExpr._make(
+            self.variables, *_canonical(self.variables, num, _pmul(d, d)))
 
     def evaluate(self, point: Mapping[str, Fraction | int],
                  constraints: Iterable[DomainConstraint] = ()) -> Fraction:

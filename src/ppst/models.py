@@ -160,6 +160,9 @@ class ChartModel(ManifoldModel):
                 c = DomainConstraint(parse_expr(c, self.coordinates))
             elif isinstance(c, RationalExpr):
                 c = DomainConstraint(c)
+            if c.expression.is_zero:
+                raise GeometryError(f"domain constraint {c} holds nowhere: "
+                                    f"the domain is empty")
             cons.append(c)
         self.constraints = tuple(cons)
         self._zero_vec = (self.zero,) * self.dim

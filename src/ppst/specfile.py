@@ -228,7 +228,7 @@ def _linear_combination(value: str, labels: Sequence[str], field: str,
             raise SpecFileError("bracket value must be a constant-coefficient "
                                 "linear combination of the frame labels",
                                 field=field, line=line)
-        comps[mono.index(1)] = coeff
+        comps[mono.index(1)] = Fraction(coeff)
     return tuple(comps)
 
 

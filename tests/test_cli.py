@@ -16,7 +16,7 @@ from ppst.cli import main, run_command
 from ppst.models import TensorField
 from ppst.parser import MAX_DIGITS
 from ppst.report import digest_text
-from ppst.spaceforms import model_catalog
+from ppst.spaceforms import get_model, model_catalog
 from ppst.specfile import export_text, import_spec
 
 from _models import GOLDEN
@@ -263,6 +263,19 @@ def test_point_where_a_constraint_is_undefined_rejected(tmp_path):
     assert report.error == "point violates domain constraint (1)/(x - 1) != 0"
 
 
+@pytest.mark.parametrize("command", ["check", "curvature"])
+def test_identically_zero_constraint_is_an_input_error(tmp_path, command):
+    """A constraint that vanishes identically leaves no domain: exit 2."""
+    text = (GOLDEN / "chart-1+z2.spec").read_text(encoding="utf-8")
+    spec = tmp_path / "empty.spec"
+    spec.write_text(text.replace("constraints = (1+z^2)", "constraints = x-x"),
+                    encoding="utf-8")
+    report = run_command([command, str(spec)])
+    assert report.exit_code == 2
+    assert report.error == ("domain constraint 0 != 0 holds nowhere: "
+                            "the domain is empty (field manifold)")
+
+
 def test_both_spec_and_model_rejected(tmp_path):
     spec = tmp_path / "s.spec"
     spec.write_text("x", encoding="utf-8")
@@ -283,6 +296,38 @@ def test_usage_errors_from_argparse():
     with pytest.raises(SystemExit) as info:
         run_command(["no-such-command"])
     assert info.value.code == 2
+
+
+def test_cached_parser_gives_the_reports_of_a_fresh_one(tmp_path, capsys):
+    """run_command reuses one parser; a sequence of commands on it, a usage
+    error included, reports what a freshly built parser reports."""
+    assert ppst.cli._build_parser() is ppst.cli._build_parser()
+    spec = tmp_path / "frame.spec"
+    spec.write_text(export_text(get_model("example-frame")), encoding="utf-8")
+    argvs = [["check", "--model", "example-chart-corrected", "--point",
+              "x=2,y=-1,z=1/3"],
+             ["classify", str(spec), "--format", "json"],
+             ["deform", "--model", "example-frame"],
+             ["identities", "--model", "example-frame", "--mode", "sampled"],
+             ["no-such-command"],
+             ["deform", str(spec), "--alpha", "-2", "--beta", "4"],
+             ["models", "--format", "json"]]
+
+    def outcome(run, argv):
+        try:
+            report = run(argv)
+        except SystemExit as exc:
+            return exc.code, capsys.readouterr().err
+        return report.exit_code, report.to_json(), report.render("text")
+
+    def fresh(argv):
+        return ppst.cli._execute(
+            ppst.cli._build_parser.__wrapped__().parse_args(argv))
+
+    outcomes = [outcome(run_command, argv) for argv in argvs]
+    assert outcomes == [outcome(fresh, argv) for argv in argvs]
+    assert [o[0] for o in outcomes] == [0, 0, 2, 0, 2, 0, 0]
+    assert "required: --alpha, --beta" in outcomes[2][1]
 
 
 def test_theorem_branches():

@@ -209,6 +209,38 @@ def test_chart_memo_is_per_chart(monkeypatch):
     assert counts == [45, 45]
 
 
+def test_coefficients_are_int_or_fraction_and_numbers_leave_as_fraction(
+        monkeypatch):
+    """An integral coefficient is stored as an int, any other as a Fraction
+    with denominator != 1, and no coefficient is a float; constants and
+    point values leave the kernel as Fraction."""
+    s = golden_structure("chart-1+z2.spec")
+    built = []
+    set_ = RationalExpr._set
+
+    def recording(self, variables, num, den):
+        built.append((num, den))
+        set_(self, variables, num, den)
+    monkeypatch.setattr(RationalExpr, "_set", recording)
+    curv = _run_pipeline(s)
+    monkeypatch.undo()
+    assert len(built) > 1000
+    coefficients = [c for num, den in built for _, c in num + den]
+    assert not [c for c in coefficients
+                if not (type(c) is int
+                        or (type(c) is Fraction and c.denominator != 1))]
+    assert {int, Fraction} == set(map(type, coefficients))
+    assert not any(isinstance(c, float) for c in coefficients)
+    r, point = curv.scalar, sample_points(s.model, 1)[0]
+    assert type(r.evaluate(point)) is Fraction
+    assert type(s.g[(1, 1)].constant_value()) is Fraction
+    assert type(constant_value(s.g[(1, 1)])) is Fraction
+    assert type(RationalExpr.zero(("x",)).constant_value()) is Fraction
+    frame = golden_structure("heisenberg5-c4.spec").model
+    assert all(type(c) is Fraction
+               for slab in frame.slabs for row in slab for c in row)
+
+
 def test_chart_tensors_share_the_coordinates_memo():
     """Every scalar of a chart's tensors lives on the model's Variables object."""
     s = import_text((GOLDEN / "chart-1+z2.spec").read_text(encoding="utf-8"))

@@ -230,7 +230,6 @@ def test_coefficients_are_int_or_fraction_and_numbers_leave_as_fraction(
                 if not (type(c) is int
                         or (type(c) is Fraction and c.denominator != 1))]
     assert {int, Fraction} == set(map(type, coefficients))
-    assert not any(isinstance(c, float) for c in coefficients)
     r, point = curv.scalar, sample_points(s.model, 1)[0]
     assert type(r.evaluate(point)) is Fraction
     assert type(s.g[(1, 1)].constant_value()) is Fraction

@@ -28,7 +28,9 @@ Layers, bottom up:
 - :mod:`ppst.deformation`: the two-parameter deformation family, its
   transformation laws, and homothetic-origin detection.
 - :mod:`ppst.spaceforms`: the constant-curvature classification theorem,
-  the bundled model catalog, and the bracket-table search harness.
+  the bundled model catalog (shipped as spec files under ``catalog/`` and
+  loaded by :func:`ppst.specfile.import_text`), and the bracket-table
+  search harness.
 - :mod:`ppst.specfile` / :mod:`ppst.report` / :mod:`ppst.cli`: structure
   spec files, the check-result type and witness rule, schema-stable
   reports, and the command line.

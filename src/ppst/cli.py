@@ -44,8 +44,8 @@ from .identities import run_suite
 from .linalg import bilinear, trace_product
 from .models import ChartModel, GeometryError, format_combination
 from .report import _ZERO_DIGEST, CheckResult, Report, digest_text, error_report, residual_check
-from .spaceforms import check_constant_curvature_theorem, get_model, model_catalog
-from .specfile import SpecFileError, export_spec, export_text, import_text
+from .spaceforms import catalog_entry, check_constant_curvature_theorem, model_catalog
+from .specfile import SpecFileError, export_spec, import_text
 from .structures import StructureError, validate_structure
 
 
@@ -105,28 +105,32 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _catalog_structure(name: str):
+def _catalog_entry(name: str):
     try:
-        return get_model(name)
+        return catalog_entry(name)
     except KeyError as exc:  # args[0], as str() would quote the message
         raise _InputError(exc.args[0], source=f"catalog:{name}") from None
 
 
 def _load(args):
-    """Resolve the input structure; returns (structure, source, digest)."""
+    """Resolve the input structure; returns (structure, source, digest).
+
+    A catalog model is its shipped spec file, so both sources take the same
+    read, digest and import steps."""
     if args.spec is not None and args.model is not None:
         raise _InputError("give either a spec file or --model, not both")
     if args.model is not None:
-        s = _catalog_structure(args.model)
-        return s, f"catalog:{args.model}", digest_text(export_text(s))
-    if args.spec is None:
+        source = f"catalog:{args.model}"
+        text = _catalog_entry(args.model).text()
+    elif args.spec is not None:
+        source = f"file:{args.spec}"
+        try:
+            with open(args.spec, "r", encoding="utf-8") as handle:
+                text = handle.read()
+        except OSError as exc:
+            raise _InputError(f"cannot read {args.spec}: {exc}", source=source)
+    else:
         raise _InputError("give a structure spec file or --model NAME")
-    source = f"file:{args.spec}"
-    try:
-        with open(args.spec, "r", encoding="utf-8") as handle:
-            text = handle.read()
-    except OSError as exc:
-        raise _InputError(f"cannot read {args.spec}: {exc}", source=source)
     digest = digest_text(text)
     try:
         return import_text(text), source, digest
@@ -299,8 +303,7 @@ def _cmd_models(args) -> Report:
         if args.output is None:
             raise _InputError("--export needs -o FILE",
                               source=f"catalog:{args.export}")
-        s = _catalog_structure(args.export)
-        text = export_text(s)
+        text = _catalog_entry(args.export).text()
         try:
             with open(args.output, "w", encoding="utf-8") as handle:
                 handle.write(text)
@@ -318,7 +321,7 @@ def _cmd_models(args) -> Report:
             "class": entry.expected_class,
             "known_inconsistent": entry.known_inconsistent,
         }
-        texts.append(export_text(entry.build()))
+        texts.append(entry.text())
     return Report("models", "catalog", digest_text("".join(texts)),
                   data={"models": listing})
 

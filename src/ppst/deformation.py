@@ -64,23 +64,12 @@ class DeformationParams:
 
 @dataclass
 class DeformationReport:
-    structure_name: str | None
     params: DeformationParams
     results: dict[str, CheckResult] = field(default_factory=dict)
 
     @property
     def passed(self) -> bool:
         return all(r.passed for r in self.results.values())
-
-    def to_dict(self) -> dict:
-        return {
-            "structure": self.structure_name,
-            "alpha": str(self.params.alpha),
-            "beta": str(self.params.beta),
-            "homothetic": self.params.homothetic,
-            "passed": self.passed,
-            "relations": [self.results[k].to_dict() for k in sorted(self.results)],
-        }
 
 
 DEFORMATION_KEYS = ("i00", "i5", "i6", "i777")
@@ -124,7 +113,7 @@ def verify_deformation_relations(s: ParacontactStructure,
     tev = [t * e if t and e else zero for e in s.eta.data]
     Bv = [[tuple(dot((tev[j], tev[i]), (A_cols[i][l], A_cols[j][l]), zero)
                  for l in range(d)) for j in range(d)] for i in range(d)]
-    report = DeformationReport(structure_name=s.name, params=params)
+    report = DeformationReport(params=params)
 
     def i00_entries():
         for i, j in product(range(d), repeat=2):

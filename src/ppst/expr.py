@@ -34,7 +34,7 @@ canonical form already proves to be 1:
 * 1/(n1/d1) = d1/n1 needs only the rescaling of n1, so a quotient is the
   product with the reciprocal;
 * the partial derivative of a polynomial n1/1 is n1'/1, canonical as it
-  stands.
+  stands, and so are a constant c/1 and a variable x/1.
 
 Every other result goes through ``_canonical``.  Monomials are exponent
 tuples aligned with the variable tuple.  The GCD of two genuinely
@@ -97,13 +97,16 @@ class ConstraintViolation(EvaluationError):
 class Variables(tuple):
     """An ordered tuple of variable names with a memo of canonical forms.
 
-    Equality, hashing and printing are those of the plain tuple; ``memo``
-    maps the (num, den) items given to ``_canonical``, num with a positive
-    lex-leading coefficient, to its result.
+    The names are distinct.  Equality, hashing and printing are those of
+    the plain tuple; ``memo`` maps the (num, den) items given to
+    ``_canonical``, num with a positive lex-leading coefficient, to its
+    result.
     """
 
     def __new__(cls, names: Iterable[str] = ()):
         out = super().__new__(cls, names)
+        if len(set(out)) != len(out):
+            raise ValueError("duplicate variable names")
         out.memo = {}
         return out
 
@@ -341,8 +344,6 @@ class RationalExpr:
     def __init__(self, variables: Iterable[str], num: Mapping[Monomial, Fraction | int],
                  den: Mapping[Monomial, Fraction | int] | None = None):
         variables = Variables.of(variables)
-        if len(set(variables)) != len(variables):
-            raise ValueError("duplicate variable names")
         nd = {tuple(m): Fraction(c) for m, c in num.items()}
         dd = ({tuple(m): Fraction(c) for m, c in den.items()} if den is not None
               else {_zero_mono(len(variables)): Fraction(1)})
@@ -374,8 +375,11 @@ class RationalExpr:
 
     @classmethod
     def constant(cls, value: Fraction | int, variables: Iterable[str] = ()) -> "RationalExpr":
+        # c/1 is canonical as it stands: the form _canonical would return
         variables = Variables.of(variables)
-        return cls(variables, {_zero_mono(len(variables)): Fraction(value)})
+        mono = _zero_mono(len(variables))
+        return cls._make(variables, _terms({mono: value}) if value else (),
+                         ((mono, 1),))
 
     @classmethod
     def variable(cls, name: str, variables: Iterable[str]) -> "RationalExpr":
@@ -383,7 +387,8 @@ class RationalExpr:
         if name not in variables:
             raise VariableMismatchError(f"unknown variable {name!r}")
         mono = tuple(1 if v == name else 0 for v in variables)
-        return cls(variables, {mono: Fraction(1)})
+        return cls._make(variables, ((mono, 1),),
+                         ((_zero_mono(len(variables)), 1),))
 
     @classmethod
     def zero(cls, variables: Iterable[str] = ()) -> "RationalExpr":

@@ -62,7 +62,6 @@ IDENTITY_KEYS = ("p1", "P5", "P6a", "P6b", "P6c", "P2", "P3", "P4",
 
 @dataclass
 class IdentityReport:
-    structure_name: str | None
     mode: str
     results: dict[str, CheckResult]
     sample_points: list[dict[str, Fraction]] = field(default_factory=list)
@@ -70,18 +69,6 @@ class IdentityReport:
     @property
     def passed(self) -> bool:
         return all(r.passed for r in self.results.values())
-
-    def to_dict(self) -> dict:
-        return {
-            "structure": self.structure_name,
-            "mode": self.mode,
-            "passed": self.passed,
-            "sample_points": [{k: str(v) for k, v in p.items()}
-                              for p in self.sample_points],
-            # deterministic serialization: entries sorted by key
-            "identities": [self.results[k].to_dict()
-                           for k in sorted(self.results)],
-        }
 
 
 class _Context:
@@ -334,5 +321,4 @@ def run_suite(s: ParacontactStructure, mode: str = "auto",
             pts = sample_points(s.model, 5)
     ctx = _Context(s)
     results = {key: _judge(ctx, key, mode, pts) for key in IDENTITY_KEYS}
-    return IdentityReport(structure_name=s.name, mode=mode, results=results,
-                          sample_points=pts)
+    return IdentityReport(mode=mode, results=results, sample_points=pts)

@@ -13,12 +13,15 @@ and the structure is recovered from a para-Sasakian one by the homothetic
 deformation with parameters (-lambda, lambda^2).  Every clause is checked as
 an exact residual by check_constant_curvature_theorem.
 
-model_catalog() bundles the reference structures used across the test suite,
-including one whose printed chart data is known to be internally inconsistent
-(kept for inconsistency-detection coverage).  search_constant_negative_
-curvature enumerates frame bracket tables over a small rational grid and
-returns those whose standard structure is quasi-para-Sasakian of constant
-negative curvature.
+model_catalog() lists the bundled reference structures used across the test
+suite, including one whose printed chart data is known to be internally
+inconsistent (kept for inconsistency-detection coverage).  Each entry is a
+name and its metadata; the structure itself ships as the spec file
+catalog/<name>.spec, read and loaded by import_text only when asked for, so
+a catalog model and a spec file on disk load the same way.
+search_constant_negative_curvature enumerates frame bracket tables over a
+small rational grid and returns those whose standard structure is
+quasi-para-Sasakian of constant negative curvature.
 """
 
 from __future__ import annotations
@@ -26,24 +29,19 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
-from typing import Callable, Sequence
+from pathlib import Path
+from typing import Sequence
 
 from .curvature import covariant_derivative
 from .deformation import (
     DeformationParams,
-    apply_deformation,
     detect_homothetic_origin,
     proportionality_constant,
 )
 from .linalg import bilinear, trace_product
-from .models import (
-    ChartModel,
-    FrameModel,
-    GeometryError,
-    TensorField,
-    constant_ratio,
-)
+from .models import FrameModel, GeometryError, TensorField, constant_ratio
 from .report import CheckResult, residual_check
+from .specfile import import_text
 from .structures import ParacontactStructure, StructureError, nijenhuis_N1
 
 
@@ -61,7 +59,6 @@ def constant_curvature_of(s: ParacontactStructure) -> Fraction | None:
 
 @dataclass
 class TheoremReport:
-    structure_name: str | None
     quasi_para_sasakian: bool
     K: Fraction | None
     assertions: list[CheckResult] = field(default_factory=list)
@@ -77,17 +74,6 @@ class TheoremReport:
             return "not-applicable"
         return "pass" if all(a.passed for a in self.assertions) else "violation"
 
-    def to_dict(self) -> dict:
-        return {
-            "structure": self.structure_name,
-            "status": self.status,
-            "quasi_para_sasakian": self.quasi_para_sasakian,
-            "constant_curvature": self.K is not None,
-            "K": None if self.K is None else str(self.K),
-            "reason": self.reason,
-            "assertions": [a.to_dict() for a in self.assertions],
-        }
-
 
 def check_constant_curvature_theorem(s: ParacontactStructure) -> TheoremReport:
     """Verify every conclusion of the constant-curvature statement exactly.
@@ -98,15 +84,15 @@ def check_constant_curvature_theorem(s: ParacontactStructure) -> TheoremReport:
     cls = s.classification()
     if not cls.flags["quasi_para_sasakian"]:
         return TheoremReport(
-            s.name, False, None,
+            False, None,
             reason=f"hypotheses not met: not quasi-para-Sasakian "
                    f"(classified as {cls.label!r})")
     K = constant_curvature_of(s)
     if K is None:
         return TheoremReport(
-            s.name, True, None,
+            True, None,
             reason="hypotheses not met: not of constant curvature")
-    report = TheoremReport(s.name, True, K)
+    report = TheoremReport(True, K)
     add = report.assertions.append
     if K > 0:
         add(CheckResult("K_nonpositive", False, witness=f"K = {K} > 0"))
@@ -176,75 +162,24 @@ def check_constant_curvature_theorem(s: ParacontactStructure) -> TheoremReport:
 # ---------------------------------------------------------------------------
 # bundled models
 
+CATALOG_DIR = Path(__file__).parent / "catalog"
+
+
 @dataclass(frozen=True)
 class ModelEntry:
+    """A catalog model: its metadata here, its structure in the shipped
+    spec file ``catalog/<name>.spec``, read on demand."""
+
     name: str
     description: str
-    build: Callable[[], ParacontactStructure]
     expected_class: str | None = None
     known_inconsistent: bool = False
 
+    def text(self) -> str:
+        return (CATALOG_DIR / f"{self.name}.spec").read_text(encoding="utf-8")
 
-def _build_flat() -> ParacontactStructure:
-    model = ChartModel(("x", "y", "z"))
-    phi = TensorField.from_rows(model, (1, 1), [[0, 1, 0], [1, 0, 0], [0, 0, 0]])
-    xi = TensorField.vector(model, (0, 0, 1))
-    eta = TensorField.covector(model, (0, 0, 1))
-    g = TensorField.from_rows(model, (0, 2), [[1, 0, 0], [0, -1, 0], [0, 0, 1]])
-    return ParacontactStructure(model, phi, xi, g, eta,
-                                name="flat-paracosymplectic")
-
-
-def _standard_frame_structure(brackets, name: str | None = None,
-                              declare_frame: bool = False) -> ParacontactStructure:
-    """The 3-d frame structure phi e1 = e2, phi e2 = e1, xi = e3, eta = e^3
-    with the orthonormal (+,-,+) metric, over the given bracket table."""
-    model = FrameModel(("e1", "e2", "xi"), (1, -1, 1), brackets)
-    phi = TensorField.from_rows(model, (1, 1), [[0, 1, 0], [1, 0, 0], [0, 0, 0]])
-    xi = TensorField.vector(model, (0, 0, 1))
-    eta = TensorField.covector(model, (0, 0, 1))
-    frame = ((TensorField.vector(model, (1, 0, 0)),
-              TensorField.vector(model, (0, 1, 0)), xi) if declare_frame else None)
-    return ParacontactStructure(model, phi, xi, model.orthonormal_metric(), eta,
-                                declared_frame=frame, name=name)
-
-
-def _build_frame_example() -> ParacontactStructure:
-    return _standard_frame_structure({(0, 1): (0, 0, 4)}, "example-frame",
-                                     declare_frame=True)
-
-
-def _build_chart(gxz: str, gzz: str, name: str) -> ParacontactStructure:
-    model = ChartModel(("x", "y", "z"), constraints=("z",))
-    phi = TensorField.from_rows(model, (1, 1),
-                                [[0, "4*y", 0], [0, 0, "1/z"], [0, "z", 0]])
-    xi = TensorField.vector(model, (1, 0, 0))
-    eta = TensorField.covector(model, (1, 0, "-4*y/z"))
-    g = TensorField.from_rows(model, (0, 2),
-                              [[1, 0, gxz], [0, -1, 0], [gxz, 0, gzz]])
-    frame = (TensorField.vector(model, ("4*y", 0, "z")),
-             TensorField.vector(model, (0, 1, 0)), xi)
-    return ParacontactStructure(model, phi, xi, g, eta, declared_frame=frame,
-                                name=name)
-
-
-def _build_chart_printed() -> ParacontactStructure:
-    return _build_chart("-2*y/z", "(1+28*y^2)/z^2", "example-chart-printed")
-
-
-def _build_chart_corrected() -> ParacontactStructure:
-    return _build_chart("-4*y/z", "(1+16*y^2)/z^2", "example-chart-corrected")
-
-
-def _build_deformed() -> ParacontactStructure:
-    s = apply_deformation(_build_frame_example(), DeformationParams(-2, 4))
-    s.name = "parasasakian-deformed"
-    return s
-
-
-def _build_negative() -> ParacontactStructure:
-    return _standard_frame_structure({(0, 1): (0, 2, 2)},
-                                     "constant-negative-curvature")
+    def build(self) -> ParacontactStructure:
+        return import_text(self.text())
 
 
 def model_catalog() -> tuple[ModelEntry, ...]:
@@ -252,42 +187,55 @@ def model_catalog() -> tuple[ModelEntry, ...]:
     return (
         ModelEntry("flat-paracosymplectic",
                    "flat chart-mode paracosymplectic structure on R^3",
-                   _build_flat, expected_class="paracosymplectic"),
+                   expected_class="paracosymplectic"),
         ModelEntry("example-frame",
                    "frame-mode proper quasi-para-Sasakian 3-manifold with "
                    "[e1,e2] = 4 xi",
-                   _build_frame_example,
                    expected_class="proper quasi-para-Sasakian"),
         ModelEntry("example-chart-printed",
                    "chart realization with the published metric table, whose "
                    "data is internally inconsistent (kept for detection)",
-                   _build_chart_printed, known_inconsistent=True),
+                   known_inconsistent=True),
         ModelEntry("example-chart-corrected",
                    "chart realization with the metric fixed so the declared "
                    "frame is orthonormal and eta = g(., xi)",
-                   _build_chart_corrected,
                    expected_class="proper quasi-para-Sasakian"),
         ModelEntry("parasasakian-deformed",
                    "deformation of example-frame with (alpha, beta) = (-2, 4)",
-                   _build_deformed, expected_class="para-Sasakian"),
+                   expected_class="para-Sasakian"),
         ModelEntry("constant-negative-curvature",
                    "frame-mode structure of constant curvature K = -1 with "
                    "[e1,e2] = 2 e2 + 2 xi",
-                   _build_negative,
                    expected_class="proper quasi-para-Sasakian"),
     )
 
 
-def get_model(name: str) -> ParacontactStructure:
+def catalog_entry(name: str) -> ModelEntry:
     for entry in model_catalog():
         if entry.name == name:
-            return entry.build()
+            return entry
     names = ", ".join(e.name for e in model_catalog())
     raise KeyError(f"unknown model {name!r}; available: {names}")
 
 
+def get_model(name: str) -> ParacontactStructure:
+    return catalog_entry(name).build()
+
+
 # ---------------------------------------------------------------------------
 # search harness
+
+def _standard_frame_structure(brackets,
+                              name: str | None = None) -> ParacontactStructure:
+    """The 3-d frame structure phi e1 = e2, phi e2 = e1, xi = e3, eta = e^3
+    with the orthonormal (+,-,+) metric, over the given bracket table."""
+    model = FrameModel(("e1", "e2", "xi"), (1, -1, 1), brackets)
+    phi = TensorField.from_rows(model, (1, 1), [[0, 1, 0], [1, 0, 0], [0, 0, 0]])
+    xi = TensorField.vector(model, (0, 0, 1))
+    eta = TensorField.covector(model, (0, 0, 1))
+    return ParacontactStructure(model, phi, xi, model.orthonormal_metric(), eta,
+                                name=name)
+
 
 @dataclass(frozen=True)
 class SearchHit:
@@ -313,7 +261,6 @@ def _qps_precheck_standard(c02, c12) -> bool:
 
 def search_constant_negative_curvature(
         values: Sequence[int | Fraction] = (-2, 0, 2),
-        limit: int | None = None,
         prefilter: bool = True) -> list[SearchHit]:
     """Enumerate frame bracket tables over values^9 and keep the structures
     that are quasi-para-Sasakian of constant curvature K < 0.
@@ -322,7 +269,6 @@ def search_constant_negative_curvature(
     normality/closedness conditions are pruned before any geometry is built;
     a table failing the Jacobi identity is rejected by its frame model.
     Every reported hit has been re-verified by the general tensor machinery.
-    ``limit`` stops the scan after that many hits.
     """
     vals = tuple(Fraction(v) for v in values)
     hits: list[SearchHit] = []
@@ -354,6 +300,4 @@ def search_constant_negative_curvature(
                     continue
                 hits.append(SearchHit(
                     brackets=tuple(sorted(brackets.items())), K=K, lam=lam))
-                if limit is not None and len(hits) >= limit:
-                    return hits
     return hits

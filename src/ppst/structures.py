@@ -85,15 +85,6 @@ class AxiomReport:
     def failures(self) -> list[CheckResult]:
         return [c for c in self.checks if not c.passed]
 
-    def to_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "sample_point": {k: str(v) for k, v in self.sample_point.items()},
-            "eigen_dims": list(self.eigen_dims) if self.eigen_dims else None,
-            "inertia": list(self.inertia) if self.inertia else None,
-            "checks": [c.to_dict() for c in self.checks],
-        }
-
 
 _CLASS_FLAGS = (
     "paracontact_metric",
@@ -129,10 +120,6 @@ class Classification:
             if self.flags.get(flag):
                 return name
         return "almost paracontact metric"
-
-    def to_dict(self) -> dict:
-        return {"label": self.label, "flags": dict(self.flags),
-                "witnesses": dict(self.witnesses)}
 
 
 class ParacontactStructure:

@@ -137,16 +137,6 @@ def test_failed_law_witnesses(monkeypatch):
     }
 
 
-def test_report_serialization():
-    report = verify_deformation_relations(frame_example(),
-                                          DeformationParams(-2, 4))
-    d = report.to_dict()
-    assert d["alpha"] == "-2" and d["beta"] == "4"
-    assert d["homothetic"] is True
-    assert d["passed"] is True
-    assert [e["name"] for e in d["relations"]] == ["i00", "i5", "i6", "i777"]
-
-
 def test_proportionality_constant():
     assert proportionality_constant(frame_example()) == 2
     assert proportionality_constant(chart_corrected()) == -2

@@ -171,18 +171,6 @@ def test_sampled_witness_names_the_point():
             == "residual at (X1,Y1), point {'x': '2', 'y': '1', 'z': '3'}: 2")
 
 
-def test_report_serialization():
-    report = run_suite(frame_example())
-    d = report.to_dict()
-    assert d["structure"] == "example-frame"
-    assert d["passed"] is True
-    keys = [e["name"] for e in d["identities"]]
-    assert keys == sorted(IDENTITY_KEYS)
-    assert d["mode"] == "symbolic"
-    for entry in d["identities"]:
-        assert entry["passed"] is True
-
-
 def test_basis_labels_in_context():
     ctx = identities._Context(frame_example())
     assert ctx.labels == ("e1", "e2", "xi")

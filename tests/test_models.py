@@ -193,7 +193,7 @@ def test_chart_pipeline_canonical_count(monkeypatch):
     s = golden_structure("chart-1+z2.spec")
     calls = _count_kernel_calls(monkeypatch)
     _run_pipeline(s)
-    assert calls["_canonical"] == 888
+    assert calls["_canonical"] == 774
 
 
 def test_chart_memo_is_per_chart(monkeypatch):

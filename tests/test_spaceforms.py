@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -15,6 +18,7 @@ from _models import (
     negative_curvature_frame,
 )
 from ppst import spaceforms
+from ppst.deformation import DeformationParams, apply_deformation
 from ppst.models import ChartModel, FrameModel, TensorField
 from ppst.spaceforms import (
     check_constant_curvature_theorem,
@@ -23,6 +27,7 @@ from ppst.spaceforms import (
     model_catalog,
     search_constant_negative_curvature,
 )
+from ppst.specfile import export_text
 from ppst.structures import ParacontactStructure, StructureError
 
 
@@ -157,15 +162,6 @@ def test_theorem_residual_witnesses():
     assert failed == [("A_vanishes", "residual at (d/dy,d/dz): y")]
 
 
-def test_theorem_report_serialization():
-    d = check_constant_curvature_theorem(negative_curvature_frame()).to_dict()
-    assert d["status"] == "pass"
-    assert d["K"] == "-1"
-    assert d["quasi_para_sasakian"] is True
-    assert d["constant_curvature"] is True
-    assert len(d["assertions"]) == 8
-
-
 # -- catalog ------------------------------------------------------------------
 
 def test_catalog_names_and_order():
@@ -186,20 +182,45 @@ def test_catalog_expected_classes():
 
 
 def test_catalog_matches_reference_constructions():
+    """Each shipped spec is, byte for byte, the export of an independent
+    construction; the deformed entry is the deformation it describes."""
+    deformed = apply_deformation(frame_example(), DeformationParams(-2, 4))
+    deformed.name = "parasasakian-deformed"
     pairs = (
         ("flat-paracosymplectic", flat_cosymplectic()),
         ("example-frame", frame_example()),
         ("example-chart-printed", chart_printed()),
         ("example-chart-corrected", chart_corrected()),
+        ("parasasakian-deformed", deformed),
         ("constant-negative-curvature", negative_curvature_frame()),
     )
     for name, ref in pairs:
-        s = get_model(name)
-        # separate model instances: compare components, not tensor identity
-        assert s.phi.data == ref.phi.data, name
-        assert s.g.data == ref.g.data, name
-        assert s.xi.data == ref.xi.data, name
-        assert s.eta.data == ref.eta.data, name
+        shipped = (spaceforms.CATALOG_DIR / f"{name}.spec").read_bytes()
+        assert shipped == export_text(ref).encode("utf-8"), name
+
+
+def test_catalog_files_are_shipped_and_read_on_demand():
+    shipped = sorted(p.name for p in spaceforms.CATALOG_DIR.iterdir())
+    assert shipped == sorted(f"{e.name}.spec" for e in model_catalog())
+    if sys.version_info >= (3, 11):  # no tomllib on 3.10
+        import tomllib
+        config = tomllib.loads((Path(__file__).parents[1] / "pyproject.toml")
+                               .read_text(encoding="utf-8"))
+        package_data = config["tool"]["setuptools"]["package-data"]["ppst"]
+        assert "catalog/*.spec" in package_data
+    # importing the CLI opens no catalog file; loading a model opens one
+    probe = (
+        "import sys\n"
+        "opened = []\n"
+        "sys.addaudithook(lambda event, args: event == 'open'"
+        " and 'catalog' in str(args[0]) and opened.append(str(args[0])))\n"
+        "import ppst.cli\n"
+        "print(len(opened))\n"
+        "ppst.cli.run_command(['models', '--format', 'json'])\n"
+        "print(len(opened))\n")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout.split() == ["0", str(len(model_catalog()))]
 
 
 def test_get_model_unknown():
@@ -226,11 +247,6 @@ def test_search_default_grid():
     assert any(h.brackets == target for h in hits)
 
 
-def test_search_limit():
-    hits = search_constant_negative_curvature(limit=1)
-    assert len(hits) == 1
-
-
 def test_search_prefilter_is_conservative():
     fast = search_constant_negative_curvature(values=(0, 2), prefilter=True)
     slow = search_constant_negative_curvature(values=(0, 2), prefilter=False)
@@ -240,7 +256,7 @@ def test_search_prefilter_is_conservative():
 
 
 def test_search_hit_build_roundtrip():
-    hits = search_constant_negative_curvature(limit=1)
+    hits = search_constant_negative_curvature()
     s = hits[0].build()
     assert s.axiom_report().passed
     assert s.classification().flags["quasi_para_sasakian"]

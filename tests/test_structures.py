@@ -274,19 +274,6 @@ def test_classify_refuses_axiom_failure():
     assert "declared_frame_phi_basis" in failed
 
 
-def test_to_dict_roundtrip_shapes():
-    cls = frame_example().classification()
-    d = cls.to_dict()
-    assert d["label"] == "proper quasi-para-Sasakian"
-    assert set(d["flags"]) == {
-        "paracontact_metric", "K_paracontact", "para_sasakian",
-        "paracosymplectic", "normal", "quasi_para_sasakian",
-        "proper_quasi_para_sasakian"}
-    rep = frame_example().axiom_report().to_dict()
-    assert rep["passed"] is True
-    assert isinstance(rep["checks"], list)
-
-
 # -- phi-basis ----------------------------------------------------------------
 
 def _gram_entry(s, u, v):

@@ -208,12 +208,14 @@ def test_catalog_files_are_shipped_and_read_on_demand():
                                .read_text(encoding="utf-8"))
         package_data = config["tool"]["setuptools"]["package-data"]["ppst"]
         assert "catalog/*.spec" in package_data
-    # importing the CLI opens no catalog file; loading a model opens one
+    # importing the CLI opens no catalog file; listing the catalog opens
+    # each shipped file
     probe = (
         "import sys\n"
         "opened = []\n"
         "sys.addaudithook(lambda event, args: event == 'open'"
-        " and 'catalog' in str(args[0]) and opened.append(str(args[0])))\n"
+        f" and str(args[0]).startswith({str(spaceforms.CATALOG_DIR)!r})"
+        " and opened.append(args[0]))\n"
         "import ppst.cli\n"
         "print(len(opened))\n"
         "ppst.cli.run_command(['models', '--format', 'json'])\n"

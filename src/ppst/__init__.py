@@ -3,7 +3,8 @@
 The package computes with exact scalars only: no floating point, no
 simplification heuristics.  Chart-mode structures carry coordinate
 expressions (rational functions, RationalExpr), frame-mode structures
-constant structure tables over plain fractions.Fraction.
+constant structure tables over the rationals, each stored as an int when
+integral and as a fractions.Fraction otherwise.
 Every geometric claim is verified as an identically zero residual (or as an
 exact evaluation at rational sample points) and every failure carries a
 witness: the first offending component and its value.  Every verifier

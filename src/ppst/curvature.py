@@ -15,13 +15,15 @@ Conventions (fixed throughout the package):
   structure axioms); r* = g^{ab} S*_ab.
 
 Connection coefficients are stored as coeffs[i][j][k] = Gamma^k_ij with
-nabla_{e_i} e_j = Gamma^k_ij e_k.
+nabla_{e_i} e_j = Gamma^k_ij e_k.  Like a TensorField's components, every
+entry of the metric inverse and of the connection and curvature tables,
+and both scalar curvatures, is stored through ``model.scalar``: on a
+frame each is an int when integral and a Fraction otherwise.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property, partial
 from itertools import product
 
@@ -97,9 +99,10 @@ def metric_inverse(g: TensorField) -> tuple[tuple[Scalar, ...], ...]:
     if rows != tuple(zip(*rows)):
         raise GeometryError("metric must be symmetric")
     try:
-        return linalg.invert_matrix(rows, g.model.one)
+        inv = linalg.invert_matrix(rows, g.model.one)
     except linalg.SingularMatrixError:
         raise DegenerateMetricError("metric determinant is identically zero") from None
+    return tuple(tuple(map(g.model.scalar, row)) for row in inv)
 
 
 def levi_civita(g: TensorField) -> ConnectionData:
@@ -110,7 +113,6 @@ def levi_civita(g: TensorField) -> ConnectionData:
     d = model.dim
     grows = g.rows()
     ginv = metric_inverse(g)  # also checks that g is symmetric
-    half = Fraction(1, 2)
     zero = model.zero
     # gc[i][j][l] = g([e_i, e_j], e_l)
     gc = [[mat_vec(grows, model.bracket_vector(i, j), zero) for j in range(d)]
@@ -126,8 +128,8 @@ def levi_civita(g: TensorField) -> ConnectionData:
                      gc[i][j][l]),
                     (model.diff(l, grows[i][j]), gc[i][l][j], gc[j][l][i]),
                     zero)
-                rhs.append(val * half if val else val)
-            row.append(mat_vec(ginv, rhs, zero))
+                rhs.append(linalg.quotient(val, 2) if val else val)
+            row.append(tuple(map(model.scalar, mat_vec(ginv, rhs, zero))))
         coeffs.append(tuple(row))
     return ConnectionData(model, tuple(coeffs), g, ginv)
 
@@ -170,8 +172,9 @@ def riemann(conn: ConnectionData) -> CurvatureData:
             ji = mat_vec(nabla_op[j], G[i][k], zero)
             br = mat_vec(gamma_k[k], cij, zero)
             rv[i, j, k] = tuple(
-                signed_sum((model.diff(i, G[j][k][l]), ij[l]),
-                           (model.diff(j, G[i][k][l]), ji[l], br[l]), zero)
+                model.scalar(signed_sum((model.diff(i, G[j][k][l]), ij[l]),
+                                        (model.diff(j, G[i][k][l]), ji[l], br[l]),
+                                        zero))
                 for l in range(d))
     nested = tuple(tuple(tuple(tuple(rv[i, j, k][l] for j in range(d))
                                for i in range(d)) for k in range(d))
@@ -188,7 +191,7 @@ def ricci_scalar(curv: CurvatureData) -> tuple[TensorField, Scalar]:
     entries = {(j, k): signed_sum((R[a][k][a][j] for a in range(d)), (), zero)
                for j, k in product(range(d), repeat=2)}
     S = TensorField.from_entries(model, (0, 2), entries)
-    r = trace_product(curv.connection.metric_inverse, S.rows(), zero)
+    r = model.scalar(trace_product(curv.connection.metric_inverse, S.rows(), zero))
     curv.ricci, curv.scalar = S, r
     return S, r
 
@@ -212,7 +215,7 @@ def star_ricci_scalar(curv: CurvatureData, phi: TensorField,
             img = [mat_vec(op, phicols[b], zero) for op in ops]
             entries[(a, b)] = -trace_product(ph, tuple(zip(*img)), zero)
     S = TensorField.from_entries(model, (0, 2), entries)
-    r = trace_product(curv.connection.metric_inverse, S.rows(), zero)
+    r = model.scalar(trace_product(curv.connection.metric_inverse, S.rows(), zero))
     curv.star_ricci, curv.star_scalar = S, r
     return S, r
 

@@ -1,11 +1,15 @@
 """Field-generic exact linear algebra.
 
 Routines work over any exact field whose elements support +, -, *, /,
-truthiness (zero test) and equality: both fractions.Fraction and
-RationalExpr qualify.  The caller supplies the field's multiplicative
-identity or zero where one must be synthesized.  Everything is small and
-dense; dimensions here are at most 2n+1 for the models treated by this
-package.
+truthiness (zero test) and equality: the rationals of a frame (an int
+when integral, else a fractions.Fraction) and RationalExpr qualify.  The
+caller supplies the field's multiplicative identity or zero where one
+must be synthesized.  Everything is small and dense; dimensions here are
+at most 2n+1 for the models treated by this package.
+
+Every division of two field elements goes through ``quotient``: int / int
+would give a float, so two ints divide exactly, to an int when the
+division is exact and to a Fraction otherwise.
 
 One Gauss-Jordan row reduction, ``_rref``, serves ``rank``, ``nullspace``
 and ``invert_matrix`` (the right half of rref [M | I]; a missing pivot
@@ -36,6 +40,15 @@ Matrix = tuple[tuple[F, ...], ...]
 
 class SingularMatrixError(Exception):
     """Raised when an exact inverse does not exist."""
+
+
+def quotient(a: F, b: F) -> F:
+    """a / b, exact: an int when both are ints and b divides a, a Fraction
+    for two other ints, and a / b of any other pair."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    return a / b
 
 
 def signed_sum(plus: Iterable[F], minus: Iterable[F], zero: F) -> F:
@@ -128,7 +141,7 @@ def _rref(mat: Sequence[Sequence[F]]) -> tuple[list[list[F]], list[int]]:
             continue
         m[r], m[pivot_row] = m[pivot_row], m[r]
         pivot = m[r][c]
-        m[r] = [a / pivot for a in m[r]]
+        m[r] = [quotient(a, pivot) for a in m[r]]
         for i in range(nrows):
             if i != r and m[i][c]:
                 f = m[i][c]
@@ -195,7 +208,7 @@ def symmetric_signature(mat: Sequence[Sequence[Fraction]]) -> tuple[int, int, in
         pivot = m[k][k]
         for j in range(k + 1, n):
             if m[j][k]:
-                f = m[j][k] / pivot
+                f = quotient(m[j][k], pivot)
                 for c in range(n):
                     m[j][c] = m[j][c] - f * m[k][c]
                 for row in m:

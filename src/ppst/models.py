@@ -7,13 +7,15 @@ its own exact scalar field:
   functions (:class:`~ppst.expr.RationalExpr`) in the coordinates, and the
   basis is the coordinate vector fields (all brackets zero).
 * :class:`FrameModel`: a global frame e_1..e_{2n+1} with constant structure
-  constants [e_i, e_j] = c^k_ij e_k; scalars are plain
-  ``fractions.Fraction`` constants.
+  constants [e_i, e_j] = c^k_ij e_k; scalars are rational constants,
+  each an ``int`` when integral and a ``fractions.Fraction`` otherwise.
 
 Both expose the same operational surface (zero, one, scalar, diff,
 bracket_vector, ...), so the differential-geometry operators and everything
 built on them are written once against it, using only the operations both
-fields share: +, -, *, /, equality, truthiness as the zero test, and str.
+fields share: +, -, *, equality, truthiness as the zero test, and str;
+a quotient of two scalars is ``linalg.quotient``, which keeps two ints
+exact.
 One exterior derivative serves forms of every degree, and one derivation
 rule, ``_derivation``, extends a derivation from scalars and basis fields
 to tensors of any valence: it is the Lie derivative here and the
@@ -41,18 +43,27 @@ from .expr import DomainConstraint, RationalExpr, Variables
 from .parser import parse_expr
 from .report import first_nonzero
 
-Scalar = Union[Fraction, RationalExpr]
+Scalar = Union[int, Fraction, RationalExpr]
 ScalarLike = Union[int, Fraction, str, RationalExpr]
 
 
-def constant_value(value: Scalar | int) -> Fraction | None:
+def rational(value: int | Fraction) -> int | Fraction:
+    """A rational number in a frame's storage: an int when integral, else a
+    Fraction (whose denominator is then never 1)."""
+    if type(value) is int:
+        return value
+    value = Fraction(value)
+    return value.numerator if value.denominator == 1 else value
+
+
+def constant_value(value: Scalar) -> Fraction | None:
     """The rational constant a scalar of either field equals, or None."""
     if isinstance(value, RationalExpr):
         return value.constant_value() if value.is_constant else None
     return Fraction(value)
 
 
-def evaluate_at(value: Scalar | int, point: Mapping[str, Fraction | int],
+def evaluate_at(value: Scalar, point: Mapping[str, Fraction | int],
                 constraints: Iterable[DomainConstraint] = ()) -> Fraction:
     """The value of a scalar of either field at an exact point.
 
@@ -68,18 +79,21 @@ def constant_ratio(pairs: Iterable[tuple[Scalar, Scalar]]) -> Fraction | None:
     """The rational constant c with a = c b for every (a, b) pair, or None.
 
     c is read off the first pair with b != 0; the scan stops at the first
-    pair that breaks a = c b, also at a nonzero a before that b.
+    pair that breaks a = c b, also at a nonzero a before that b.  The
+    pairs are tested against c stored as ``rational`` stores it, so an
+    integral c costs int products on a frame; c is returned as a Fraction.
     """
     c = None
     for a, b in pairs:
         if c is None:
             if b:
-                c = constant_value(a / b)
+                c = constant_value(linalg.quotient(a, b))
                 if c is None:
                     return None
+                stored = rational(c)
             elif a:
                 return None
-        elif a - b * c:
+        elif a - b * stored:
             return None
     return c
 
@@ -196,9 +210,12 @@ class ChartModel(ManifoldModel):
 class FrameModel(ManifoldModel):
     """A global frame with constant structure constants.
 
-    Scalars are plain ``fractions.Fraction`` constants, so the bracket table
-    and every tensor field on a frame hold Fractions; ``scalar`` also
-    accepts int, str and constant RationalExpr input.
+    Scalars are rational constants stored as ``rational`` stores them: an
+    int when integral, else a Fraction.  ``scalar`` applies that rule to
+    every input (int, Fraction, str or constant RationalExpr) and refuses a
+    float, so the bracket table and every tensor field on a frame hold ints
+    wherever they can, and their zero tests, compares and products run as
+    int operations.
 
     ``brackets`` maps index pairs (i, j), i < j, to the component list of
     [e_i, e_j]; omitted pairs are zero.  The table must be antisymmetric
@@ -206,8 +223,8 @@ class FrameModel(ManifoldModel):
     constant table is a Lie algebra; this also guarantees d(d omega) = 0.
     """
 
-    zero = Fraction(0)
-    one = Fraction(1)
+    zero = 0
+    one = 1
 
     def __init__(self, labels: Iterable[str], signature: Iterable[int],
                  brackets: Mapping[tuple[int, int], Sequence[ScalarLike]] | None = None):
@@ -238,15 +255,21 @@ class FrameModel(ManifoldModel):
                            for k in range(self.dim))
         self._check_jacobi()
 
-    def scalar(self, value: ScalarLike) -> Fraction:
-        if type(value) is Fraction:
+    def scalar(self, value: ScalarLike) -> int | Fraction:
+        if type(value) is int:
             return value
+        if type(value) is Fraction:
+            return value.numerator if value.denominator == 1 else value
         if isinstance(value, str):
             value = parse_expr(value, ())
-        const = constant_value(value)
-        if const is None:
-            raise GeometryError(f"frame scalars are constants, got {value!r}")
-        return const
+        if isinstance(value, RationalExpr):
+            if not value.is_constant:
+                raise GeometryError(f"frame scalars are constants, got {value!r}")
+            return rational(value.constant_value())
+        if isinstance(value, int):  # a bool
+            return int(value)
+        # a float would be rounded, so it is refused rather than converted
+        raise GeometryError(f"frame scalars are exact rationals, got {value!r}")
 
     def _check_jacobi(self) -> None:
         # J(i,j,k) = [[e_i,e_j],e_k] + [[e_j,e_k],e_i] + [[e_k,e_i],e_j] is
@@ -266,10 +289,10 @@ class FrameModel(ManifoldModel):
                         f"bracket table violates the Jacobi identity at "
                         f"({self.labels[i]},{self.labels[j]},{self.labels[k]})")
 
-    def diff(self, i: int, f: Fraction) -> Fraction:
+    def diff(self, i: int, f: int | Fraction) -> int | Fraction:
         return self.zero  # frame scalars are constants
 
-    def bracket_vector(self, i: int, j: int) -> tuple[Fraction, ...]:
+    def bracket_vector(self, i: int, j: int) -> tuple[int | Fraction, ...]:
         return self._table[i][j]
 
     @property
@@ -479,7 +502,6 @@ def exterior_derivative(omega: TensorField) -> TensorField:
     # brackets[i][j] lists the nonzero (m, c^m_ij)
     brackets = [[[(m, c) for m, c in enumerate(model.bracket_vector(i, j)) if c]
                  for j in range(d)] for i in range(d)]
-    scale = Fraction(1, n)
     out = []
     for off, idx in enumerate(product(range(d), repeat=n)):
         terms = ([], [])  # the terms added and those subtracted
@@ -495,7 +517,7 @@ def exterior_derivative(omega: TensorField) -> TensorField:
                     if other:
                         terms[(a + b) % 2].append(c * other)
         val = linalg.signed_sum(*terms, model.zero)
-        out.append(val * scale if val else val)
+        out.append(linalg.quotient(val, n) if val else val)
     return TensorField(model, (0, n), out)
 
 
@@ -622,7 +644,10 @@ def sample_points(model: ManifoldModel, count: int) -> list[dict[str, Fraction]]
     for k in range(1000):
         if len(points) == count:
             break
-        point = {c: _CANDIDATES[(k + 3 * i) % ncand]
+        # round k // ncand shifts every candidate by 5 per round, so a
+        # constraint that vanishes at all of them still meets fresh values
+        shift = 5 * (k // ncand)
+        point = {c: _CANDIDATES[(k + 3 * i) % ncand] + shift
                  for i, c in enumerate(model.scalar_variables)}
         if point in points:
             continue

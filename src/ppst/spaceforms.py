@@ -39,7 +39,7 @@ from .deformation import (
     proportionality_constant,
 )
 from .linalg import bilinear, trace_product
-from .models import FrameModel, GeometryError, TensorField, constant_ratio
+from .models import FrameModel, GeometryError, TensorField, constant_ratio, rational
 from .report import CheckResult, residual_check
 from .specfile import import_text
 from .structures import ParacontactStructure, StructureError, nijenhuis_N1
@@ -239,7 +239,7 @@ def _standard_frame_structure(brackets,
 
 @dataclass(frozen=True)
 class SearchHit:
-    brackets: tuple[tuple[tuple[int, int], tuple[Fraction, ...]], ...]
+    brackets: tuple[tuple[tuple[int, int], tuple[int | Fraction, ...]], ...]
     K: Fraction
     lam: Fraction
 
@@ -270,7 +270,7 @@ def search_constant_negative_curvature(
     a table failing the Jacobi identity is rejected by its frame model.
     Every reported hit has been re-verified by the general tensor machinery.
     """
-    vals = tuple(Fraction(v) for v in values)
+    vals = tuple(rational(v) for v in values)
     hits: list[SearchHit] = []
     for c01 in product(vals, repeat=3):
         for c02 in product(vals, repeat=3):

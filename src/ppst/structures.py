@@ -453,15 +453,15 @@ def build_phi_basis(s: ParacontactStructure) -> tuple[TensorField, ...]:
         um[i], um[b] = um[b], um[i]
         p = bilinear(grows, up[i], um[i], zero)
         for r in range(i + 1, n):
-            f = bilinear(grows, up[r], um[i], zero) / p
+            f = linalg.quotient(bilinear(grows, up[r], um[i], zero), p)
             up[r] = [c - f * ci for c, ci in zip(up[r], up[i])]
-            f = bilinear(grows, up[i], um[r], zero) / p
+            f = linalg.quotient(bilinear(grows, up[i], um[r], zero), p)
             um[r] = [c - f * ci for c, ci in zip(um[r], um[i])]
     xs, ys = [], []
     for i in range(n):
         p2 = 2 * bilinear(grows, up[i], um[i], zero)
-        xvec = tuple(c + cm / p2 for c, cm in zip(up[i], um[i]))
-        yvec = tuple(c - cm / p2 for c, cm in zip(up[i], um[i]))
+        xvec = tuple(c + linalg.quotient(cm, p2) for c, cm in zip(up[i], um[i]))
+        yvec = tuple(c - linalg.quotient(cm, p2) for c, cm in zip(up[i], um[i]))
         xs.append(TensorField.vector(model, xvec))
         ys.append(TensorField.vector(model, yvec))
     basis = tuple(xs) + tuple(ys) + (s.xi,)

@@ -276,6 +276,23 @@ def test_identically_zero_constraint_is_an_input_error(tmp_path, command):
                             "the domain is empty (field manifold)")
 
 
+@pytest.mark.parametrize("command", ["check", "curvature"])
+def test_constraint_vanishing_at_every_first_candidate_is_sampled(tmp_path, command):
+    """A constraint that vanishes at all ten first-round sample candidates
+    still leaves a domain: later rounds draw fresh values, so the verdict
+    is on the geometry, never the sampling."""
+    roots = "(x-1)*(x-2)*(2*x-1)*(x-3)*(x+1)*(x-5)*(x+2)*(2*x-7)*(x-4)*(x+3)"
+    text = (GOLDEN / "chart-1+z2.spec").read_text(encoding="utf-8")
+    spec = tmp_path / "roots.spec"
+    spec.write_text(text.replace("constraints = (1+z^2)", f"constraints = {roots}"),
+                    encoding="utf-8")
+    report = run_command([command, str(spec)])
+    assert report.exit_code in (0, 1)
+    assert "constraint-satisfying points" not in report.to_text()
+    if command == "check":
+        assert report.data["sample_point"] == {"x": "6", "y": "8", "z": "3"}
+
+
 def test_both_spec_and_model_rejected(tmp_path):
     spec = tmp_path / "s.spec"
     spec.write_text("x", encoding="utf-8")

@@ -1,4 +1,5 @@
-"""Exact linear algebra over both scalar fields: Fraction and chart RationalExpr."""
+"""Exact linear algebra over both scalar fields: a frame's rationals (int when
+integral, else Fraction) and chart RationalExpr."""
 
 from __future__ import annotations
 
@@ -7,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from ppst import linalg
-from ppst.models import ChartModel
+from ppst.models import ChartModel, rational
 
 F = Fraction
 CHART = ChartModel(("x", "y", "z"))
@@ -21,12 +22,20 @@ def _fractions(rows):
     return tuple(tuple(F(v) for v in row) for row in rows)
 
 
+def _frame(rows):
+    """Rows as a frame stores them: int entries wherever they are integral."""
+    return tuple(tuple(rational(F(v)) for v in row) for row in rows)
+
+
 # each case: (matrix, field one, expected rank); the chart matrices have a
 # non-monomial entry, so elimination divides by a polynomial with two terms
 CASES = {
     "fraction-invertible": (_fractions([[2, 1, 0], [1, 3, 1], [0, 1, "1/2"]]), F(1), 3),
     "fraction-singular": (_fractions([[1, 2, 3], [2, 4, 6], [0, 1, 1]]), F(1), 2),
     "fraction-wide": (_fractions([[1, 0, 2, -1], [0, 1, 1, 1]]), F(1), 2),
+    "frame-invertible": (_frame([[2, 1, 0], [1, 3, 1], [0, 1, "1/2"]]), 1, 3),
+    "frame-singular": (_frame([[2, 4, 6], [3, 6, 9], [0, 3, 1]]), 1, 2),
+    "frame-wide": (_frame([[3, 0, 2, -1], [0, 2, 1, 1]]), 1, 2),
     "chart-invertible": (_chart([["1 + y^2", "x", "0"], ["x", "-1", "z"],
                                  ["0", "z", "1/(1 + z)"]]), CHART.one, 3),
     "chart-singular": (_chart([["1 + y^2", "x"], ["x*(1 + y^2)", "x^2"]]),
@@ -39,6 +48,35 @@ CASES = {
 def _mat_mul(a, b, zero):
     cols = tuple(zip(*b))
     return tuple(tuple(linalg.dot(row, col, zero) for col in cols) for row in a)
+
+
+def test_quotient_is_exact():
+    """Two ints divide to an int when exact and to a Fraction otherwise;
+    any other pair divides as its type does."""
+    for a, b, want in ((6, -3, -2), (0, 5, 0), (-7, 7, -1)):
+        assert type(linalg.quotient(a, b)) is int and linalg.quotient(a, b) == want
+    for a, b, want in ((3, -6, F(-1, 2)), (-3, 2, F(-3, 2)), (1, 3, F(1, 3))):
+        q = linalg.quotient(a, b)
+        assert type(q) is F and q == want and q.denominator != 1
+    assert linalg.quotient(F(3, 2), F(3, 4)) == F(2)
+    assert type(linalg.quotient(F(3, 2), F(3, 4))) is F
+    assert linalg.quotient(F(1, 2), 2) == F(1, 4)
+    assert linalg.quotient(3, F(1, 2)) == F(6)
+    got = linalg.quotient(CHART.scalar("x^2 + x*y"), CHART.scalar("x"))
+    assert got == CHART.scalar("x + y")
+    assert linalg.quotient(CHART.scalar("x"), 2) == CHART.scalar("x/2")
+    with pytest.raises(ZeroDivisionError):
+        linalg.quotient(1, 0)
+
+
+@pytest.mark.parametrize("name", [n for n in CASES if n.startswith("frame")])
+def test_frame_elimination_divides_exactly(name):
+    """On int entries rref and its users stay exact: no float appears."""
+    mat, one, _ = CASES[name]
+    results = [linalg._rref(mat)[0], linalg.nullspace(mat, one)]
+    if name.endswith("invertible"):
+        results.append(linalg.invert_matrix(mat, one))
+    assert all(type(c) in (int, F) for rows in results for row in rows for c in row)
 
 
 @pytest.mark.parametrize("name", CASES)
@@ -160,3 +198,4 @@ INERTIA_CASES = {
 def test_symmetric_signature(name):
     rows, inertia = INERTIA_CASES[name]
     assert linalg.symmetric_signature(_fractions(rows)) == inertia
+    assert linalg.symmetric_signature(_frame(rows)) == inertia

@@ -16,6 +16,7 @@ from _models import (
     negative_curvature_frame,
 )
 from ppst import expr, linalg
+from ppst.curvature import ConnectionData, CurvatureData
 from ppst.deformation import (
     DeformationParams,
     apply_deformation,
@@ -30,6 +31,7 @@ from ppst.models import (
     TensorField,
     constant_ratio,
     constant_value,
+    evaluate_at,
     exterior_derivative,
     lie_bracket,
     lie_derivative,
@@ -41,6 +43,7 @@ from ppst.spaceforms import (
     check_constant_curvature_theorem,
     get_model,
     model_catalog,
+    search_constant_negative_curvature,
 )
 from ppst.specfile import import_text
 from ppst.structures import ParacontactStructure
@@ -102,14 +105,27 @@ def test_scalar_coercion():
         f.scalar(m.scalar("y"))
 
 
-def test_frame_scalars_are_fractions():
+def _stored_rational(c) -> bool:
+    """How a rational is stored, as a frame scalar or a chart coefficient: an
+    int (not a bool) when integral, else a Fraction with denominator != 1;
+    never a float."""
+    return type(c) is int or (type(c) is Fraction and c.denominator != 1)
+
+
+def test_frame_scalars_are_int_or_fraction():
     f = example_frame()
-    assert type(f.zero) is Fraction and type(f.one) is Fraction
-    assert f.zero is f.zero and f.diff(0, f.one) is f.zero
+    assert type(f.zero) is int and type(f.one) is int
+    assert (f.zero, f.one) == (0, 1) and f.diff(0, f.one) is f.zero
     for value in (3, "3", Fraction(3), RationalExpr.constant(3, ("x",))):
-        assert type(f.scalar(value)) is Fraction and f.scalar(value) == 3
-    assert all(type(c) is Fraction for c in f.bracket_vector(1, 0))
-    assert all(type(c) is Fraction for c in f.orthonormal_metric().data)
+        assert type(f.scalar(value)) is int and f.scalar(value) == 3
+    assert type(f.scalar(True)) is int and f.scalar(True) == 1
+    for value in ("-1/2", Fraction(-1, 2),
+                  RationalExpr.constant(Fraction(-1, 2), ("x",))):
+        assert type(f.scalar(value)) is Fraction and f.scalar(value) == Fraction(-1, 2)
+    with pytest.raises(GeometryError, match="exact rationals"):
+        f.scalar(0.5)
+    assert all(type(c) is int for c in f.bracket_vector(1, 0))
+    assert all(type(c) is int for c in f.orthonormal_metric().data)
 
 
 def _count_kernel_calls(monkeypatch) -> dict[str, int]:
@@ -140,13 +156,17 @@ def test_frame_pipeline_builds_no_rational_function(monkeypatch):
     calls = _count_kernel_calls(monkeypatch)
     curv = _run_pipeline(s)
     assert calls["_canonical"] == 0
-    assert type(curv.scalar) is Fraction and curv.scalar == 16
+    assert type(curv.scalar) is int and curv.scalar == 16
 
 
 def test_frame_pipeline_skips_zero_terms(monkeypatch):
     """Per-component formulas go through the contraction kernel, which skips
-    zero terms: the heisenberg5-c4 pipeline makes 3,865 Fraction + - *
-    calls (27,846 when every term of every formula was summed)."""
+    zero terms: the heisenberg5-c4 pipeline makes 2,477 Fraction + - *
+    calls (27,846 when every term of every formula was summed and every
+    scalar was a Fraction).  Integral scalars are ints, so what is left is
+    where non-integral values arise: 2,077 in the identity suite, whose
+    phi-basis fields u+ +- u-/(2p) have halves, and 242 in the deformation
+    laws, from xi / alpha = -xi/2."""
     s = golden_structure("heisenberg5-c4.spec")
     calls = [0]
     for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
@@ -156,7 +176,7 @@ def test_frame_pipeline_skips_zero_terms(monkeypatch):
             return _fn(a, b)
         monkeypatch.setattr(Fraction, name, counted)
     _run_pipeline(s)
-    assert calls[0] <= 3900
+    assert calls[0] <= 2477
 
 
 def test_chart_arithmetic_skips_provable_gcds(monkeypatch):
@@ -226,9 +246,7 @@ def test_coefficients_are_int_or_fraction_and_numbers_leave_as_fraction(
     monkeypatch.undo()
     assert len(built) > 1000
     coefficients = [c for num, den in built for _, c in num + den]
-    assert not [c for c in coefficients
-                if not (type(c) is int
-                        or (type(c) is Fraction and c.denominator != 1))]
+    assert not [c for c in coefficients if not _stored_rational(c)]
     assert {int, Fraction} == set(map(type, coefficients))
     r, point = curv.scalar, sample_points(s.model, 1)[0]
     assert type(r.evaluate(point)) is Fraction
@@ -236,8 +254,60 @@ def test_coefficients_are_int_or_fraction_and_numbers_leave_as_fraction(
     assert type(constant_value(s.g[(1, 1)])) is Fraction
     assert type(RationalExpr.zero(("x",)).constant_value()) is Fraction
     frame = golden_structure("heisenberg5-c4.spec").model
-    assert all(type(c) is Fraction
+    assert all(_stored_rational(c)
                for slab in frame.slabs for row in slab for c in row)
+    assert type(constant_value(frame.one)) is Fraction
+    assert type(evaluate_at(frame.one, {})) is Fraction
+
+
+def _frame_pipelines():
+    """Every frame the package ships or finds: the catalog frames, the dim-5
+    goldens and the search hits."""
+    structures = [get_model(e.name) for e in model_catalog()]
+    structures = [s for s in structures if isinstance(s.model, FrameModel)]
+    structures += [golden_structure(f"heisenberg5-{c}.spec") for c in ("c4", "c-2")]
+    hits = search_constant_negative_curvature()
+    return structures + [h.build() for h in hits], hits
+
+
+def test_no_frame_pipeline_stores_a_float_or_an_integral_fraction(monkeypatch):
+    """Every component of every tensor field, metric inverse, connection and
+    curvature table built on a frame pipeline, the deformed one included,
+    follows the int-or-Fraction rule: each division of two frame scalars is
+    exact (``linalg.quotient``), so a bare / of two ints would show here as
+    a float."""
+    seen = []
+
+    def recording(cls, fields):
+        init = cls.__init__
+
+        def recorded(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            if isinstance(self.model, FrameModel):
+                seen.extend(fields(self))
+        monkeypatch.setattr(cls, "__init__", recorded)
+    recording(TensorField, lambda t: t.data)
+    recording(ConnectionData, lambda c: [x for table in (c.coeffs, (c.metric_inverse,))
+                                         for rows in table for row in rows
+                                         for x in row])
+    recording(CurvatureData, lambda c: [x for a in c._nested for b in a
+                                        for row in b for x in row])
+    structures, hits = _frame_pipelines()
+    assert len(structures) == 3 + 2 + 6
+    params = DeformationParams(-2, 4)
+    for s in structures:
+        for t in (s, apply_deformation(s, params)):
+            curv = t.curvature
+            t.classification()
+            t.phi_basis
+            run_suite(t)
+            check_constant_curvature_theorem(t)
+            seen.extend((curv.scalar, curv.star_scalar))
+        assert verify_deformation_relations(s, params).passed
+    seen.extend(c for h in hits for _, vec in h.brackets for c in vec)
+    assert len(seen) > 20000
+    assert not [c for c in seen if not _stored_rational(c)]
+    assert {int, Fraction} == set(map(type, seen))
 
 
 def test_chart_tensors_share_the_coordinates_memo():

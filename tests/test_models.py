@@ -161,7 +161,7 @@ def test_frame_pipeline_builds_no_rational_function(monkeypatch):
 
 def test_frame_pipeline_skips_zero_terms(monkeypatch):
     """Per-component formulas go through the contraction kernel, which skips
-    zero terms: the heisenberg5-c4 pipeline makes 2,477 Fraction + - *
+    zero terms: the heisenberg5-c4 pipeline makes 2,453 Fraction + - *
     calls (27,846 when every term of every formula was summed and every
     scalar was a Fraction).  Integral scalars are ints, so what is left is
     where non-integral values arise: 2,077 in the identity suite, whose
@@ -176,7 +176,7 @@ def test_frame_pipeline_skips_zero_terms(monkeypatch):
             return _fn(a, b)
         monkeypatch.setattr(Fraction, name, counted)
     _run_pipeline(s)
-    assert calls[0] <= 2477
+    assert calls[0] <= 2453
 
 
 def test_chart_arithmetic_skips_provable_gcds(monkeypatch):
@@ -260,22 +260,13 @@ def test_coefficients_are_int_or_fraction_and_numbers_leave_as_fraction(
     assert type(evaluate_at(frame.one, {})) is Fraction
 
 
-def _frame_pipelines():
-    """Every frame the package ships or finds: the catalog frames, the dim-5
-    goldens and the search hits."""
-    structures = [get_model(e.name) for e in model_catalog()]
-    structures = [s for s in structures if isinstance(s.model, FrameModel)]
-    structures += [golden_structure(f"heisenberg5-{c}.spec") for c in ("c4", "c-2")]
-    hits = search_constant_negative_curvature()
-    return structures + [h.build() for h in hits], hits
-
-
 def test_no_frame_pipeline_stores_a_float_or_an_integral_fraction(monkeypatch):
     """Every component of every tensor field, metric inverse, connection and
-    curvature table built on a frame pipeline, the deformed one included,
-    follows the int-or-Fraction rule: each division of two frame scalars is
-    exact (``linalg.quotient``), so a bare / of two ints would show here as
-    a float."""
+    curvature table built on a frame pipeline follows the int-or-Fraction
+    rule: each division of two frame scalars is exact (``linalg.quotient``),
+    so a bare / of two ints would show here as a float.  The pipelines are
+    every frame the package ships or finds (the catalog frames, the dim-5
+    goldens, the search hits), each also deformed."""
     seen = []
 
     def recording(cls, fields):
@@ -287,12 +278,16 @@ def test_no_frame_pipeline_stores_a_float_or_an_integral_fraction(monkeypatch):
                 seen.extend(fields(self))
         monkeypatch.setattr(cls, "__init__", recorded)
     recording(TensorField, lambda t: t.data)
-    recording(ConnectionData, lambda c: [x for table in (c.coeffs, (c.metric_inverse,))
-                                         for rows in table for row in rows
-                                         for x in row])
+    recording(ConnectionData,
+              lambda c: ([x for row in c.coeffs for vec in row for x in vec]
+                         + [x for row in c.metric_inverse for x in row]))
     recording(CurvatureData, lambda c: [x for a in c._nested for b in a
                                         for row in b for x in row])
-    structures, hits = _frame_pipelines()
+    structures = [get_model(e.name) for e in model_catalog()]
+    structures = [s for s in structures if isinstance(s.model, FrameModel)]
+    structures += [golden_structure(f"heisenberg5-{c}.spec") for c in ("c4", "c-2")]
+    hits = search_constant_negative_curvature()
+    structures += [h.build() for h in hits]
     assert len(structures) == 3 + 2 + 6
     params = DeformationParams(-2, 4)
     for s in structures:

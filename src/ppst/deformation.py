@@ -32,7 +32,7 @@ from fractions import Fraction
 from itertools import product
 
 from .curvature import covariant_derivative
-from .linalg import dot, mat_vec, signed_sum
+from .linalg import dot, mat_vec, quotient, signed_sum
 from .models import TensorField, constant_ratio
 from .report import CheckResult, residual_check
 from .structures import ParacontactStructure, StructureError
@@ -79,8 +79,8 @@ def apply_deformation(s: ParacontactStructure,
                       params: DeformationParams) -> ParacontactStructure:
     """Return the deformed structure; derived data is recomputed lazily."""
     model = s.model
-    alpha, beta = params.alpha, params.beta
-    xi2 = s.xi * (Fraction(1) / alpha)
+    alpha, beta = model.scalar(params.alpha), model.scalar(params.beta)
+    xi2 = s.xi * quotient(model.one, alpha)
     eta2 = s.eta * alpha
     ev = s.eta.data
     d = model.dim
@@ -89,8 +89,9 @@ def apply_deformation(s: ParacontactStructure,
         entries[(i, j)] = s.g[(i, j)] * beta + ev[i] * ev[j] * (alpha ** 2 - beta)
     g2 = TensorField.from_entries(model, (0, 2), entries)
     base = s.name or "structure"
-    return ParacontactStructure(model, s.phi, xi2, g2, eta2,
-                                name=f"{base}-deformed({alpha},{beta})")
+    return ParacontactStructure(
+        model, s.phi, xi2, g2, eta2,
+        name=f"{base}-deformed({params.alpha},{params.beta})")
 
 
 def verify_deformation_relations(s: ParacontactStructure,
@@ -104,8 +105,8 @@ def verify_deformation_relations(s: ParacontactStructure,
     d = model.dim
     labels = model.basis_labels
     st = apply_deformation(s, params)
-    alpha, beta = params.alpha, params.beta
-    t = model.scalar(alpha ** 2 / beta - 1)
+    alpha, beta = model.scalar(params.alpha), model.scalar(params.beta)
+    t = quotient(alpha ** 2, beta) - 1
     zero = model.zero
     conn, conn2 = s.connection, st.connection  # also checks g, g~ symmetric
     A_cols, A2_cols = tuple(zip(*s.A.rows())), tuple(zip(*st.A.rows()))
@@ -125,10 +126,12 @@ def verify_deformation_relations(s: ParacontactStructure,
     report.results["i00"] = residual_check("i00", i00_entries(), labels)
 
     def i5_entries():
-        f = alpha / beta
+        f = quotient(alpha, beta)
         for i in range(d):
             for l in range(d):
-                yield (i,), A2_cols[i][l] - A_cols[i][l] * f
+                a = A_cols[i][l]
+                yield (i,), signed_sum((A2_cols[i][l],), (a * f if a else a,),
+                                       zero)
 
     report.results["i5"] = residual_check("i5", i5_entries(), labels)
 

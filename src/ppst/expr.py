@@ -37,10 +37,17 @@ canonical form already proves to be 1:
   stands, and so are a constant c/1 and a variable x/1.
 
 Every other result goes through ``_canonical``.  Monomials are exponent
-tuples aligned with the variable tuple.  The GCD of two genuinely
-multivariate, multi-term polynomials is delegated to sympy through a ZZ
-polynomial ring built once per variable tuple (see _poly_gcd); monomial
-and constant cases are handled natively.
+tuples aligned with the variable tuple.  Shared monomial content is
+removed first; the GCD of two multi-term polynomials is then read off the
+factors of the denominator.  Q[vars] is a unique factorization domain, so
+gcd(num, den) is the product of p^min(e, k) over the irreducible factors p
+of den, where p occurs e times in den and k times in num: num and den are
+divided by each p while p divides num, at most e times (see _poly_gcd).
+The division is exact, in lex order, on the int or Fraction coefficients.
+A denominator is first divided by the factors already found; only a
+non-constant leftover goes to sympy, which factors it once over ZZ in a
+ring built once per variable tuple.  A chart meets few distinct
+denominators, so most GCDs are a few trial divisions and no sympy call.
 
 One computation meets the same reductions again and again: a chart
 pipeline makes about ten ``_canonical`` calls per distinct num/den pair.
@@ -52,21 +59,26 @@ coefficient is positive.  The
 memo is shared by every value built on the same ``Variables`` object: a
 chart model builds one for its coordinates and re-homes every scalar onto
 it, so the memo lives exactly as long as the chart and its structures.
-It is not process-wide on purpose.  A command reduces the values of one
-chart, so a process-wide cache would add only reuse across unrelated
-inputs, which one request per process never gets; it would hold every
-value ever reduced for the life of the process; and the work one chart
-costs would depend on what ran before it in the same process.
+The irreducible factors found in the chart's denominators and the split
+of each denominator into them are kept on the same object, with the same
+lifetime.  None of this is process-wide on purpose.  A command reduces the
+values of one chart, so a process-wide cache would add only reuse across
+unrelated inputs, which one request per process never gets; it would hold
+every value and factor ever met for the life of the process; and the work
+one chart costs would depend on what ran before it in the same process.
 """
 
 from __future__ import annotations
 
+import heapq
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 from typing import Iterable, Mapping, Union
+
+from .linalg import quotient
 
 Monomial = tuple[int, ...]
 PolyDict = dict[Monomial, int | Fraction]
@@ -100,14 +112,16 @@ class Variables(tuple):
     The names are distinct.  Equality, hashing and printing are those of
     the plain tuple; ``memo`` maps the (num, den) items given to
     ``_canonical``, num with a positive lex-leading coefficient, to its
-    result.
+    result.  ``factors`` lists the irreducible polynomials found in the
+    denominators reduced so far, and ``splits`` maps the items of each
+    denominator given to ``_poly_gcd`` to its factors with multiplicities.
     """
 
     def __new__(cls, names: Iterable[str] = ()):
         out = super().__new__(cls, names)
         if len(set(out)) != len(out):
             raise ValueError("duplicate variable names")
-        out.memo = {}
+        out.memo, out.factors, out.splits = {}, [], {}
         return out
 
     @classmethod
@@ -194,6 +208,42 @@ def _terms(a: PolyDict) -> PolyTerms:
     return tuple(sorted(a.items(), reverse=True))
 
 
+def _exact_quotient(a: PolyDict, p: PolyTerms) -> PolyDict | None:
+    """a / p if p divides a in Q[vars], else None.
+
+    Lex-order division by the single divisor p, whose coefficients are ints:
+    a heap yields the remainder's terms largest first, and the division
+    stops as soon as the leading monomial of the remainder is not a multiple
+    of p's, which it always is while p divides what is left.
+    """
+    (lead, lc), tail = p[0], p[1:]
+    rem = dict(a)
+    # negated exponents, so the heap's smallest entry is the lex-largest
+    # monomial; entries of cancelled monomials are skipped when popped
+    heap = [tuple(map(operator.neg, m)) for m in rem]
+    heapq.heapify(heap)
+    quo: PolyDict = {}
+    while rem:
+        m = tuple(map(operator.neg, heapq.heappop(heap)))
+        c = rem.pop(m, 0)
+        if not c:
+            continue
+        t = tuple(map(operator.sub, m, lead))
+        if min(t) < 0:
+            return None
+        q = quo[t] = quotient(c, lc)
+        for mp, cp in tail:
+            mt = tuple(map(operator.add, mp, t))
+            s = rem.get(mt, 0) - q * cp
+            if s:
+                if mt not in rem:
+                    heapq.heappush(heap, tuple(map(operator.neg, mt)))
+                rem[mt] = s
+            else:
+                del rem[mt]
+    return quo
+
+
 @lru_cache(maxsize=16)
 def _zz_ring(variables: tuple[str, ...]):
     """The sympy polynomial ring ZZ[variables] in lex order."""
@@ -205,22 +255,58 @@ def _zz_ring(variables: tuple[str, ...]):
     return PolyRing([Symbol(v) for v in variables], ZZ, lex)
 
 
-def _poly_gcd(variables: tuple[str, ...], a: PolyDict,
-              b: PolyDict) -> tuple[PolyDict, PolyDict]:
-    """Cofactors (a/g, b/g) of g = gcd(a, b), up to one common constant factor.
+def _split(variables: Variables,
+           den: PolyDict) -> tuple[tuple[PolyTerms, int], ...]:
+    """The irreducible factors of den with their multiplicities.
 
-    Only called with two multi-term polynomials whose shared monomial content
-    has already been removed; monomial cases never reach the sympy bridge.
-    Both operands are scaled to integer-primitive polynomials, so the GCD
-    runs in ZZ[variables]; the scales go back onto the cofactors.
+    The factors the chart already knows are divided out first; only a
+    non-constant leftover is factored by sympy over ZZ, and its factors join
+    the chart's set.  Every factor is a primitive polynomial over ZZ, so by
+    Gauss's lemma irreducible over Q, and no two are associates.
     """
-    ring = _zz_ring(tuple(variables))  # the cache must not keep a memo alive
-    ca, cb = _content(a), _content(b)
-    pa = ring.from_dict({m: (c / ca).numerator for m, c in a.items()})
-    pb = ring.from_dict({m: (c / cb).numerator for m, c in b.items()})
-    _, qa, qb = pa.cofactors(pb)
-    return ({m: ca * c for m, c in qa.items()},
-            {m: cb * c for m, c in qb.items()})
+    split = []
+    for p in variables.factors:
+        e = 0
+        while (q := _exact_quotient(den, p)) is not None:
+            den, e = q, e + 1
+        if e:
+            split.append((p, e))
+    if len(den) > 1 or any(next(iter(den))):
+        scale = _content(den)
+        ring = _zz_ring(tuple(variables))  # the cache must not keep a memo alive
+        _, factors = ring.from_dict(
+            {m: (c / scale).numerator for m, c in den.items()}).factor_list()
+        for f, e in factors:
+            p = _terms({m: int(c) for m, c in f.items()})
+            variables.factors.append(p)
+            split.append((p, e))
+    return tuple(split)
+
+
+def _poly_gcd(variables: Variables, num: PolyDict,
+              den: PolyDict) -> tuple[PolyDict, PolyDict]:
+    """Cofactors (num/g, den/g) of g = gcd(num, den).
+
+    Q[vars] is a unique factorization domain, so g is the product of
+    p^min(e, k) over the irreducible factors p of den, where p occurs e
+    times in den and k times in num.  So num and den are divided by p while
+    p divides num, at most e times.  The split of each distinct den and the
+    factors found so far are kept on ``variables`` (see _split): they live
+    as long as the chart, like the memo of canonical forms, and are never
+    shared between charts.  Called with two multi-term polynomials whose
+    shared monomial content has already been removed.
+    """
+    key = frozenset(den.items())
+    split = variables.splits.get(key)
+    if split is None:
+        split = variables.splits[key] = _split(variables, den)
+    for p, e in split:
+        for _ in range(e):
+            q = _exact_quotient(num, p)
+            if q is None:
+                break
+            num, den = q, _exact_quotient(den, p)
+    return num, den
 
 
 def _normalized(num: PolyDict, den: PolyDict) -> tuple[PolyTerms, PolyTerms]:
@@ -255,7 +341,7 @@ def _canonical(variables: Variables, num: PolyDict,
     return out
 
 
-def _reduced(variables: tuple[str, ...], num: PolyDict,
+def _reduced(variables: Variables, num: PolyDict,
              den: PolyDict) -> tuple[PolyTerms, PolyTerms]:
     """Canonical form of num/den, both nonzero with no zero coefficient."""
     # shared monomial content

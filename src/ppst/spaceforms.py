@@ -48,7 +48,7 @@ from .structures import ParacontactStructure, StructureError, nijenhuis_N1
 def constant_curvature_of(s: ParacontactStructure) -> Fraction | None:
     """The constant K with R(X,Y)Z = K(g(Y,Z)X - g(X,Z)Y), or None."""
     d = s.model.dim
-    R = s.curvature.apply
+    R = s.riemann_curvature.apply
     grows = s.g.rows()
     zero = s.model.zero
     return constant_ratio(

@@ -55,6 +55,7 @@ from .models import (
     evaluate_at,
     exterior_derivative,
     lie_derivative,
+    rational,
     sample_points,
 )
 from .report import CheckResult, first_nonzero, residual_check
@@ -128,8 +129,9 @@ class ParacontactStructure:
     ``declared_frame`` optionally lists 2n+1 vector fields claimed to form a
     phi-basis in the order (X_1..X_n, Y_1..Y_n, xi); it is verified, never
     trusted.  If ``eta`` is omitted it is derived as g(., xi) and flagged.
-    All derived data (connection, curvature, Phi, deta, dPhi, N1, A, h,
-    phi-basis) is computed lazily once; instances are treated as immutable.
+    All derived data (connection, Riemann table, curvature, Phi, deta, dPhi,
+    N1, A, h, phi-basis) is computed lazily once; instances are treated as
+    immutable.
     """
 
     def __init__(self, model: ManifoldModel, phi: TensorField, xi: TensorField,
@@ -158,8 +160,13 @@ class ParacontactStructure:
         return levi_civita(self.g)
 
     @cached_property
+    def riemann_curvature(self) -> CurvatureData:
+        """The Riemann table alone; ``curvature`` adds its traces to it."""
+        return riemann(self.connection)
+
+    @cached_property
     def curvature(self) -> CurvatureData:
-        curv = riemann(self.connection)
+        curv = self.riemann_curvature
         ricci_scalar(curv)
         star_ricci_scalar(curv, self.phi)
         return curv
@@ -263,11 +270,12 @@ def tensor_h(s: ParacontactStructure) -> TensorField:
 # axioms
 
 def _evaluate_matrix(s: ParacontactStructure, T: TensorField,
-                     point: Mapping[str, Fraction]) -> list[list[Fraction]]:
+                     point: Mapping[str, Fraction]) -> list[list[int | Fraction]]:
+    """T's rows at the point, each value stored by the ``rational`` rule."""
     d = s.model.dim
     rows = T.rows()
     cons = s.model.constraints
-    return [[evaluate_at(rows[i][j], point, cons) for j in range(d)]
+    return [[rational(evaluate_at(rows[i][j], point, cons)) for j in range(d)]
             for i in range(d)]
 
 

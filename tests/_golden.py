@@ -6,7 +6,8 @@ and are passed by file name from inside that directory, so the ``file:``
 source tag does not depend on where the suite runs.  They cover what no
 dim-3 catalog model reaches: n = 2 frames (the pivoting in
 ``build_phi_basis``) and charts whose denominators are not monomials (the
-sympy GCD path), one of them, 1+y^2+z, in two variables.
+GCD by trial division over factors sympy finds), one of them, 1+y^2+z,
+in two variables.
 
 Regenerate the committed goldens after an intended report change with
 

@@ -130,6 +130,99 @@ def test_memo_reduces_each_pair_once_per_variables(monkeypatch):
     assert len(calls) == 2 and c == a
 
 
+# -- GCD by trial division, against sympy's cofactors ------------------------
+
+def _sympy_cofactors(variables, a, b):
+    """The reference: cofactors of gcd(a, b) by sympy's PolyElement.cofactors
+    in ZZ[variables], scaled back by the operands' contents."""
+    ring = expr._zz_ring(tuple(variables))
+    ca, cb = expr._content(a), expr._content(b)
+    pa = ring.from_dict({m: (c / ca).numerator for m, c in a.items()})
+    pb = ring.from_dict({m: (c / cb).numerator for m, c in b.items()})
+    _, qa, qb = pa.cofactors(pb)
+    return ({m: ca * int(c) for m, c in qa.items()},
+            {m: cb * int(c) for m, c in qb.items()})
+
+
+def _ratio(p, q):
+    """The rational c with p = c q, or None."""
+    if p.keys() != q.keys():
+        return None
+    m = next(iter(p))
+    c = Fraction(p[m]) / q[m]
+    return c if all(p[k] == c * q[k] for k in p) else None
+
+
+def _random_irreducible(rng: random.Random, ring):
+    """A constant plus 1-2 random terms of degree <= 2 in each variable,
+    irreducible over Q, with small integer or Fraction coefficients."""
+    def coefficient():
+        return Fraction(rng.choice((-3, -2, -1, 1, 2, 3)),
+                        rng.choice((1, 1, 1, 2, 5)))
+    while True:
+        p = {(0,) * len(VARS): coefficient()}
+        for _ in range(rng.randint(1, 2)):
+            m = tuple(rng.randint(0, 2) for _ in VARS)
+            p[m] = p.get(m, 0) + coefficient()
+        p = {m: c for m, c in p.items() if c}
+        if len(p) < 2:
+            continue
+        scale = expr._content(p)
+        _, factors = ring.from_dict(
+            {m: (c / scale).numerator for m, c in p.items()}).factor_list()
+        if len(factors) == 1 and factors[0][1] == 1:
+            return p
+
+
+def _product(factors, constant):
+    out = {(0,) * len(VARS): constant}
+    for p, e in factors:
+        for _ in range(e):
+            out = expr._pmul(out, p)
+    return out
+
+
+def test_poly_gcd_matches_sympy_cofactors_seeded():
+    """Trial division over den's irreducible factors gives sympy's cofactors,
+    up to one constant: num and den are built from 1-3 random irreducible
+    factors with multiplicities, among them monomials, factors with Fraction
+    coefficients, factors num holds to a higher power than den, and factors
+    only one side holds (coprime pairs)."""
+    rng = random.Random(1509)
+    ring = expr._zz_ring(VARS)
+    shared = Variables(VARS)  # later pairs reuse the factors found earlier
+    kinds = {"monomial": 0, "fraction": 0, "num above den": 0, "coprime": 0}
+    for case in range(60):
+        pool = [_random_irreducible(rng, ring) for _ in range(rng.randint(1, 3))]
+        if case % 4 == 0:
+            pool.append({tuple(int(i == rng.randrange(3)) for i in range(3)): 1})
+        num_f = [(p, rng.randint(0, 3)) for p in pool]
+        den_f = [(p, rng.randint(0, 2)) for p in pool]
+        if case % 5 == 1:  # num from factors of its own
+            num_f = [(p, 0) for p in pool] + [
+                (_random_irreducible(rng, ring), rng.randint(1, 2))
+                for _ in range(rng.randint(1, 2))]
+        if not any(e for _, e in den_f):
+            den_f[0] = (pool[0], 1)
+        num = _product(num_f, Fraction(rng.randint(1, 9), rng.randint(1, 4)))
+        den = _product(den_f, rng.choice((1, -2, Fraction(3, 7))))
+        if len(num) < 2 or len(den) < 2:
+            continue
+        variables = shared if case % 2 else Variables(VARS)
+        qa, qb = expr._poly_gcd(variables, dict(num), dict(den))
+        ra, rb = _sympy_cofactors(VARS, num, den)
+        c = _ratio(qa, ra)
+        assert c is not None and c == _ratio(qb, rb), (num, den)
+        assert {int, Fraction}.issuperset(map(type, [*qa.values(), *qb.values()]))
+        kinds["monomial"] += any(len(p) == 1 for p, e in den_f if e)
+        kinds["fraction"] += any(type(x) is Fraction and x.denominator != 1
+                                 for x in [*num.values(), *den.values()])
+        kinds["num above den"] += any(a > b > 0 for (_, a), (_, b)
+                                      in zip(num_f, den_f))
+        kinds["coprime"] += _ratio(rb, den) is not None
+    assert all(n >= 5 for n in kinds.values()), kinds
+
+
 # -- calculus ---------------------------------------------------------------
 
 def test_partial_derivative_quotient():

@@ -6,6 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from sympy.polys.rings import PolyElement
 
 from _models import (
     GOLDEN,
@@ -16,6 +17,7 @@ from _models import (
     negative_curvature_frame,
 )
 from ppst import expr, linalg
+from ppst import structures as ppst_structures
 from ppst.curvature import ConnectionData, CurvatureData
 from ppst.deformation import (
     DeformationParams,
@@ -47,6 +49,9 @@ from ppst.spaceforms import (
 )
 from ppst.specfile import import_text
 from ppst.structures import ParacontactStructure
+
+# sympy factorizations an import of chart-1+z2 and its pipeline make
+FACTORIZATIONS = 1
 
 
 def chart3() -> ChartModel:
@@ -139,6 +144,17 @@ def _count_kernel_calls(monkeypatch) -> dict[str, int]:
     return calls
 
 
+def _count_factorizations(monkeypatch) -> list[int]:
+    """Count the factorizations sympy runs from now on."""
+    count = [0]
+
+    def factor_list(self, _fn=PolyElement.factor_list):
+        count[0] += 1
+        return _fn(self)
+    monkeypatch.setattr(PolyElement, "factor_list", factor_list)
+    return count
+
+
 def _run_pipeline(s):
     """Connection, curvature, classification, identities, theorem, deformation."""
     s.connection
@@ -161,12 +177,13 @@ def test_frame_pipeline_builds_no_rational_function(monkeypatch):
 
 def test_frame_pipeline_skips_zero_terms(monkeypatch):
     """Per-component formulas go through the contraction kernel, which skips
-    zero terms: the heisenberg5-c4 pipeline makes 2,453 Fraction + - *
+    zero terms: the heisenberg5-c4 pipeline makes 2,170 Fraction + - *
     calls (27,846 when every term of every formula was summed and every
-    scalar was a Fraction).  Integral scalars are ints, so what is left is
-    where non-integral values arise: 2,077 in the identity suite, whose
-    phi-basis fields u+ +- u-/(2p) have halves, and 242 in the deformation
-    laws, from xi / alpha = -xi/2."""
+    scalar was a Fraction).  Integral scalars, also the deformation
+    parameters and the values evaluated for the axiom matrices, are ints,
+    so what is left is where non-integral values arise: 2,121 in the
+    identity suite, whose phi-basis fields u+ +- u-/(2p) have halves, and
+    49 in the deformation laws, from xi / alpha = -xi/2 and alpha / beta."""
     s = golden_structure("heisenberg5-c4.spec")
     calls = [0]
     for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
@@ -176,7 +193,7 @@ def test_frame_pipeline_skips_zero_terms(monkeypatch):
             return _fn(a, b)
         monkeypatch.setattr(Fraction, name, counted)
     _run_pipeline(s)
-    assert calls[0] <= 2453
+    assert calls[0] <= 2170
 
 
 def test_chart_arithmetic_skips_provable_gcds(monkeypatch):
@@ -200,12 +217,16 @@ def test_polynomial_derivative_skips_canonical(monkeypatch):
     assert dq.is_zero and dq == parse_expr("0", ("x", "y", "z"))
 
 
-def test_chart_pipeline_sympy_gcd_count(monkeypatch):
-    """Pinned count of GCDs the chart-1+z2 pipeline sends to sympy."""
+def test_chart_pipeline_sympy_factorization_count(monkeypatch):
+    """Pinned counts on the chart-1+z2 pipeline: the GCD reductions past the
+    import, and the denominator leftovers that the import and the pipeline
+    send to sympy to be factored."""
+    factorizations = _count_factorizations(monkeypatch)
     s = import_text((GOLDEN / "chart-1+z2.spec").read_text(encoding="utf-8"))
     calls = _count_kernel_calls(monkeypatch)
     _run_pipeline(s)
     assert calls["_poly_gcd"] == 45
+    assert factorizations == [FACTORIZATIONS]
 
 
 def test_chart_pipeline_canonical_count(monkeypatch):
@@ -217,16 +238,19 @@ def test_chart_pipeline_canonical_count(monkeypatch):
 
 
 def test_chart_memo_is_per_chart(monkeypatch):
-    """Each import of a chart reduces its values afresh: no process-wide reuse."""
+    """Each import of a chart reduces its values and factors its denominators
+    afresh: no process-wide reuse."""
     text = (GOLDEN / "chart-1+z2.spec").read_text(encoding="utf-8")
     calls = _count_kernel_calls(monkeypatch)
+    factorizations = _count_factorizations(monkeypatch)
     counts = []
     for _ in range(2):
+        factorizations[0] = 0
         s = import_text(text)
         before = calls["_poly_gcd"]
         _run_pipeline(s)
-        counts.append(calls["_poly_gcd"] - before)
-    assert counts == [45, 45]
+        counts.append((calls["_poly_gcd"] - before, factorizations[0]))
+    assert counts == [(45, FACTORIZATIONS)] * 2
 
 
 def test_coefficients_are_int_or_fraction_and_numbers_leave_as_fraction(
@@ -262,7 +286,8 @@ def test_coefficients_are_int_or_fraction_and_numbers_leave_as_fraction(
 
 def test_no_frame_pipeline_stores_a_float_or_an_integral_fraction(monkeypatch):
     """Every component of every tensor field, metric inverse, connection and
-    curvature table built on a frame pipeline follows the int-or-Fraction
+    curvature table built on a frame pipeline, and every entry of the
+    matrices the axioms evaluate, follows the int-or-Fraction
     rule: each division of two frame scalars is exact (``linalg.quotient``),
     so a bare / of two ints would show here as a float.  The pipelines are
     every frame the package ships or finds (the catalog frames, the dim-5
@@ -283,6 +308,13 @@ def test_no_frame_pipeline_stores_a_float_or_an_integral_fraction(monkeypatch):
                          + [x for row in c.metric_inverse for x in row]))
     recording(CurvatureData, lambda c: [x for a in c._nested for b in a
                                         for row in b for x in row])
+    evaluate = ppst_structures._evaluate_matrix
+
+    def evaluated(*args):
+        rows = evaluate(*args)
+        seen.extend(x for row in rows for x in row)
+        return rows
+    monkeypatch.setattr(ppst_structures, "_evaluate_matrix", evaluated)
     structures = [get_model(e.name) for e in model_catalog()]
     structures = [s for s in structures if isinstance(s.model, FrameModel)]
     structures += [golden_structure(f"heisenberg5-{c}.spec") for c in ("c4", "c-2")]

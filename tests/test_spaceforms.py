@@ -17,7 +17,7 @@ from _models import (
     frame_example,
     negative_curvature_frame,
 )
-from ppst import spaceforms
+from ppst import spaceforms, structures
 from ppst.deformation import DeformationParams, apply_deformation
 from ppst.models import ChartModel, FrameModel, TensorField
 from ppst.spaceforms import (
@@ -58,7 +58,7 @@ def _curvature_stub(model, metric_rows, K, extra=()):
                      for l in range(d))
 
     return SimpleNamespace(model=model, g=g,
-                           curvature=SimpleNamespace(apply=apply))
+                           riemann_curvature=SimpleNamespace(apply=apply))
 
 
 def test_constant_curvature_of_none_paths():
@@ -265,3 +265,38 @@ def test_search_hit_build_roundtrip():
     assert constant_curvature_of(s) == hits[0].K
     report = check_constant_curvature_theorem(s)
     assert report.status == "pass"
+
+
+def _count_curvature_calls(monkeypatch) -> dict[str, int]:
+    """Count the structure's calls of riemann, ricci_scalar, star_ricci_scalar."""
+    calls = dict.fromkeys(("riemann", "ricci_scalar", "star_ricci_scalar"), 0)
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(structures, name)):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(structures, name, counted)
+    return calls
+
+
+def test_search_computes_K_from_the_riemann_table_only(monkeypatch):
+    calls = _count_curvature_calls(monkeypatch)
+    hits = search_constant_negative_curvature()
+    assert calls == {"riemann": 33, "ricci_scalar": 0, "star_ricci_scalar": 0}
+    assert [(h.brackets, h.K, h.lam) for h in hits] == [
+        ((((0, 1), (0, -2, -2)),), -1, -1),
+        ((((0, 1), (0, -2, 2)),), -1, 1),
+        ((((0, 1), (0, 0, -2)), ((0, 2), (0, -2, 0)), ((1, 2), (-2, 0, 0))),
+         -1, -1),
+        ((((0, 1), (0, 0, 2)), ((0, 2), (0, 2, 0)), ((1, 2), (2, 0, 0))),
+         -1, 1),
+        ((((0, 1), (0, 2, -2)),), -1, -1),
+        ((((0, 1), (0, 2, 2)),), -1, 1),
+    ]
+
+
+def test_theorem_builds_the_riemann_table_once(monkeypatch):
+    calls = _count_curvature_calls(monkeypatch)
+    s = negative_curvature_frame()
+    assert check_constant_curvature_theorem(s).status == "pass"
+    assert calls == {"riemann": 1, "ricci_scalar": 1, "star_ricci_scalar": 1}
+    assert s.curvature is s.riemann_curvature

@@ -151,7 +151,7 @@ def verify_deformation_relations(s: ParacontactStructure,
         (l, i, j): Bv[i][j][l] for i, j, l in product(range(d), repeat=3)})
     B_op = [tuple(zip(*Bv[i])) for i in range(d)]
     nB = covariant_derivative(B, conn)
-    curv, curv2 = s.curvature, st.curvature
+    curv, curv2 = s.riemann_curvature, st.riemann_curvature
 
     def i777_entries():
         for i, j, k in product(range(d), repeat=3):

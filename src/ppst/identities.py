@@ -81,7 +81,11 @@ class _Context:
       gR[a][b][c][e]    = g(R(b_a, b_b) b_c, b_e),
       gRphi[a][b][c][e] = g(R(b_a, b_b) phi b_c, phi b_e),
 
-    built once from them through the contraction kernel.
+    built once from them through the contraction kernel.  When the
+    phi-basis is the model's frame (build_phi_basis returns an orthonormal
+    frame with phi swapping e_i and e_{n+i} as itself), every column is an
+    int unit vector, so each contraction reads one entry per argument, and
+    witnesses use the model's labels.
     """
 
     def __init__(self, s: ParacontactStructure):

@@ -634,21 +634,40 @@ _CANDIDATES = (Fraction(1), Fraction(2), Fraction(1, 2), Fraction(3), Fraction(-
                Fraction(5), Fraction(-2), Fraction(7, 2), Fraction(4), Fraction(-3))
 
 
-def sample_points(model: ManifoldModel, count: int) -> list[dict[str, Fraction]]:
-    """Deterministic exact points over the scalar variables satisfying the
-    model constraints; a model without variables has the one point {}."""
-    if not model.scalar_variables:
-        return [{}]
-    points: list[dict[str, Fraction]] = []
+def _candidate_points(variables: Sequence[str], degree: int, count: int):
+    """The fixed candidates, then every point of the grid S^k, S = {0, ..,
+    degree + count - 1}.
+
+    A nonzero polynomial of total degree <= D vanishes at no more than
+    D |S|^(k-1) points of S^k (Schwartz-Zippel), so when ``degree`` bounds
+    the product of every constraint's numerator and denominator, the grid
+    holds at least |S|^(k-1) count >= count points of the domain.
+    """
     ncand = len(_CANDIDATES)
     for k in range(1000):
-        if len(points) == count:
-            break
         # round k // ncand shifts every candidate by 5 per round, so a
         # constraint that vanishes at all of them still meets fresh values
         shift = 5 * (k // ncand)
-        point = {c: _CANDIDATES[(k + 3 * i) % ncand] + shift
-                 for i, c in enumerate(model.scalar_variables)}
+        yield {c: _CANDIDATES[(k + 3 * i) % ncand] + shift
+               for i, c in enumerate(variables)}
+    grid = [Fraction(v) for v in range(degree + count)]
+    for values in product(grid, repeat=len(variables)):
+        yield dict(zip(variables, values))
+
+
+def sample_points(model: ManifoldModel, count: int) -> list[dict[str, Fraction]]:
+    """Deterministic exact points over the scalar variables satisfying the
+    model constraints; a model without variables has the one point {}.
+    Past the fixed candidates a Schwartz-Zippel grid follows, so a domain
+    that is not empty always yields ``count`` points."""
+    if not model.scalar_variables:
+        return [{}]
+    degree = sum(max(sum(m) for m, _ in poly) for con in model.constraints
+                 for poly in (con.expression.num, con.expression.den))
+    points: list[dict[str, Fraction]] = []
+    for point in _candidate_points(model.scalar_variables, degree, count):
+        if len(points) == count:
+            break
         if point in points:
             continue
         if all(con.holds_at(point) for con in model.constraints):

@@ -18,10 +18,14 @@ quasi-para-Sasakian and its proper subclass) from exact residuals.
 A phi-basis (X_1..X_n, Y_i = phi X_i, xi) with g(X_i,X_j) = delta_ij,
 g(Y_i,Y_j) = -delta_ij is constructed rationally (no square roots) by
 biorthogonalizing the totally isotropic eigendistributions: for u+ in D+,
-u- in D- with p = g(u+,u-) != 0, the combinations u+ +- u-/(2p) are unit
-spacelike/timelike.  Pivoting only ever divides by field elements that are
-nonzero by nondegeneracy, so the construction stays inside exact rational
-arithmetic in both chart and frame modes.
+u- in D- with p = g(u+,u-) != 0, the combinations X, Y = u+/2 +- u-/p
+are unit spacelike/timelike, g(X,Y) = 0 and phi X = Y.  On a frame that is
+already orthonormal with phi swapping e_i and e_{n+i}, the nullspace gives
+u+ = e_i + e_{n+i} and u- = e_{n+i} - e_i, so p = -2 and (X, Y) is exactly
+(e_i, e_{n+i}): the phi-basis is the frame, with int entries, and every
+contraction over it is integer work.  Pivoting only ever divides by field
+elements that are nonzero by nondegeneracy, so the construction stays
+inside exact rational arithmetic in both chart and frame modes.
 """
 
 from __future__ import annotations
@@ -423,7 +427,10 @@ def build_phi_basis(s: ParacontactStructure) -> tuple[TensorField, ...]:
     """Return (X_1..X_n, Y_1..Y_n, xi) with the standard Gram matrix.
 
     Uses the declared frame when the axiom report verified it; otherwise
-    biorthogonalizes exact bases of the phi-eigendistributions.  Raises
+    biorthogonalizes exact bases of the phi-eigendistributions and sets
+    X_i, Y_i = u+/2 +- u-/p = (p u+ +- 2 u-) / (2p), one exact quotient per
+    entry, so an orthonormal frame with phi swapping e_i and e_{n+i} comes
+    back as itself, in ints.  Raises
     StructureError when the eigendistributions do not split n/n, which is
     an axiom failure.
     """
@@ -467,9 +474,10 @@ def build_phi_basis(s: ParacontactStructure) -> tuple[TensorField, ...]:
             um[r] = [c - f * ci for c, ci in zip(um[r], um[i])]
     xs, ys = [], []
     for i in range(n):
-        p2 = 2 * bilinear(grows, up[i], um[i], zero)
-        xvec = tuple(c + linalg.quotient(cm, p2) for c, cm in zip(up[i], um[i]))
-        yvec = tuple(c - linalg.quotient(cm, p2) for c, cm in zip(up[i], um[i]))
+        p = bilinear(grows, up[i], um[i], zero)
+        pairs = tuple(zip(up[i], um[i]))
+        xvec = tuple(linalg.quotient(p * c + 2 * m, 2 * p) for c, m in pairs)
+        yvec = tuple(linalg.quotient(p * c - 2 * m, 2 * p) for c, m in pairs)
         xs.append(TensorField.vector(model, xvec))
         ys.append(TensorField.vector(model, yvec))
     basis = tuple(xs) + tuple(ys) + (s.xi,)

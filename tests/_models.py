@@ -51,6 +51,23 @@ def frame_example() -> ParacontactStructure:
                                 declared_frame=frame, name="example-frame")
 
 
+def para_heisenberg(dim: int, c: int) -> ParacontactStructure:
+    """The para-Heisenberg frame [e_i, e_{n+i}] = c xi with g = diag(+1 x n,
+    -1 x n, +1) and phi swapping e_i and e_{n+i}; no declared frame."""
+    n = (dim - 1) // 2
+    signature = [1] * n + [-1] * n + [1]
+    xi_comps = [0] * (dim - 1) + [1]
+    model = FrameModel([f"e{i + 1}" for i in range(2 * n)] + ["xi"], signature,
+                       {(i, n + i): [c * x for x in xi_comps] for i in range(n)})
+    partner = [n + i for i in range(n)] + list(range(n)) + [None]
+    phi = TensorField.from_rows(model, (1, 1), [
+        [int(j == partner[i]) for j in range(dim)] for i in range(dim)])
+    xi = TensorField.vector(model, xi_comps)
+    eta = TensorField.covector(model, xi_comps)
+    return ParacontactStructure(model, phi, xi, model.orthonormal_metric(), eta,
+                                name=f"para-heisenberg-{dim}-c{c}")
+
+
 def _chart_common(gxz: str, gzz: str):
     model = ChartModel(("x", "y", "z"), constraints=("z",))
     phi = TensorField.from_rows(model, (1, 1),

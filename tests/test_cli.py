@@ -293,6 +293,27 @@ def test_constraint_vanishing_at_every_first_candidate_is_sampled(tmp_path, comm
         assert report.data["sample_point"] == {"x": "6", "y": "8", "z": "3"}
 
 
+@pytest.mark.parametrize("command", ["check", "curvature"])
+def test_constraint_vanishing_at_every_candidate_is_sampled_on_a_grid(
+        tmp_path, command):
+    """Over all 1,000 candidates y - x takes only eight values, so a
+    constraint vanishing at those eight rejects every candidate though
+    y = x lies in the domain; the Schwartz-Zippel grid that follows them
+    holds a domain point."""
+    differences = ("y-x+5", "y-x+3", "2*y-2*x+5", "y-x+2", "y-x+1", "y-x-2",
+                   "2*y-2*x-7", "2*y-2*x-9")
+    text = (GOLDEN / "chart-1+z2.spec").read_text(encoding="utf-8")
+    spec = tmp_path / "differences.spec"
+    spec.write_text(text.replace(
+        "constraints = (1+z^2)",
+        "constraints = (1+z^2), " + "*".join(f"({d})" for d in differences)),
+        encoding="utf-8")
+    report = run_command([command, str(spec)])
+    assert report.exit_code == 0
+    if command == "check":
+        assert report.data["sample_point"] == {"x": "0", "y": "0", "z": "0"}
+
+
 def test_both_spec_and_model_rejected(tmp_path):
     spec = tmp_path / "s.spec"
     spec.write_text("x", encoding="utf-8")

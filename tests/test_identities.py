@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from itertools import product
+import random
+from itertools import combinations, product
 
 import pytest
 
@@ -16,8 +17,9 @@ from _models import (
 )
 from ppst import identities
 from ppst.identities import IDENTITY_KEYS, run_suite
-from ppst.linalg import bilinear, mat_vec
+from ppst.linalg import bilinear, dot, invert_matrix, mat_vec, rank
 from ppst.models import FrameModel, TensorField
+from ppst.spaceforms import check_constant_curvature_theorem, get_model
 from ppst.structures import ParacontactStructure, StructureError
 
 
@@ -176,3 +178,61 @@ def test_basis_labels_in_context():
     assert ctx.labels == ("e1", "e2", "xi")
     ctx_chart = identities._Context(chart_corrected())
     assert ctx_chart.labels == ("X1", "Y1", "xi")
+
+
+# -- basis independence ------------------------------------------------------
+
+def _change_frame(s: ParacontactStructure, P) -> ParacontactStructure:
+    """s written in the frame e'_a = sum_b P[b][a] e_b, P invertible.
+
+    Column a of P holds e'_a in the old frame, so g' = P^T g P, phi' =
+    P^-1 phi P, xi' = P^-1 xi, eta' = eta P, and [e'_a, e'_b] is the
+    bracket of two constant combinations of the old frame, read in the new.
+    The declared frame is dropped, so build_phi_basis picks the phi-basis.
+    """
+    old = s.model
+    d = old.dim
+    cols = list(zip(*P))
+    Pinv = invert_matrix(P, 1)
+    brackets = {(a, b): mat_vec(Pinv, [bilinear(slab, cols[a], cols[b], 0)
+                                       for slab in old.slabs], 0)
+                for a, b in combinations(range(d), 2)}
+    model = FrameModel(old.labels, old.signature, brackets)
+    g, ph = s.g.rows(), s.phi.rows()
+    phi_cols = [mat_vec(Pinv, mat_vec(ph, c, 0), 0) for c in cols]
+    return ParacontactStructure(
+        model,
+        TensorField.from_rows(model, (1, 1), [list(r) for r in zip(*phi_cols)]),
+        TensorField.vector(model, mat_vec(Pinv, s.xi.vec(), 0)),
+        TensorField.from_rows(model, (0, 2), [
+            [bilinear(g, u, v, 0) for v in cols] for u in cols]),
+        TensorField.covector(model, [dot(s.eta.data, c, 0) for c in cols]),
+        name=f"{s.name}-P")
+
+
+def _invariants(s: ParacontactStructure):
+    """Everything a report states that no choice of frame may move."""
+    suite = run_suite(s)
+    theorem = check_constant_curvature_theorem(s)
+    return (s.classification().label, s.curvature.scalar,
+            s.curvature.star_scalar,
+            {key: (r.passed, r.details) for key, r in suite.results.items()},
+            theorem.status, theorem.K)
+
+
+@pytest.mark.parametrize("name", ["heisenberg5-c4.spec", "example-frame",
+                                  "constant-negative-curvature"])
+def test_verdicts_do_not_depend_on_the_frame(name):
+    s = golden_structure(name) if name.endswith(".spec") else get_model(name)
+    expected = _invariants(s)
+    d = s.model.dim
+    rng = random.Random(f"frame-change-{name}")
+    drawn = 0
+    while drawn < 4:
+        P = [[rng.randint(-2, 2) for _ in range(d)] for _ in range(d)]
+        if rank(P) < d:
+            continue
+        drawn += 1
+        t = _change_frame(s, P)
+        assert t.g.rows() != s.g.rows()
+        assert _invariants(t) == expected, P

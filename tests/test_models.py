@@ -177,13 +177,12 @@ def test_frame_pipeline_builds_no_rational_function(monkeypatch):
 
 def test_frame_pipeline_skips_zero_terms(monkeypatch):
     """Per-component formulas go through the contraction kernel, which skips
-    zero terms: the heisenberg5-c4 pipeline makes 2,170 Fraction + - *
-    calls (27,846 when every term of every formula was summed and every
-    scalar was a Fraction).  Integral scalars, also the deformation
-    parameters and the values evaluated for the axiom matrices, are ints,
-    so what is left is where non-integral values arise: 2,121 in the
-    identity suite, whose phi-basis fields u+ +- u-/(2p) have halves, and
-    49 in the deformation laws, from xi / alpha = -xi/2 and alpha / beta."""
+    zero terms, and integral scalars are ints: the heisenberg5-c4 pipeline
+    makes 33 Fraction + - * calls (27,846 when every term of every formula
+    was summed and every scalar was a Fraction).  Its phi-basis is the
+    frame itself, so the identity suite makes none; all 33 are in the
+    deformation laws, where xi / alpha = -xi/2 and alpha / beta are not
+    integral."""
     s = golden_structure("heisenberg5-c4.spec")
     calls = [0]
     for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
@@ -193,7 +192,24 @@ def test_frame_pipeline_skips_zero_terms(monkeypatch):
             return _fn(a, b)
         monkeypatch.setattr(Fraction, name, counted)
     _run_pipeline(s)
-    assert calls[0] <= 2170
+    assert calls[0] <= 33
+
+
+def test_identity_suite_on_an_orthonormal_frame_builds_no_fraction(
+        monkeypatch):
+    """heisenberg5-c4's phi-basis is its frame, whose columns are int unit
+    vectors, so past the classification every contraction of the identity
+    suite is int work."""
+    s = golden_structure("heisenberg5-c4.spec")
+    s.classification()
+    built = [0]
+
+    def counted(cls, *args, _new=Fraction.__new__, **kwargs):
+        built[0] += 1
+        return _new(cls, *args, **kwargs)
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counted))
+    assert run_suite(s).passed
+    assert built[0] == 0
 
 
 def test_chart_arithmetic_skips_provable_gcds(monkeypatch):
@@ -234,7 +250,7 @@ def test_chart_pipeline_canonical_count(monkeypatch):
     s = golden_structure("chart-1+z2.spec")
     calls = _count_kernel_calls(monkeypatch)
     _run_pipeline(s)
-    assert calls["_canonical"] == 774
+    assert calls["_canonical"] == 750
 
 
 def test_chart_memo_is_per_chart(monkeypatch):

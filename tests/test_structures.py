@@ -11,11 +11,15 @@ from _models import (
     chart_printed,
     flat_cosymplectic,
     frame_example,
+    golden_structure,
     negative_curvature_frame,
+    para_heisenberg,
 )
+from ppst import identities
 from ppst.cli import run_command
 from ppst.identities import run_suite
 from ppst.models import ChartModel, FrameModel, TensorField
+from ppst.spaceforms import get_model
 from ppst.specfile import import_text
 from ppst.structures import (
     ParacontactStructure,
@@ -330,13 +334,40 @@ def test_phi_basis_on_deformed_metric_is_rational():
                                [[4, 0, 0], [0, -4, 0], [0, 0, 1]])
     t = ParacontactStructure(s.model, s.phi, s.xi, g2, name="scaled")
     basis = build_phi_basis(t)
-    assert basis[0].vec() == (Fraction(17, 16), Fraction(15, 16), 0)
+    assert basis[0].vec() == (Fraction(5, 8), Fraction(3, 8), 0)
     eps = phi_basis_eps(t)
     for a in range(3):
         for b in range(3):
             expected = eps[a] if a == b else 0
             assert _gram_entry(t, basis[a], basis[b]) == expected
     assert basis[0].vec()[2] == 0  # X1 stays inside ker eta
+
+
+def _orthonormal_frame(name: str) -> ParacontactStructure:
+    """A frame whose g is diag(+1 x n, -1 x n, +1) and whose phi swaps e_i
+    and e_{n+i}, with no declared frame, so build_phi_basis constructs one."""
+    if name.endswith(".spec"):
+        return golden_structure(name)
+    if name == "para-heisenberg-7-c4":
+        return para_heisenberg(7, 4)
+    s = get_model(name)
+    return ParacontactStructure(s.model, s.phi, s.xi, s.g, s.eta, name=s.name)
+
+
+@pytest.mark.parametrize("name", [
+    "heisenberg5-c4.spec", "heisenberg5-c-2.spec", "para-heisenberg-7-c4",
+    "example-frame", "constant-negative-curvature"])
+def test_phi_basis_of_an_orthonormal_frame_is_the_frame(name):
+    # u+ = e_i + e_{n+i}, u- = e_{n+i} - e_i and p = -2 give
+    # X_i = u+/2 + u-/p = e_i and Y_i = u+/2 - u-/p = e_{n+i}
+    s = _orthonormal_frame(name)
+    assert s.declared_frame is None
+    basis = build_phi_basis(s)
+    d = s.model.dim
+    assert [b.vec() for b in basis] == [
+        tuple(int(a == i) for i in range(d)) for a in range(d)]
+    assert all(type(c) is int for b in basis for c in b.vec())
+    assert identities._Context(s).labels == s.model.labels
 
 
 def test_build_phi_basis_rejects_bad_declared_frame():

@@ -16,12 +16,17 @@ Layers, bottom up:
   expressions and their grammar.
 - :mod:`ppst.linalg`: exact matrices (one row reduction for rank,
   nullspace and inverse; inertia) and the contraction kernel (dot,
-  mat_vec, bilinear, trace_product).
+  mat_vec, bilinear, trace_product, and block_bilinear over the last two
+  slots of a flat table).
 - :mod:`ppst.models`: chart and frame manifold models, tensor fields,
   brackets, the exterior derivative of any degree, and the one derivation
-  rule behind the Lie and covariant derivatives.
-- :mod:`ppst.curvature`: Levi-Civita connection, Riemann/Ricci/star-Ricci
-  data and their verification residuals.
+  rule behind the Lie and covariant derivatives.  ``TensorField`` is the
+  one container of component tables, flat with upper slots first: a
+  frame's structure constants and every table below are TensorFields.
+- :mod:`ppst.curvature`: the metric inverse, the Levi-Civita connection
+  Gamma[(k, i, j)] and the Riemann tensor R[(l, k, i, j)] as TensorFields,
+  the (tensor, scalar) pairs of Ricci and star-Ricci, and their
+  verification residuals.
 - :mod:`ppst.structures`: almost paracontact metric structures, axiom
   validation, phi-bases, classification.
 - :mod:`ppst.identities`: the curvature identity suite for
@@ -40,9 +45,8 @@ Layers, bottom up:
 from __future__ import annotations
 
 from .curvature import (
-    ConnectionData,
-    CurvatureData,
     levi_civita,
+    metric_inverse,
     riemann,
     ricci_scalar,
     star_ricci_scalar,
@@ -93,8 +97,6 @@ __all__ = [
     "ChartModel",
     "CheckResult",
     "Classification",
-    "ConnectionData",
-    "CurvatureData",
     "DEFORMATION_KEYS",
     "DeformationParams",
     "DeformationReport",
@@ -125,6 +127,7 @@ __all__ = [
     "levi_civita",
     "lie_bracket",
     "lie_derivative",
+    "metric_inverse",
     "model_catalog",
     "parse_expr",
     "proportionality_constant",

@@ -30,9 +30,9 @@ from itertools import product
 from typing import Sequence
 
 from .curvature import (
+    covariant_derivative,
     curvature_antisymmetry_residual,
     first_bianchi_residual,
-    metric_compatibility_residual,
     torsion_residual,
 )
 from .deformation import (
@@ -191,32 +191,31 @@ def _cmd_classify(args, s, source, digest) -> Report:
 
 
 def _cmd_curvature(args, s, source, digest) -> Report:
-    conn = s.connection
-    curv = s.curvature
+    conn, curv = s.connection, s.curvature
+    (ricci, r), (star, r_star) = s.ricci, s.star_ricci
     labels = s.model.basis_labels
     d = s.model.dim
     checks = [
         residual_check(name, residual.items(), labels) for name, residual in (
             ("torsion_free", torsion_residual(conn)),
-            ("metric_compatibility", metric_compatibility_residual(conn, s.g)),
+            ("metric_compatibility", covariant_derivative(s.g, conn)),
             ("curvature_antisymmetry", curvature_antisymmetry_residual(curv)),
             ("first_bianchi", first_bianchi_residual(curv)))
     ]
     connection_table = {
         f"nabla_{labels[i]} {labels[j]}":
-            format_combination(conn.nabla_basis(i, j), labels)
+            format_combination(conn.vector_at(i, j), labels)
         for i, j in product(range(d), repeat=2)
     }
     curvature_table = {
         f"R({labels[i]},{labels[j]}){labels[k]}":
-            format_combination(curv.apply(i, j, k), labels)
+            format_combination(curv.vector_at(k, i, j), labels)
         for i in range(d) for j in range(i + 1, d) for k in range(d)
     }
-    ricci_rows = curv.ricci.rows()
-    star_rows = curv.star_ricci.rows()
+    ricci_rows, star_rows = ricci.rows(), star.rows()
     data = {
-        "r": str(curv.scalar),
-        "r_star": str(curv.star_scalar),
+        "r": str(r),
+        "r_star": str(r_star),
         "connection": connection_table,
         "curvature": curvature_table,
         "ricci": {f"S({labels[j]},{labels[k]})": str(ricci_rows[j][k])

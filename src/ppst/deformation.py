@@ -118,8 +118,8 @@ def verify_deformation_relations(s: ParacontactStructure,
 
     def i00_entries():
         for i, j in product(range(d), repeat=2):
-            lhs = conn2.nabla_basis(i, j)
-            rhs = conn.nabla_basis(i, j)
+            lhs = conn2.vector_at(i, j)
+            rhs = conn.vector_at(i, j)
             for l in range(d):
                 yield (i, j), signed_sum((lhs[l],), (rhs[l], Bv[i][j][l]), zero)
 
@@ -147,22 +147,24 @@ def verify_deformation_relations(s: ParacontactStructure,
 
     # B as a (1,2) tensor, its covariant derivative taken with the
     # undeformed connection; B_op[i] is the matrix of B(e_i, .)
-    B = TensorField.from_entries(model, (1, 2), {
-        (l, i, j): Bv[i][j][l] for i, j, l in product(range(d), repeat=3)})
+    B = TensorField(model, (1, 2), [Bv[i][j][l] for l, i, j
+                                    in product(range(d), repeat=3)])
     B_op = [tuple(zip(*Bv[i])) for i in range(d)]
+    # nB.vector_at(i, j, k) = (nabla_{e_i} B)(e_j, e_k)
     nB = covariant_derivative(B, conn)
-    curv, curv2 = s.riemann_curvature, st.riemann_curvature
+    curv, curv2 = s.curvature, st.curvature
 
     def i777_entries():
         for i, j, k in product(range(d), repeat=3):
-            lhs = curv2.apply(i, j, k)
-            rhs = curv.apply(i, j, k)
+            lhs = curv2.vector_at(k, i, j)
+            rhs = curv.vector_at(k, i, j)
+            nBji, nBij = nB.vector_at(j, i, k), nB.vector_at(i, j, k)
             t1 = mat_vec(B_op[i], Bv[j][k], zero)
             t2 = mat_vec(B_op[j], Bv[i][k], zero)
             for l in range(d):
                 yield (i, j, k), signed_sum(
-                    (lhs[l], nB[(l, j, i, k)], t2[l]),
-                    (rhs[l], nB[(l, i, j, k)], t1[l]), zero)
+                    (lhs[l], nBji[l], t2[l]),
+                    (rhs[l], nBij[l], t1[l]), zero)
 
     report.results["i777"] = residual_check("i777", i777_entries(), labels)
     return report

@@ -44,11 +44,10 @@ from itertools import product
 from typing import Iterator, Mapping, Sequence
 
 from .curvature import covariant_derivative
-from .linalg import bilinear, dot, mat_vec, signed_sum, trace_product
+from .linalg import bilinear, block_bilinear, dot, mat_vec, signed_sum, trace_product
 from .models import (
     FrameModel,
     Scalar,
-    TensorField,
     Vec,
     evaluate_at,
     sample_points,
@@ -119,11 +118,15 @@ class _Context:
                       for a in range(d)]
         self.gAA = [[self.g(self.A_b[a], self.A_b[b]) for b in range(d)]
                     for a in range(d)]
-        # curvature applied to basis triples: R3[a][b][c] = R(b_a, b_b) b_c
-        curv = s.curvature
+        # curvature applied to basis triples: R3[a][b][c] = R(b_a, b_b) b_c,
+        # where the operator R(b_a, b_b) has rows l
+        R = s.curvature.data
         self.R3, self.R3_phi = [], []
         for a in range(d):
-            ops = [curv.operator(self.cols[a], self.cols[b]) for b in range(d)]
+            ops = []
+            for b in range(d):
+                op = block_bilinear(R, self.cols[a], self.cols[b], zero)
+                ops.append([op[l * d:(l + 1) * d] for l in range(d)])
             self.R3.append([[mat_vec(op, c, zero) for c in self.cols]
                             for op in ops])
             self.R3_phi.append([[mat_vec(op, v, zero) for v in self.phi_b]
@@ -136,27 +139,22 @@ class _Context:
         self.gRphi = [[[[dot(u, w, zero) for w in g_phi_b] for u in rab]
                        for rab in ra] for ra in self.R3_phi]
         self.xi_index = d - 1  # basis order puts xi last
-        # covariant derivatives as (1,2)/(0,2) tensors, then basis-contracted
+        # covariant derivatives as (1,2)/(0,2) tensors, then basis-contracted:
+        # nabla_phi_b[a][b] = (nabla_{b_a} phi) b_b, likewise nabla_A_b
         conn = s.connection
-        nphi = covariant_derivative(s.phi, conn)
-        nA = covariant_derivative(s.A, conn)
+        nphi = covariant_derivative(s.phi, conn).data
+        nA = covariant_derivative(s.A, conn).data
         neta = covariant_derivative(s.eta, conn)
-
-        def contract_12(T: TensorField) -> list[list[Vec]]:
-            """[a][b] -> T(b_a, b_b) for a (1,2) tensor T[(k, direction, arg)]."""
-            slabs = [tuple(tuple(T[(k, i, j)] for j in range(d))
-                           for i in range(d)) for k in range(d)]
-            return [[tuple(bilinear(m, u, v, zero) for m in slabs)
-                     for v in self.cols] for u in self.cols]
-
-        self.nabla_phi_b = contract_12(nphi)
-        self.nabla_A_b = contract_12(nA)
+        self.nabla_phi_b = [[block_bilinear(nphi, u, v, zero) for v in self.cols]
+                            for u in self.cols]
+        self.nabla_A_b = [[block_bilinear(nA, u, v, zero) for v in self.cols]
+                          for u in self.cols]
         xiv = self.cols[self.xi_index]
         self.nabla_eta_xi = [bilinear(neta.rows(), xiv, c, zero)
                              for c in self.cols]
         # Ricci data contracted on the basis; traces over the phi-basis
-        S = curv.ricci.rows()
-        Sstar = curv.star_ricci.rows()
+        S = s.ricci[0].rows()
+        Sstar = s.star_ricci[0].rows()
         self.S_b = [[bilinear(S, u, v, zero) for v in self.cols]
                     for u in self.cols]
         self.Sstar_b = [[bilinear(Sstar, u, v, zero) for v in self.cols]

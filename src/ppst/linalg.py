@@ -17,7 +17,10 @@ means singular, so no determinant is computed).
 
 The contraction kernel ``dot``, ``mat_vec``, ``bilinear`` and
 ``trace_product`` computes u.v, m v, u^T m v and tr(a b) over row tuples,
-and ``signed_sum`` adds and subtracts given terms.  The geometry modules
+``block_bilinear`` computes sum_ij u_i v_j T[.., i, j] over the last two
+slots of a flat component table (a bracket, connection, Riemann or
+covariant-derivative table), and ``signed_sum`` adds and subtracts given
+terms.  The geometry modules
 build g(u, v), phi v, eta(v), tr(phi A) and every per-component formula
 (Koszul sums, Riemann and Ricci components, residuals) from it, not with
 + and - of their own, so that a zero term costs a truthiness test and no
@@ -105,6 +108,24 @@ def bilinear(m: Sequence[Sequence[F]], u: Sequence[F], v: Sequence[F],
             if b:
                 acc = a * b if acc is None else acc + a * b
     return zero if acc is None else acc
+
+
+def block_bilinear(data: Sequence[F], u: Sequence[F], v: Sequence[F],
+                   zero: F) -> tuple[F, ...]:
+    """sum_ij u_i v_j T[.., i, j] over the last two slots of a flat table:
+    ``bilinear`` of each consecutive block of d x d entries, d = len(u),
+    one result per block.  The supports of u and v are found once."""
+    d = len(u)
+    us, vs = _support(u), _support(v)
+    out = []
+    for base in range(0, len(data), d * d):
+        acc = None
+        for i, a in us:
+            b = _dot_support(data[base + i * d:base + i * d + d], vs)
+            if b:
+                acc = a * b if acc is None else acc + a * b
+        out.append(zero if acc is None else acc)
+    return tuple(out)
 
 
 def trace_product(a: Sequence[Sequence[F]], b: Sequence[Sequence[F]],

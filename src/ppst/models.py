@@ -21,9 +21,15 @@ rule, ``_derivation``, extends a derivation from scalars and basis fields
 to tensors of any valence: it is the Lie derivative here and the
 covariant derivative in :mod:`ppst.curvature`.  The two
 helpers :func:`constant_value` and :func:`evaluate_at` cover what only
-rational functions need (a constant test, a point evaluation).  A tensor
-field stores one exact scalar per component; index order is upper slots
-first, then lower slots.
+rational functions need (a constant test, a point evaluation).
+
+:class:`TensorField` is the one container of component tables: the
+fields of a structure, a frame's structure constants, and the metric
+inverse, connection and curvature tables of :mod:`ppst.curvature` alike.
+It stores one exact scalar per component, flat, upper slots first and
+then lower slots.  Two readers serve every table: ``vector_at`` slices out
+the upper-index vector at given lower indices, and
+``linalg.block_bilinear`` contracts the last two slots with two vectors.
 
 For a frame realized inside a chart by explicit vector fields,
 :func:`realize_frame` re-expresses brackets and metric in the frame and
@@ -41,7 +47,6 @@ from typing import Iterable, Mapping, Sequence, Union
 from . import linalg
 from .expr import DomainConstraint, RationalExpr, Variables
 from .parser import parse_expr
-from .report import first_nonzero
 
 Scalar = Union[int, Fraction, RationalExpr]
 ScalarLike = Union[int, Fraction, str, RationalExpr]
@@ -64,15 +69,16 @@ def constant_value(value: Scalar) -> Fraction | None:
 
 
 def evaluate_at(value: Scalar, point: Mapping[str, Fraction | int],
-                constraints: Iterable[DomainConstraint] = ()) -> Fraction:
-    """The value of a scalar of either field at an exact point.
+                constraints: Iterable[DomainConstraint] = ()) -> int | Fraction:
+    """The value of a scalar of either field at an exact point, stored by
+    the ``rational`` rule.
 
     A rational function is evaluated (and may raise EvaluationError or
-    ConstraintViolation); a constant is its own value.
+    ConstraintViolation); a frame scalar is its own value, as stored.
     """
     if isinstance(value, RationalExpr):
-        return value.evaluate(point, constraints)
-    return Fraction(value)
+        return rational(value.evaluate(point, constraints))
+    return value
 
 
 def constant_ratio(pairs: Iterable[tuple[Scalar, Scalar]]) -> Fraction | None:
@@ -221,6 +227,8 @@ class FrameModel(ManifoldModel):
     [e_i, e_j]; omitted pairs are zero.  The table must be antisymmetric
     (enforced by construction) and satisfy the Jacobi identity, since a
     constant table is a Lie algebra; this also guarantees d(d omega) = 0.
+    It is kept once, as the (1,2) field ``constants`` with
+    constants[(k, i, j)] = c^k_ij, the layout of a connection's Gamma.
     """
 
     zero = 0
@@ -239,20 +247,18 @@ class FrameModel(ManifoldModel):
         if (self.signature.count(1), self.signature.count(-1)) != (self.n + 1, self.n):
             raise GeometryError(f"signature must have {self.n + 1} plus and "
                                 f"{self.n} minus entries")
-        zero_vec = (self.zero,) * self.dim
-        table = [[zero_vec] * self.dim for _ in range(self.dim)]
+        d = self.dim
+        data = [self.zero] * d ** 3
         for (i, j), comps in (brackets or {}).items():
-            if not 0 <= i < j < self.dim:
+            if not 0 <= i < j < d:
                 raise GeometryError(f"bracket key must have 0 <= i < j < dim, got {(i, j)}")
             vec = tuple(self.scalar(c) for c in comps)
-            if len(vec) != self.dim:
-                raise GeometryError(f"bracket [{i},{j}] needs {self.dim} components")
-            table[i][j] = vec
-            table[j][i] = tuple(-c for c in vec)
-        self._table = tuple(tuple(row) for row in table)
-        # slabs[k][i][j] = c^k_ij, the k-th components of the table
-        self.slabs = tuple(tuple(tuple(vec[k] for vec in row) for row in table)
-                           for k in range(self.dim))
+            if len(vec) != d:
+                raise GeometryError(f"bracket [{i},{j}] needs {d} components")
+            for k, c in enumerate(vec):
+                data[(k * d + i) * d + j] = c
+                data[(k * d + j) * d + i] = -c
+        self.constants = TensorField(self, (1, 2), data)
         self._check_jacobi()
 
     def scalar(self, value: ScalarLike) -> int | Fraction:
@@ -276,15 +282,17 @@ class FrameModel(ManifoldModel):
         # totally antisymmetric and vanishes on a repeated index, so the
         # triples i < j < k decide it; the first violation found is the
         # lexicographically first violating ordered triple
-        d, c, zero = self.dim, self._table, self.zero
+        d, zero = self.dim, self.zero
+        C, dd, c = self.constants.data, d * d, self.bracket_vector
         # col[k][l][m] = c^l_mk, the l-th components of [e_m, e_k]
-        col = [[tuple(c[m][k][l] for m in range(d)) for l in range(d)]
+        col = [[C[l * dd + k:(l + 1) * dd:d] for l in range(d)]
                for k in range(d)]
         for i, j, k in combinations(range(d), 3):
+            cij, cjk, cki = c(i, j), c(j, k), c(k, i)
             for l in range(d):
-                if (linalg.dot(c[i][j], col[k][l], zero)
-                        + linalg.dot(c[j][k], col[i][l], zero)
-                        + linalg.dot(c[k][i], col[j][l], zero)):
+                if (linalg.dot(cij, col[k][l], zero)
+                        + linalg.dot(cjk, col[i][l], zero)
+                        + linalg.dot(cki, col[j][l], zero)):
                     raise GeometryError(
                         f"bracket table violates the Jacobi identity at "
                         f"({self.labels[i]},{self.labels[j]},{self.labels[k]})")
@@ -293,7 +301,7 @@ class FrameModel(ManifoldModel):
         return self.zero  # frame scalars are constants
 
     def bracket_vector(self, i: int, j: int) -> tuple[int | Fraction, ...]:
-        return self._table[i][j]
+        return self.constants.vector_at(i, j)
 
     @property
     def basis_labels(self) -> tuple[str, ...]:
@@ -398,6 +406,16 @@ class TensorField:
             raise GeometryError("vec() needs a rank-1 tensor")
         return self.data
 
+    def vector_at(self, *lower: int) -> tuple[Scalar, ...]:
+        """The components over the upper slot of a (1, s) field at the given
+        lower indices, a stride slice of ``data``: Gamma.vector_at(i, j) is
+        nabla_{e_i} e_j and R.vector_at(k, i, j) is R(e_i, e_j) e_k."""
+        if self.valence != (1, len(lower)):
+            raise GeometryError(f"vector_at needs a (1, s) tensor and s lower "
+                                f"indices, got {lower} for {self.valence}")
+        d = self.model.dim
+        return self.data[self._offset_static(d, lower)::d ** len(lower)]
+
     def rows(self) -> tuple[tuple[Scalar, ...], ...]:
         if self.rank != 2:
             raise GeometryError("rows() needs a rank-2 tensor")
@@ -436,10 +454,6 @@ class TensorField:
     def is_zero(self) -> bool:
         return not any(self.data)
 
-    def nonzero_witness(self) -> tuple[tuple[int, ...], Scalar] | None:
-        """First (lex) index with a nonvanishing component, or None."""
-        return first_nonzero(self.items())
-
     def __repr__(self) -> str:
         return f"TensorField(valence={self.valence}, dim={self.model.dim})"
 
@@ -465,7 +479,7 @@ def _bracket_comps(model: ManifoldModel, X: Vec, Y: Vec) -> Vec:
     """
     zero = model.zero
     if isinstance(model, FrameModel):
-        return tuple(linalg.bilinear(slab, X, Y, zero) for slab in model.slabs)
+        return linalg.block_bilinear(model.constants.data, X, Y, zero)
     return tuple(linalg.signed_sum((_apply_vec(model, X, y),),
                                    (_apply_vec(model, Y, x),), zero)
                  for x, y in zip(X, Y))

@@ -48,11 +48,11 @@ from .structures import ParacontactStructure, StructureError, nijenhuis_N1
 def constant_curvature_of(s: ParacontactStructure) -> Fraction | None:
     """The constant K with R(X,Y)Z = K(g(Y,Z)X - g(X,Z)Y), or None."""
     d = s.model.dim
-    R = s.riemann_curvature.apply
+    R = s.curvature.vector_at
     grows = s.g.rows()
     zero = s.model.zero
     return constant_ratio(
-        (R(i, j, k)[l],
+        (R(k, i, j)[l],
          (grows[j][k] if l == i else zero) - (grows[i][k] if l == j else zero))
         for i, j, k, l in product(range(d), repeat=4))
 
@@ -127,15 +127,15 @@ def check_constant_curvature_theorem(s: ParacontactStructure) -> TheoremReport:
                     witness=f"tr(phi A) = {tr}, 2n lambda = {2 * n * lam}"))
     grows = s.g.rows()
     ev = s.eta.data
-    ricci = s.curvature.ricci
+    ricci = s.ricci[0].rows()
     ent = {}
     for i, j in product(range(d), repeat=2):
-        ent[(i, j)] = ricci[(i, j)] - grows[i][j] * (2 * n * K)
+        ent[(i, j)] = ricci[i][j] - grows[i][j] * (2 * n * K)
     add(residual_check("ricci_form", ent.items(), labels))
-    star = s.curvature.star_ricci
+    star = s.star_ricci[0].rows()
     ent = {}
     for i, j in product(range(d), repeat=2):
-        ent[(i, j)] = star[(i, j)] - (ev[i] * ev[j] - grows[i][j]) * K
+        ent[(i, j)] = star[i][j] - (ev[i] * ev[j] - grows[i][j]) * K
     add(residual_check("star_ricci_form", ent.items(), labels))
     A_cols, phicols = tuple(zip(*A)), tuple(zip(*ph))
     ent = {}

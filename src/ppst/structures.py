@@ -38,10 +38,9 @@ from typing import Mapping, Sequence
 
 from . import linalg
 from .curvature import (
-    ConnectionData,
-    CurvatureData,
     covariant_derivative,
     levi_civita,
+    metric_inverse,
     ricci_scalar,
     riemann,
     star_ricci_scalar,
@@ -59,7 +58,6 @@ from .models import (
     evaluate_at,
     exterior_derivative,
     lie_derivative,
-    rational,
     sample_points,
 )
 from .report import CheckResult, first_nonzero, residual_check
@@ -133,9 +131,9 @@ class ParacontactStructure:
     ``declared_frame`` optionally lists 2n+1 vector fields claimed to form a
     phi-basis in the order (X_1..X_n, Y_1..Y_n, xi); it is verified, never
     trusted.  If ``eta`` is omitted it is derived as g(., xi) and flagged.
-    All derived data (connection, Riemann table, curvature, Phi, deta, dPhi,
-    N1, A, h, phi-basis) is computed lazily once; instances are treated as
-    immutable.
+    All derived data (metric inverse, connection, curvature, the Ricci and
+    star-Ricci pairs, Phi, deta, dPhi, N1, A, h, phi-basis) is computed
+    lazily once; instances are treated as immutable.
     """
 
     def __init__(self, model: ManifoldModel, phi: TensorField, xi: TensorField,
@@ -160,20 +158,28 @@ class ParacontactStructure:
     # -- lazy derived data ----------------------------------------------------
 
     @cached_property
-    def connection(self) -> ConnectionData:
-        return levi_civita(self.g)
+    def metric_inverse(self) -> TensorField:
+        return metric_inverse(self.g)
 
     @cached_property
-    def riemann_curvature(self) -> CurvatureData:
-        """The Riemann table alone; ``curvature`` adds its traces to it."""
+    def connection(self) -> TensorField:
+        """Gamma[(k, i, j)], with nabla_{e_i} e_j = Gamma^k_ij e_k."""
+        return levi_civita(self.g, self.metric_inverse)
+
+    @cached_property
+    def curvature(self) -> TensorField:
+        """R[(l, k, i, j)], with R(e_i, e_j) e_k = R^l_kij e_l."""
         return riemann(self.connection)
 
     @cached_property
-    def curvature(self) -> CurvatureData:
-        curv = self.riemann_curvature
-        ricci_scalar(curv)
-        star_ricci_scalar(curv, self.phi)
-        return curv
+    def ricci(self) -> tuple[TensorField, Scalar]:
+        """(S, r): the Ricci tensor and the scalar curvature."""
+        return ricci_scalar(self.curvature, self.metric_inverse)
+
+    @cached_property
+    def star_ricci(self) -> tuple[TensorField, Scalar]:
+        """(S*, r*): the star-Ricci tensor and the star scalar curvature."""
+        return star_ricci_scalar(self.curvature, self.phi, self.metric_inverse)
 
     @cached_property
     def Phi(self) -> TensorField:
@@ -193,11 +199,13 @@ class ParacontactStructure:
 
     @cached_property
     def A(self) -> TensorField:
-        return tensor_A(self)
+        """A = nabla xi as a (1,1) tensor: column i holds nabla_{e_i} xi."""
+        return covariant_derivative(self.xi, self.connection)
 
     @cached_property
     def h(self) -> TensorField:
-        return tensor_h(self)
+        """h = (1/2) L_xi phi."""
+        return lie_derivative(self.phi, self.xi) * Fraction(1, 2)
 
     @cached_property
     def phi_basis(self) -> tuple[TensorField, ...]:
@@ -260,27 +268,14 @@ def nijenhuis_N1(s: ParacontactStructure) -> TensorField:
     return TensorField.from_entries(model, (1, 2), entries)
 
 
-def tensor_A(s: ParacontactStructure) -> TensorField:
-    """A = nabla xi as a (1,1) tensor: column i holds nabla_{e_i} xi."""
-    return covariant_derivative(s.xi, s.connection)
-
-
-def tensor_h(s: ParacontactStructure) -> TensorField:
-    """h = (1/2) L_xi phi."""
-    return lie_derivative(s.phi, s.xi) * Fraction(1, 2)
-
-
 # ---------------------------------------------------------------------------
 # axioms
 
 def _evaluate_matrix(s: ParacontactStructure, T: TensorField,
                      point: Mapping[str, Fraction]) -> list[list[int | Fraction]]:
     """T's rows at the point, each value stored by the ``rational`` rule."""
-    d = s.model.dim
-    rows = T.rows()
     cons = s.model.constraints
-    return [[rational(evaluate_at(rows[i][j], point, cons)) for j in range(d)]
-            for i in range(d)]
+    return [[evaluate_at(v, point, cons) for v in row] for row in T.rows()]
 
 
 def validate_structure(s: ParacontactStructure,

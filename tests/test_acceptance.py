@@ -31,9 +31,9 @@ from ppst.expr import RationalExpr
 from ppst.identities import IDENTITY_KEYS, run_suite
 from ppst.models import exterior_derivative
 from ppst.curvature import (
+    covariant_derivative,
     curvature_antisymmetry_residual,
     first_bianchi_residual,
-    metric_compatibility_residual,
     torsion_residual,
 )
 from ppst.parser import parse_expr
@@ -101,7 +101,7 @@ def test_criterion_01_connection_table():
         s = _model("example-frame")
         conn = s.connection
         for (i, j), expected in CONNECTION_TABLE.items():
-            got = conn.nabla_basis(i, j)
+            got = conn.vector_at(i, j)
             want = tuple(s.model.scalar(c) for c in expected)
             assert got == want, f"nabla entry {(i, j)}: {got}"
 
@@ -111,7 +111,7 @@ def test_criterion_02_curvature_table():
         s = _model("example-frame")
         curv = s.curvature
         for (i, j, k), expected in CURVATURE_TABLE.items():
-            got = curv.apply(i, j, k)
+            got = curv.vector_at(k, i, j)
             want = tuple(s.model.scalar(c) for c in expected)
             assert got == want, f"curvature entry {(i, j, k)}: {got}"
 
@@ -119,7 +119,7 @@ def test_criterion_02_curvature_table():
 def test_criterion_03_scalar_curvature_both_models():
     with _criterion(3, "scalar curvature r = 8 in frame and chart mode"):
         for name in ("example-frame", "example-chart-corrected"):
-            r = _model(name).curvature.scalar
+            r = _model(name).ricci[1]
             assert r == 8, f"{name}: r = {r}"
 
 
@@ -127,16 +127,15 @@ def test_criterion_04_ricci_and_star_traces():
     with _criterion(4, "S(xi,xi) = -8 = -tr A^2, S*(e1,e1) = -12, "
                        "r* = -24, tr(phi A) = 4, r* + r = -16"):
         s = _model("example-frame")
-        curv = s.curvature
-        ricci = curv.ricci.rows()
-        star = curv.star_ricci.rows()
+        (ricci, r), (star, r_star) = s.ricci, s.star_ricci
+        ricci, star = ricci.rows(), star.rows()
         tr_phi_a, tr_a_sq = _traces(s)
         assert ricci[2][2] == -8
         assert tr_a_sq == 8
         assert star[0][0] == -12
-        assert curv.star_scalar == -24
+        assert r_star == -24
         assert tr_phi_a == 4
-        rsum = curv.star_scalar + curv.scalar
+        rsum = r_star + r
         assert rsum == -16
         assert rsum == -(tr_phi_a ** 2)
 
@@ -181,7 +180,7 @@ def test_criterion_07_deformation_laws_random_and_homothetic():
             bad = [k for k, r in report.results.items() if not r.passed]
             assert not bad, f"{params}: failing relations {bad}"
         homothetic = apply_deformation(s, pairs[-1])
-        assert homothetic.curvature.riemann.data == s.curvature.riemann.data
+        assert homothetic.curvature.data == s.curvature.data
 
 
 def test_criterion_08_homothetic_origin_detection():
@@ -252,7 +251,7 @@ def test_criterion_10_property_suites():
             conn = s.connection
             curv = s.curvature
             assert torsion_residual(conn).is_zero, entry.name
-            assert metric_compatibility_residual(conn, s.g).is_zero, entry.name
+            assert covariant_derivative(s.g, conn).is_zero, entry.name
             assert curvature_antisymmetry_residual(curv).is_zero, entry.name
             assert first_bianchi_residual(curv).is_zero, entry.name
             assert exterior_derivative(exterior_derivative(s.eta)).is_zero

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import replace
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -120,10 +119,9 @@ def test_failed_law_witnesses(monkeypatch):
     def corrupted(s, params):
         st = apply_deformation(s, params)
         conn = st.connection
-        coeffs = [list(row) for row in conn.coeffs]
-        coeffs[0][1] = tuple(c + 1 for c in coeffs[0][1])
-        st.connection = replace(
-            conn, coeffs=tuple(tuple(row) for row in coeffs))
+        shift = TensorField.from_entries(
+            conn.model, (1, 2), {(k, 0, 1): 1 for k in range(3)})
+        st.connection = conn + shift
         return st
 
     monkeypatch.setattr(deformation, "apply_deformation", corrupted)

@@ -25,15 +25,19 @@ from ppst.structures import ParacontactStructure, StructureError
 
 @pytest.mark.parametrize("spec", ["heisenberg5-c4.spec", "chart-1+z2.spec"])
 def test_curvature_tables_match_the_operator(spec):
-    """gR and gRphi against g(R(b_a, b_b) u, w) from the curvature operator."""
+    """gR and gRphi against g(R(b_a, b_b) u, w), with the operator
+    R(b_a, b_b) summed from the Riemann components."""
     s = golden_structure(spec)
     ctx = identities._Context(s)
     zero, g, ph = s.model.zero, s.g.rows(), s.phi.rows()
     cols = [b.vec() for b in s.phi_basis]
     phi_cols = [mat_vec(ph, c, zero) for c in cols]
     d = len(cols)
+    R = s.curvature
     for a, b in product(range(d), repeat=2):
-        op = s.curvature.operator(cols[a], cols[b])
+        op = [[sum((R[(l, k, i, j)] * cols[a][i] * cols[b][j]
+                    for i, j in product(range(d), repeat=2)), zero)
+               for k in range(d)] for l in range(d)]
         for c, e in product(range(d), repeat=2):
             assert ctx.gR[a][b][c][e] == bilinear(
                 g, mat_vec(op, cols[c], zero), cols[e], zero)
@@ -194,8 +198,10 @@ def _change_frame(s: ParacontactStructure, P) -> ParacontactStructure:
     d = old.dim
     cols = list(zip(*P))
     Pinv = invert_matrix(P, 1)
-    brackets = {(a, b): mat_vec(Pinv, [bilinear(slab, cols[a], cols[b], 0)
-                                       for slab in old.slabs], 0)
+    brackets = {(a, b): mat_vec(Pinv, [
+                    sum(old.bracket_vector(i, j)[k] * cols[a][i] * cols[b][j]
+                        for i, j in product(range(d), repeat=2))
+                    for k in range(d)], 0)
                 for a, b in combinations(range(d), 2)}
     model = FrameModel(old.labels, old.signature, brackets)
     g, ph = s.g.rows(), s.phi.rows()
@@ -214,8 +220,7 @@ def _invariants(s: ParacontactStructure):
     """Everything a report states that no choice of frame may move."""
     suite = run_suite(s)
     theorem = check_constant_curvature_theorem(s)
-    return (s.classification().label, s.curvature.scalar,
-            s.curvature.star_scalar,
+    return (s.classification().label, s.ricci[1], s.star_ricci[1],
             {key: (r.passed, r.details) for key, r in suite.results.items()},
             theorem.status, theorem.K)
 

@@ -3,15 +3,18 @@ integral, else Fraction) and chart RationalExpr."""
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from ppst import linalg
-from ppst.models import ChartModel, rational
+from ppst.models import ChartModel, FrameModel, GeometryError, TensorField, rational
 
 F = Fraction
 CHART = ChartModel(("x", "y", "z"))
+FRAME = FrameModel(("e1", "e2", "xi"), (1, -1, 1))
 
 
 def _chart(rows):
@@ -179,6 +182,47 @@ def test_kernel_equals_the_naive_sum_and_stays_in_the_field(field, shape):
             assert got[name] is zero
     assert linalg.signed_sum((zero, zero), (zero,), zero) is zero
     assert linalg.signed_sum((), (), zero) is zero
+
+
+# nonzero scalars a seeded table draws from, per field; a table entry is
+# zero one time in three
+NONZERO = {
+    "int": (FRAME, (1, -1, 2, 3, -4)),
+    "fraction": (FRAME, (F(1, 2), F(-2, 3), F(5, 4), F(-1, 3))),
+    "chart": (CHART, tuple(CHART.scalar(t) for t in
+                           ("x", "-1/2", "y/(1 + z)", "x*y - z", "1 + y^2"))),
+}
+
+
+@pytest.mark.parametrize("field", NONZERO)
+@pytest.mark.parametrize("valence", [(1, 2), (1, 3)])
+def test_block_bilinear_and_vector_at_match_the_components(field, valence):
+    """The two readers of a flat table against T[idx] and naive sums over
+    it: vector_at for every lower index tuple, and block_bilinear for dense,
+    unit and all-zero vectors, where every result is the given zero."""
+    model, values = NONZERO[field]
+    rng = random.Random(f"block-{field}-{valence}")
+    d, zero = model.dim, model.zero
+    T = TensorField(model, valence, [
+        zero if rng.random() < 1 / 3 else rng.choice(values)
+        for _ in range(d ** sum(valence))])
+    for lower in product(range(d), repeat=valence[1]):
+        assert T.vector_at(*lower) == tuple(T[(l, *lower)] for l in range(d))
+    with pytest.raises(GeometryError):
+        T.vector_at(0)
+    dense = [tuple(rng.choice(values) for _ in range(d)) for _ in range(2)]
+    vectors = {"dense": dense, "unit": (model.delta(0), model.delta(2)),
+               "zero-u": ((zero,) * d, dense[1]),
+               "zero-v": (dense[0], (zero,) * d)}
+    lead = list(product(range(d), repeat=sum(valence) - 2))
+    for name, (u, v) in vectors.items():
+        got = linalg.block_bilinear(T.data, u, v, zero)
+        want = tuple(_naive(zero, [T[(*p, i, j)] * u[i] * v[j]
+                                   for i, j in product(range(d), repeat=2)])
+                     for p in lead)
+        assert got == want, name
+        if name.startswith("zero"):
+            assert all(x is zero for x in got)
 
 
 # each case: (symmetric matrix, inertia); zero diagonal entries send the

@@ -18,7 +18,6 @@ from _models import (
 )
 from ppst import expr, linalg
 from ppst import structures as ppst_structures
-from ppst.curvature import ConnectionData, CurvatureData
 from ppst.deformation import (
     DeformationParams,
     apply_deformation,
@@ -41,6 +40,7 @@ from ppst.models import (
     sample_points,
 )
 from ppst.parser import parse_expr
+from ppst.report import first_nonzero
 from ppst.spaceforms import (
     check_constant_curvature_theorem,
     get_model,
@@ -156,23 +156,24 @@ def _count_factorizations(monkeypatch) -> list[int]:
 
 
 def _run_pipeline(s):
-    """Connection, curvature, classification, identities, theorem, deformation."""
+    """Connection, curvature, classification, identities, theorem,
+    deformation; returns the scalar curvature r."""
     s.connection
-    curv = s.curvature
+    s.curvature
     assert s.classification().label == "proper quasi-para-Sasakian"
     assert run_suite(s).passed
     check_constant_curvature_theorem(s)
     assert verify_deformation_relations(s, DeformationParams(-2, 4)).passed
-    return curv
+    return s.ricci[1]
 
 
 def test_frame_pipeline_builds_no_rational_function(monkeypatch):
     """Past parsing, a frame structure never enters the RationalExpr kernel."""
     s = import_text((GOLDEN / "heisenberg5-c4.spec").read_text(encoding="utf-8"))
     calls = _count_kernel_calls(monkeypatch)
-    curv = _run_pipeline(s)
+    r = _run_pipeline(s)
     assert calls["_canonical"] == 0
-    assert type(curv.scalar) is int and curv.scalar == 16
+    assert type(r) is int and r == 16
 
 
 def test_frame_pipeline_skips_zero_terms(monkeypatch):
@@ -198,10 +199,10 @@ def test_frame_pipeline_skips_zero_terms(monkeypatch):
 def test_identity_suite_on_an_orthonormal_frame_builds_no_fraction(
         monkeypatch):
     """heisenberg5-c4's phi-basis is its frame, whose columns are int unit
-    vectors, so past the classification every contraction of the identity
-    suite is int work."""
+    vectors, so every contraction of the identity suite is int work, and
+    the axioms evaluate its int entries as stored: run_suite on a fresh
+    structure, classification included, constructs no Fraction."""
     s = golden_structure("heisenberg5-c4.spec")
-    s.classification()
     built = [0]
 
     def counted(cls, *args, _new=Fraction.__new__, **kwargs):
@@ -282,29 +283,28 @@ def test_coefficients_are_int_or_fraction_and_numbers_leave_as_fraction(
         built.append((num, den))
         set_(self, variables, num, den)
     monkeypatch.setattr(RationalExpr, "_set", recording)
-    curv = _run_pipeline(s)
+    r = _run_pipeline(s)
     monkeypatch.undo()
     assert len(built) > 1000
     coefficients = [c for num, den in built for _, c in num + den]
     assert not [c for c in coefficients if not _stored_rational(c)]
     assert {int, Fraction} == set(map(type, coefficients))
-    r, point = curv.scalar, sample_points(s.model, 1)[0]
+    point = sample_points(s.model, 1)[0]
     assert type(r.evaluate(point)) is Fraction
     assert type(s.g[(1, 1)].constant_value()) is Fraction
     assert type(constant_value(s.g[(1, 1)])) is Fraction
     assert type(RationalExpr.zero(("x",)).constant_value()) is Fraction
     frame = golden_structure("heisenberg5-c4.spec").model
-    assert all(_stored_rational(c)
-               for slab in frame.slabs for row in slab for c in row)
+    assert all(_stored_rational(c) for c in frame.constants.data)
     assert type(constant_value(frame.one)) is Fraction
-    assert type(evaluate_at(frame.one, {})) is Fraction
+    assert evaluate_at(frame.one, {}) is frame.one
 
 
 def test_no_frame_pipeline_stores_a_float_or_an_integral_fraction(monkeypatch):
-    """Every component of every tensor field, metric inverse, connection and
-    curvature table built on a frame pipeline, and every entry of the
-    matrices the axioms evaluate, follows the int-or-Fraction
-    rule: each division of two frame scalars is exact (``linalg.quotient``),
+    """Every component of every tensor field built on a frame pipeline
+    (the metric inverse, connection and curvature tables among them), both
+    scalar curvatures, and every entry of the matrices the axioms evaluate,
+    follows the int-or-Fraction rule: each division of two frame scalars is exact (``linalg.quotient``),
     so a bare / of two ints would show here as a float.  The pipelines are
     every frame the package ships or finds (the catalog frames, the dim-5
     goldens, the search hits), each also deformed."""
@@ -319,11 +319,6 @@ def test_no_frame_pipeline_stores_a_float_or_an_integral_fraction(monkeypatch):
                 seen.extend(fields(self))
         monkeypatch.setattr(cls, "__init__", recorded)
     recording(TensorField, lambda t: t.data)
-    recording(ConnectionData,
-              lambda c: ([x for row in c.coeffs for vec in row for x in vec]
-                         + [x for row in c.metric_inverse for x in row]))
-    recording(CurvatureData, lambda c: [x for a in c._nested for b in a
-                                        for row in b for x in row])
     evaluate = ppst_structures._evaluate_matrix
 
     def evaluated(*args):
@@ -340,12 +335,13 @@ def test_no_frame_pipeline_stores_a_float_or_an_integral_fraction(monkeypatch):
     params = DeformationParams(-2, 4)
     for s in structures:
         for t in (s, apply_deformation(s, params)):
-            curv = t.curvature
             t.classification()
             t.phi_basis
             run_suite(t)
             check_constant_curvature_theorem(t)
-            seen.extend((curv.scalar, curv.star_scalar))
+            tables = (t.metric_inverse, t.connection, t.curvature)
+            assert [T.valence for T in tables] == [(2, 0), (1, 2), (1, 3)]
+            seen.extend((t.ricci[1], t.star_ricci[1]))
         assert verify_deformation_relations(s, params).passed
     seen.extend(c for h in hits for _, vec in h.brackets for c in vec)
     assert len(seen) > 20000
@@ -364,7 +360,8 @@ def test_chart_tensors_share_the_coordinates_memo():
     tensors = [foreign]
     for t in (s, deformed):
         tensors += [t.phi, t.xi, t.g, t.eta, t.Phi, t.N1, t.A, t.h,
-                    *t.phi_basis, t.curvature.riemann]
+                    *t.phi_basis, t.metric_inverse, t.connection,
+                    t.curvature, t.ricci[0], t.star_ricci[0]]
     tensors += s.declared_frame
     assert all(c.variables is model.coordinates
                for t in tensors for c in t.data)
@@ -381,7 +378,7 @@ def test_tensor_indexing_and_rows():
     assert g[(0, 2)] == m.scalar("-4*y/z")
     assert g.rows()[2][2] == m.scalar("(1+16*y^2)/z^2")
     assert (g - g).is_zero
-    w = (2 * g).nonzero_witness()
+    w = first_nonzero((2 * g).items())
     assert w == ((0, 0), m.scalar(2))
 
 
@@ -726,9 +723,8 @@ def test_realized_frame_matches_its_chart(name):
     s = _chart_structure(name)
     fs = _realized_structure(s)
     assert fs.classification().label == s.classification().label
-    for chart_value, frame_value in ((s.curvature.scalar, fs.curvature.scalar),
-                                     (s.curvature.star_scalar,
-                                      fs.curvature.star_scalar)):
+    for chart_value, frame_value in ((s.ricci[1], fs.ricci[1]),
+                                     (s.star_ricci[1], fs.star_ricci[1])):
         assert constant_value(chart_value) == frame_value
     chart_theorem = check_constant_curvature_theorem(s)
     frame_theorem = check_constant_curvature_theorem(fs)

@@ -1,8 +1,8 @@
 """The curvature/derivative identity suite for quasi-para-Sasakian structures.
 
 Every identity is an exact residual, evaluated componentwise with the
-arguments ranging over the phi-basis (X_1..X_n, Y_i = phi X_i, xi), whose
-causal characters eps_i weight the trace identities.  The suite refuses to
+arguments ranging over the phi-basis (X_1..X_n, Y_i = phi X_i, xi); the
+scalar curvatures r and r* are the structure's own.  The suite refuses to
 run when the structure is not quasi-para-Sasakian, since the identities
 hold on that class; the refusal carries the classification witness.
 
@@ -53,7 +53,7 @@ from .models import (
     sample_points,
 )
 from .report import CheckResult, residual_check
-from .structures import ParacontactStructure, StructureError, phi_basis_eps
+from .structures import ParacontactStructure, StructureError
 
 IDENTITY_KEYS = ("p1", "P5", "P6a", "P6b", "P6c", "P2", "P3", "P4",
                  "R1", "R1.1", "R1.2", "R1.3", "RXYY", "S1", "S2")
@@ -95,7 +95,6 @@ class _Context:
         self.d = d
         basis = s.phi_basis
         self.basis = basis
-        self.eps = phi_basis_eps(s)
         self.cols = [b.vec() for b in basis]
         self.labels = self._label_basis()
         grows = s.g.rows()
@@ -152,15 +151,13 @@ class _Context:
         xiv = self.cols[self.xi_index]
         self.nabla_eta_xi = [bilinear(neta.rows(), xiv, c, zero)
                              for c in self.cols]
-        # Ricci data contracted on the basis; traces over the phi-basis
-        S = s.ricci[0].rows()
-        Sstar = s.star_ricci[0].rows()
+        # Ricci data contracted on the basis, and the scalar curvatures
+        (S, self.r), (Sstar, self.rstar) = s.ricci, s.star_ricci
+        S, Sstar = S.rows(), Sstar.rows()
         self.S_b = [[bilinear(S, u, v, zero) for v in self.cols]
                     for u in self.cols]
         self.Sstar_b = [[bilinear(Sstar, u, v, zero) for v in self.cols]
                         for u in self.cols]
-        self.r = dot(self.eps, [self.S_b[a][a] for a in range(d)], zero)
-        self.rstar = dot(self.eps, [self.Sstar_b[a][a] for a in range(d)], zero)
         # operator traces (basis independent, computed over model indices)
         self.tr_phiA = trace_product(ph, A, zero)
         self.tr_A2 = trace_product(A, A, zero)

@@ -649,13 +649,16 @@ _CANDIDATES = (Fraction(1), Fraction(2), Fraction(1, 2), Fraction(3), Fraction(-
 
 
 def _candidate_points(variables: Sequence[str], degree: int, count: int):
-    """The fixed candidates, then every point of the grid S^k, S = {0, ..,
-    degree + count - 1}.
+    """The fixed candidates, then every a in N^k with |a| < degree + count,
+    by increasing |a| (stars and bars, so no box is built).
 
-    A nonzero polynomial of total degree <= D vanishes at no more than
-    D |S|^(k-1) points of S^k (Schwartz-Zippel), so when ``degree`` bounds
-    the product of every constraint's numerator and denominator, the grid
-    holds at least |S|^(k-1) count >= count points of the domain.
+    A nonzero p of total degree <= D does not vanish on all of T_D = {a :
+    |a| <= D}: by induction on k, its top coefficient p_e in x_k (degree
+    <= D - e) is nonzero at some a' in T_{D-e}, and p(a', x_k) has degree e,
+    so it is nonzero at some x_k in {0..e}.  When ``degree`` bounds the
+    product of every constraint's numerator and denominator, one linear
+    factor per point already found shows that T_{degree+count-1} holds
+    ``count`` points of the domain.
     """
     ncand = len(_CANDIDATES)
     for k in range(1000):
@@ -664,16 +667,19 @@ def _candidate_points(variables: Sequence[str], degree: int, count: int):
         shift = 5 * (k // ncand)
         yield {c: _CANDIDATES[(k + 3 * i) % ncand] + shift
                for i, c in enumerate(variables)}
-    grid = [Fraction(v) for v in range(degree + count)]
-    for values in product(grid, repeat=len(variables)):
-        yield dict(zip(variables, values))
+    nvars = len(variables)
+    for total in range(degree + count):
+        for bars in combinations(range(total + nvars - 1), nvars - 1):
+            edges = (-1, *bars, total + nvars - 1)
+            yield {c: Fraction(edges[i + 1] - edges[i] - 1)
+                   for i, c in enumerate(variables)}
 
 
 def sample_points(model: ManifoldModel, count: int) -> list[dict[str, Fraction]]:
     """Deterministic exact points over the scalar variables satisfying the
     model constraints; a model without variables has the one point {}.
-    Past the fixed candidates a Schwartz-Zippel grid follows, so a domain
-    that is not empty always yields ``count`` points."""
+    Past the fixed candidates a graded grid follows, so a domain that is
+    not empty always yields ``count`` points."""
     if not model.scalar_variables:
         return [{}]
     degree = sum(max(sum(m) for m, _ in poly) for con in model.constraints

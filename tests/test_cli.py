@@ -298,8 +298,8 @@ def test_constraint_vanishing_at_every_candidate_is_sampled_on_a_grid(
         tmp_path, command):
     """Over all 1,000 candidates y - x takes only eight values, so a
     constraint vanishing at those eight rejects every candidate though
-    y = x lies in the domain; the Schwartz-Zippel grid that follows them
-    holds a domain point."""
+    y = x lies in the domain; the graded grid that follows them holds a
+    domain point."""
     differences = ("y-x+5", "y-x+3", "2*y-2*x+5", "y-x+2", "y-x+1", "y-x-2",
                    "2*y-2*x-7", "2*y-2*x-9")
     text = (GOLDEN / "chart-1+z2.spec").read_text(encoding="utf-8")

@@ -748,3 +748,27 @@ def test_sample_points_respect_constraints():
     assert len({tuple(sorted(p.items())) for p in pts}) == 7
     for p in pts:
         assert p["z"] != 0 and p["x"] != 1
+
+
+def test_sample_points_walk_the_grid_in_graded_order(monkeypatch):
+    """y - x takes eight values over the 1,000 fixed candidates, and the
+    constraint vanishes at all eight, so every candidate fails; past them
+    the grid is walked by coordinate sum, and the first domain point,
+    (4, 0, 0), is the last point of sum 4: 35 grid points, not the 677 of a
+    lexicographic walk of {0..12}^3."""
+    differences = ("y-x+5", "y-x+3", "2*y-2*x+5", "y-x+2", "y-x+1", "y-x-2",
+                   "2*y-2*x-7", "2*y-2*x-9")
+    roots = "*".join(f"(x-{r})" for r in range(4))
+    m = ChartModel(("x", "y", "z"), constraints=(
+        "*".join(f"({d})" for d in differences) + "*" + roots,))
+    calls = []
+    holds_at = expr.DomainConstraint.holds_at
+
+    def counted(con, point):
+        calls.append(point)
+        return holds_at(con, point)
+
+    monkeypatch.setattr(expr.DomainConstraint, "holds_at", counted)
+    assert sample_points(m, 1) == [{"x": 4, "y": 0, "z": 0}]
+    assert len(calls) == 1000 + 35
+    assert calls[1000] == {"x": 0, "y": 0, "z": 0}

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import functools
+import importlib.util
 import subprocess
 import sys
 from fractions import Fraction
@@ -19,9 +21,14 @@ from _models import (
     negative_curvature_frame,
 )
 from ppst import spaceforms, structures
-from ppst.deformation import DeformationParams, apply_deformation
-from ppst.models import ChartModel, FrameModel, TensorField
+from ppst.deformation import (
+    DeformationParams,
+    apply_deformation,
+    proportionality_constant,
+)
+from ppst.models import ChartModel, FrameModel, GeometryError, TensorField, rational
 from ppst.spaceforms import (
+    SearchHit,
     check_constant_curvature_theorem,
     constant_curvature_of,
     get_model,
@@ -30,6 +37,8 @@ from ppst.spaceforms import (
 )
 from ppst.specfile import export_text
 from ppst.structures import ParacontactStructure, StructureError
+
+EXPECTED = Path(__file__).resolve().parents[1] / "perfbench" / "expected.py"
 
 
 # -- constant curvature -------------------------------------------------------
@@ -246,12 +255,62 @@ def test_search_default_grid():
     assert any(h.brackets == target for h in hits)
 
 
-def test_search_prefilter_is_conservative():
-    fast = search_constant_negative_curvature(values=(0, 2), prefilter=True)
-    slow = search_constant_negative_curvature(values=(0, 2), prefilter=False)
-    assert [(h.brackets, h.K, h.lam) for h in fast] \
-        == [(h.brackets, h.K, h.lam) for h in slow]
-    assert len(fast) == 2
+@functools.cache
+def _brute_force_search(vals) -> list[SearchHit]:
+    """The search written out over every table of vals^9 (vals distinct):
+    kept when the frame model accepts it (Jacobi) and its standard
+    structure has dPhi = 0, N1 = 0, K < 0 and A = lambda phi."""
+    hits = []
+    for table in product(product(vals, repeat=3), repeat=3):
+        brackets = {pair: vec for pair, vec in zip(((0, 1), (0, 2), (1, 2)), table)
+                    if any(vec)}
+        try:
+            s = spaceforms._standard_frame_structure(brackets)
+        except GeometryError:
+            continue
+        if not s.dPhi.is_zero or not structures.nijenhuis_N1(s).is_zero:
+            continue
+        K = constant_curvature_of(s)
+        if K is None or K >= 0:
+            continue
+        lam = proportionality_constant(s)
+        if lam is not None:
+            hits.append(SearchHit(tuple(sorted(brackets.items())), K, lam))
+    return hits
+
+
+@pytest.mark.parametrize("values, count", [
+    ((0, 2), 2),
+    ((2, 0, -2), 6),
+    ((1, 2), 0),  # no zero: every table with N1 = dPhi = 0 has zero entries
+    ((-1, 0, 1, 2), 8),
+    ((Fraction(1, 2), 0, Fraction(-1, 2)), 6),
+    ((2, 0, 2, -2), 6),  # a repeated value adds no table
+], ids=["0,2", "2,0,-2", "1,2", "-1,0,1,2", "halves", "repeated"])
+def test_search_matches_the_brute_force_reference(values, count):
+    hits = search_constant_negative_curvature(values)
+    reference = _brute_force_search(tuple(dict.fromkeys(map(rational, values))))
+    assert repr(hits) == repr(reference)
+    assert len(hits) == count
+
+
+def test_search_builds_33_structures_and_finds_the_expected_hits(monkeypatch):
+    """The default grid, against the hits perfbench/expected.py derives by
+    hand; only the kernel's survivors reach the N1 check."""
+    spec = importlib.util.spec_from_file_location("_perfbench_expected", EXPECTED)
+    expected = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(expected)
+    calls = []
+
+    def counted(s):
+        calls.append(s)
+        return structures.nijenhuis_N1(s)
+
+    monkeypatch.setattr(spaceforms, "nijenhuis_N1", counted)
+    hits = search_constant_negative_curvature()
+    assert len(calls) == 33
+    assert len(hits) == len(expected.SEARCH_HITS)
+    assert {(h.brackets, h.K, h.lam) for h in hits} == expected.SEARCH_HITS
 
 
 def test_search_hit_build_roundtrip():

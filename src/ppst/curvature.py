@@ -104,21 +104,25 @@ def covariant_derivative(T: TensorField, conn: TensorField) -> TensorField:
 
 def riemann(conn: TensorField) -> TensorField:
     """Curvature of the connection, R(X,Y) = [nabla_X,nabla_Y] - nabla_[X,Y]."""
+    if conn.valence != (1, 2):
+        raise GeometryError("connection must have valence (1,2)")
     model = conn.model
     d = model.dim
     zero = model.zero
     G, dd = conn.data, d * d
     # nabla_op[i][l][m] = Gamma^l_im, the matrix of nabla_{e_i};
-    # gamma_k[k][l][m] = Gamma^l_mk, whose column m is nabla_{e_m} e_k
+    # gamma_k[k][l][m] = Gamma^l_mk, whose column m is nabla_{e_m} e_k;
+    # col[i * d + k] = nabla_{e_i} e_k, what Gamma.vector_at(i, k) reads
     nabla_op = [[G[l * dd + i * d:l * dd + i * d + d] for l in range(d)]
                 for i in range(d)]
     gamma_k = [[G[l * dd + k:(l + 1) * dd:d] for l in range(d)]
                for k in range(d)]
+    col = [G[o::dd] for o in range(dd)]
     rv = {}  # rv[i, j, k] = R(e_i, e_j) e_k
     for i, j in product(range(d), repeat=2):
         cij = model.bracket_vector(i, j)
         for k in range(d):
-            Gjk, Gik = conn.vector_at(j, k), conn.vector_at(i, k)
+            Gjk, Gik = col[j * d + k], col[i * d + k]
             ij = mat_vec(nabla_op[i], Gjk, zero)
             ji = mat_vec(nabla_op[j], Gik, zero)
             br = mat_vec(gamma_k[k], cij, zero)

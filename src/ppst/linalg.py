@@ -27,9 +27,11 @@ build g(u, v), phi v, eta(v), tr(phi A) and every per-component formula
 field operation.  Each kernel function skips every zero term and every
 term with a zero factor before multiplying, starts its sum from the first
 surviving term, and returns the field zero it was given when no term
-survives, so its result is that zero or a field element.  Exact sums do
-not change, and on sparse frame data the skipped terms are most of the
-work.
+survives, so its result is that zero or a field element.  ``mat_vec``,
+``bilinear`` and ``block_bilinear`` find the support of their vector(s)
+once; when it is empty they return the given zero, one per row or block,
+without visiting a row.  Exact sums do not change, and on sparse frame data
+the skipped terms are most of the work.
 """
 
 from __future__ import annotations
@@ -75,36 +77,36 @@ def dot(u: Sequence[F], v: Sequence[F], zero: F) -> F:
     return zero if acc is None else acc
 
 
-def _support(v: Sequence[F]) -> list[tuple[int, F]]:
-    """The (j, v_j) with v_j nonzero."""
-    return [(j, b) for j, b in enumerate(v) if b]
-
-
-def _dot_support(row: Sequence[F], support: list[tuple[int, F]]) -> F | None:
-    """sum_j row_j v_j over the support of v, or None when no term survives."""
-    acc = None
-    for j, b in support:
-        a = row[j]
-        if a:
-            acc = a * b if acc is None else acc + a * b
-    return acc
-
-
 def mat_vec(m: Sequence[Sequence[F]], v: Sequence[F], zero: F) -> tuple[F, ...]:
     """The vector m v; each entry of v is tested once, not once per row."""
-    support = _support(v)
-    return tuple(zero if x is None else x
-                 for x in (_dot_support(row, support) for row in m))
+    support = [(j, b) for j, b in enumerate(v) if b]
+    if not support:
+        return (zero,) * len(m)
+    out = []
+    for row in m:
+        acc = None
+        for j, b in support:
+            a = row[j]
+            if a:
+                acc = a * b if acc is None else acc + a * b
+        out.append(zero if acc is None else acc)
+    return tuple(out)
 
 
 def bilinear(m: Sequence[Sequence[F]], u: Sequence[F], v: Sequence[F],
              zero: F) -> F:
-    """sum_ij u_i m_ij v_j."""
-    support = _support(v)
+    """sum_ij u_i m_ij v_j, as sum_i u_i (m_i . v)."""
+    support = [(j, b) for j, b in enumerate(v) if b]
+    if not support:
+        return zero
     acc = None
     for a, row in zip(u, m):
         if a:
-            b = _dot_support(row, support)
+            b = None
+            for j, c in support:
+                x = row[j]
+                if x:
+                    b = x * c if b is None else b + x * c
             if b:
                 acc = a * b if acc is None else acc + a * b
     return zero if acc is None else acc
@@ -116,12 +118,21 @@ def block_bilinear(data: Sequence[F], u: Sequence[F], v: Sequence[F],
     ``bilinear`` of each consecutive block of d x d entries, d = len(u),
     one result per block.  The supports of u and v are found once."""
     d = len(u)
-    us, vs = _support(u), _support(v)
+    dd = d * d
+    us = [(i * d, a) for i, a in enumerate(u) if a]  # (row offset, u_i)
+    vs = [(j, b) for j, b in enumerate(v) if b]
+    if not us or not vs:
+        return (zero,) * (len(data) // dd)
     out = []
-    for base in range(0, len(data), d * d):
+    for base in range(0, len(data), dd):
         acc = None
-        for i, a in us:
-            b = _dot_support(data[base + i * d:base + i * d + d], vs)
+        for off, a in us:
+            row = base + off
+            b = None
+            for j, c in vs:
+                x = data[row + j]
+                if x:
+                    b = x * c if b is None else b + x * c
             if b:
                 acc = a * b if acc is None else acc + a * b
         out.append(zero if acc is None else acc)

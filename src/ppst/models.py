@@ -217,8 +217,9 @@ class FrameModel(ManifoldModel):
     """A global frame with constant structure constants.
 
     Scalars are rational constants stored as ``rational`` stores them: an
-    int when integral, else a Fraction.  ``scalar`` applies that rule to
-    every input (int, Fraction, str or constant RationalExpr) and refuses a
+    int when integral, else a Fraction.  ``scalar``, a static method so
+    that the rule can be applied before a model exists, applies it to every
+    input (int, Fraction, str or constant RationalExpr) and refuses a
     float, so the bracket table and every tensor field on a frame hold ints
     wherever they can, and their zero tests, compares and products run as
     int operations.
@@ -261,7 +262,8 @@ class FrameModel(ManifoldModel):
         self.constants = TensorField(self, (1, 2), data)
         self._check_jacobi()
 
-    def scalar(self, value: ScalarLike) -> int | Fraction:
+    @staticmethod
+    def scalar(value: ScalarLike) -> int | Fraction:
         if type(value) is int:
             return value
         if type(value) is Fraction:

@@ -22,13 +22,15 @@ a catalog model and a spec file on disk load the same way.
 search_constant_negative_curvature returns the bracket tables over a small
 rational grid whose standard structure is quasi-para-Sasakian of constant
 negative curvature.  It builds only the tables in the QPS kernel, the
-nullspace of the linear map from a table to its N1 and dPhi.
+nullspace of the linear map from a table to its N1 and dPhi; that kernel is
+built once per process, on the first search, not at import.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from itertools import product
 from pathlib import Path
 from typing import Sequence
@@ -53,9 +55,9 @@ def constant_curvature_of(s: ParacontactStructure) -> Fraction | None:
     grows = s.g.rows()
     zero = s.model.zero
     return constant_ratio(
-        (R(k, i, j)[l],
-         (grows[j][k] if l == i else zero) - (grows[i][k] if l == j else zero))
-        for i, j, k, l in product(range(d), repeat=4))
+        (r, (grows[j][k] if l == i else zero) - (grows[i][k] if l == j else zero))
+        for i, j, k in product(range(d), repeat=3)
+        for l, r in enumerate(R(k, i, j)))
 
 
 @dataclass
@@ -248,16 +250,19 @@ def _bracket_table(entries: Sequence[int | Fraction]) -> dict:
     return {ij: v for ij, v in zip(((0, 1), (0, 2), (1, 2)), vecs) if any(v)}
 
 
-def _qps_kernel() -> list[tuple[int | Fraction, ...]]:
+@cache
+def _qps_kernel() -> tuple[tuple[int | Fraction, ...], ...]:
     """A nullspace basis of the linear map from a table (c01, c02, c12) to
     N1 and dPhi of its standard structure, whose phi, xi, eta and g are
     constant.  Column m is N1 and dPhi, read as ``classify`` reads them, of
-    the one-entry table e_m, which satisfies Jacobi at dim 3."""
+    the one-entry table e_m, which satisfies Jacobi at dim 3.  The map
+    takes no argument, so the basis is built once per process, by the first
+    search that asks for it, and never at import."""
     columns = []
     for m in range(9):
         s = _standard_frame_structure(_bracket_table([int(i == m) for i in range(9)]))
         columns.append(s.N1.data + s.dPhi.data)
-    return nullspace(list(zip(*columns)), 1)
+    return tuple(nullspace(list(zip(*columns)), 1))
 
 
 def search_constant_negative_curvature(
@@ -267,9 +272,11 @@ def search_constant_negative_curvature(
 
     Only the tables in the QPS kernel are built, as its free coordinates
     walk over values.  Each is re-verified: Jacobi (by the frame model),
-    N1 = 0, dPhi = 0, K < 0 and A = lambda phi.
+    N1 = 0, dPhi = 0, K < 0 and A = lambda phi.  The values are frame
+    scalars, so a float is refused with GeometryError before any table is
+    built.
     """
-    vals = tuple(dict.fromkeys(rational(v) for v in values))
+    vals = tuple(dict.fromkeys(FrameModel.scalar(v) for v in values))
     basis = _qps_kernel()
     columns = tuple(zip(*basis))
     hits: list[SearchHit] = []

@@ -141,6 +141,12 @@ def test_asymmetric_metric_rejected():
         metric_inverse(TensorField(m, (1, 1), g.data))
 
 
+def test_riemann_refuses_a_table_that_is_not_a_connection():
+    m = ChartModel(("x", "y", "z"))
+    with pytest.raises(GeometryError, match="connection must have valence"):
+        riemann(TensorField(m, (0, 3), [0] * 27))
+
+
 # -- chart pipeline ----------------------------------------------------------
 
 def test_corrected_chart_connection_residuals():

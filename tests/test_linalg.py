@@ -122,8 +122,9 @@ def test_empty_matrix_has_rank_zero():
     assert linalg.nullspace((), F(1)) == []
 
 
-# kernel inputs per field: zero, then (u, v, m) dense, sparse and with
-# disjoint supports, where no term survives
+# kernel inputs per field: zero, then (u, v, m) dense, sparse, with
+# disjoint supports, where no term survives, and with all-zero vectors (fresh
+# zero objects, not the given zero) against a dense matrix
 KERNEL_INPUTS = {
     "fraction": (F(0), {
         "dense": ((F(2), F(-1, 2), F(3)), (F(1), F(4), F(-2, 3)),
@@ -132,6 +133,8 @@ KERNEL_INPUTS = {
                    _fractions([[0, 0, 0], [0, 0, 3], [0, 4, 0]])),
         "disjoint": ((F(0), F(5), F(0)), (F(7), F(0), F(0)),
                      _fractions([[0, 0, 0], [0, 0, 3], [0, 0, 0]])),
+        "zero": (_fractions([[0, 0, 0]])[0], _fractions([[0, 0, 0]])[0],
+                 _fractions([[1, 2, 0], ["1/3", -1, 5], [2, 2, 2]])),
     }),
     "chart": (CHART.zero, {
         "dense": (_chart([["1 + y^2", "x", "-1/(1 + z)"]])[0],
@@ -142,7 +145,17 @@ KERNEL_INPUTS = {
                    _chart([["0", "0", "0"], ["0", "0", "x"], ["0", "y", "0"]])),
         "disjoint": (_chart([["0", "x*y", "0"]])[0], _chart([["1", "0", "0"]])[0],
                      _chart([["0", "0", "0"], ["0", "0", "x"], ["0", "0", "0"]])),
+        "zero": (_chart([["0", "0", "0"]])[0], _chart([["0", "0", "0"]])[0],
+                 _chart([["1", "x", "0"], ["y", "1/(1 + y^2)", "z"],
+                         ["2", "x*z", "1"]])),
     }),
+}
+
+# per shape, the kernel functions in which no term survives, so that every
+# entry they return is the given zero object
+VANISHING = {
+    "disjoint": ("dot", "mat_vec", "bilinear", "block_bilinear", "trace_product"),
+    "zero": ("signed_sum", "dot", "mat_vec", "bilinear", "block_bilinear"),
 }
 
 
@@ -156,30 +169,39 @@ def _naive(zero, plus, minus=()):
 
 
 @pytest.mark.parametrize("field", KERNEL_INPUTS)
-@pytest.mark.parametrize("shape", ["dense", "sparse", "disjoint"])
+@pytest.mark.parametrize("shape", ["dense", "sparse", "disjoint", "zero"])
 def test_kernel_equals_the_naive_sum_and_stays_in_the_field(field, shape):
     zero, inputs = KERNEL_INPUTS[field]
     u, v, m = inputs[shape]
+    r = range(3)
+    # a flat table of two 3 x 3 blocks, m and its transpose
+    table = [x for rows in (m, tuple(zip(*m))) for row in rows for x in row]
     got = {
-        "signed_sum": linalg.signed_sum(u, v, zero),
-        "dot": linalg.dot(u, v, zero),
-        "bilinear": linalg.bilinear(m, u, v, zero),
-        "trace_product": linalg.trace_product(m, m, zero),
+        "signed_sum": (linalg.signed_sum(u, v, zero),),
+        "dot": (linalg.dot(u, v, zero),),
+        "mat_vec": linalg.mat_vec(m, v, zero),
+        "bilinear": (linalg.bilinear(m, u, v, zero),),
+        "block_bilinear": linalg.block_bilinear(table, u, v, zero),
+        "trace_product": (linalg.trace_product(m, m, zero),),
     }
     want = {
-        "signed_sum": _naive(zero, u, v),
-        "dot": _naive(zero, [a * b for a, b in zip(u, v)]),
-        "bilinear": _naive(zero, [u[i] * m[i][j] * v[j]
-                                  for i in range(3) for j in range(3)]),
-        "trace_product": _naive(zero, [m[k][j] * m[j][k]
-                                       for k in range(3) for j in range(3)]),
+        "signed_sum": (_naive(zero, u, v),),
+        "dot": (_naive(zero, [a * b for a, b in zip(u, v)]),),
+        "mat_vec": tuple(_naive(zero, [m[i][j] * v[j] for j in r]) for i in r),
+        "bilinear": (_naive(zero, [u[i] * m[i][j] * v[j] for i in r for j in r]),),
+        "block_bilinear": tuple(
+            _naive(zero, [u[i] * table[b + 3 * i + j] * v[j] for i in r for j in r])
+            for b in (0, 9)),
+        "trace_product": (_naive(zero, [m[k][j] * m[j][k] for k in r for j in r]),),
     }
     assert got == want
-    for value in got.values():
-        assert type(value) is type(zero)
-    if shape == "disjoint":  # no term survives: the given zero comes back
-        for name in ("dot", "bilinear", "trace_product"):
-            assert got[name] is zero
+    for values in got.values():
+        assert all(type(x) is type(zero) for x in values)
+    for name in VANISHING.get(shape, ()):  # no term survives
+        assert all(x is zero for x in got[name]), name
+    if shape == "zero":  # an all-zero vector: no row is read
+        assert linalg.mat_vec((None,) * 3, v, zero) == (zero,) * 3
+        assert linalg.bilinear((None,) * 3, u, v, zero) is zero
     assert linalg.signed_sum((zero, zero), (zero,), zero) is zero
     assert linalg.signed_sum((), (), zero) is zero
 

@@ -313,6 +313,50 @@ def test_search_builds_33_structures_and_finds_the_expected_hits(monkeypatch):
     assert {(h.brackets, h.K, h.lam) for h in hits} == expected.SEARCH_HITS
 
 
+def _count_standard_structures(monkeypatch) -> list:
+    """Record every structure the search module builds."""
+    built = []
+
+    def counted(brackets, name=None, _fn=spaceforms._standard_frame_structure):
+        built.append(brackets)
+        return _fn(brackets, name)
+
+    monkeypatch.setattr(spaceforms, "_standard_frame_structure", counted)
+    return built
+
+
+def test_search_refuses_a_float_grid_value_before_building(monkeypatch):
+    """A float would be converted exactly (0.1 as 3602879701896397/2^55),
+    so the grid goes through the frame scalar rule and is refused."""
+    built = _count_standard_structures(monkeypatch)
+    with pytest.raises(GeometryError,
+                       match="frame scalars are exact rationals, got 0.1"):
+        search_constant_negative_curvature((0.1, 0))
+    assert built == []
+
+
+def test_search_builds_the_qps_kernel_once(monkeypatch):
+    """After a first search, another builds one structure per kernel point
+    (3^4 for a 4-dim kernel over three values) and none for the kernel."""
+    search_constant_negative_curvature()
+    built = _count_standard_structures(monkeypatch)
+    search_constant_negative_curvature()
+    assert len(built) == 81
+    kernel = spaceforms._qps_kernel()
+    assert kernel is spaceforms._qps_kernel()
+    assert type(kernel) is tuple and len(kernel) == 4
+    assert all(type(v) is tuple and len(v) == 9 for v in kernel)
+
+
+def test_qps_kernel_is_not_built_at_import():
+    probe = ("import ppst, ppst.cli\n"
+             "from ppst import spaceforms\n"
+             "print(spaceforms._qps_kernel.cache_info().currsize)\n")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout.split() == ["0"]
+
+
 def test_search_hit_build_roundtrip():
     hits = search_constant_negative_curvature()
     s = hits[0].build()

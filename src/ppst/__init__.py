@@ -5,10 +5,12 @@ simplification heuristics.  Chart-mode structures carry coordinate
 expressions (rational functions, RationalExpr), frame-mode structures
 constant structure tables over the rationals, each stored as an int when
 integral and as a fractions.Fraction otherwise.
-Every geometric claim is verified as an identically zero residual (or as an
-exact evaluation at rational sample points) and every failure carries a
-witness: the first offending component and its value.  Every verifier
-returns its checks as :class:`ppst.report.CheckResult`.
+Every geometric claim is verified as an identically zero residual, or, for
+the metric signature and the eigendistributions of phi, as a sign or a
+nonvanishing certified on the whole declared domain; no scalar is ever
+evaluated at a point.  Every failure carries a witness: the first offending
+component and its value.  Every verifier returns its checks as
+:class:`ppst.report.CheckResult`.
 
 Layers, bottom up:
 

@@ -42,11 +42,11 @@ from .deformation import (
 )
 from .identities import run_suite
 from .linalg import bilinear, trace_product
-from .models import ChartModel, GeometryError, format_combination
+from .models import GeometryError, format_combination
 from .report import _ZERO_DIGEST, CheckResult, Report, digest_text, error_report, residual_check
 from .spaceforms import catalog_entry, check_constant_curvature_theorem, model_catalog
 from .specfile import SpecFileError, export_spec, import_text
-from .structures import StructureError, validate_structure
+from .structures import StructureError
 
 
 class _InputError(Exception):
@@ -81,14 +81,10 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="bundled catalog model name")
         return p
 
-    p = add("check", "verify the structure axioms")
-    p.add_argument("--point", default=None,
-                   help="chart point for pointwise checks, e.g. x=1,y=2,z=1/2")
+    add("check", "verify the structure axioms")
     add("classify", "name the structure class")
     add("curvature", "connection and curvature tables with verification")
-    p = add("identities", "run the curvature identity suite")
-    p.add_argument("--mode", choices=("auto", "symbolic", "sampled"),
-                   default="auto", help="verification mode (default: auto)")
+    add("identities", "run the curvature identity suite")
     p = add("deform", "verify the deformation laws for given parameters")
     p.add_argument("--alpha", required=True,
                    help="deformation parameter alpha (nonzero rational)")
@@ -138,40 +134,13 @@ def _load(args):
         raise _InputError(str(exc), source=source, digest=digest)
 
 
-def _parse_point(text: str, model) -> dict[str, Fraction]:
-    if not isinstance(model, ChartModel):
-        raise _InputError("--point applies to chart-mode structures only")
-    point: dict[str, Fraction] = {}
-    for item in text.split(","):
-        name, sep, value = item.partition("=")
-        name = name.strip()
-        if not sep or name not in model.coordinates:
-            raise _InputError(f"bad point component {item.strip()!r}; "
-                              f"expected name=rational with names from "
-                              f"{', '.join(model.coordinates)}")
-        try:
-            point[name] = Fraction(value.strip())
-        except (ValueError, ZeroDivisionError):
-            raise _InputError(f"bad rational value in point: {item.strip()!r}")
-    missing = [c for c in model.coordinates if c not in point]
-    if missing:
-        raise _InputError(f"point misses coordinates: {', '.join(missing)}")
-    for con in model.constraints:
-        if not con.holds_at(point):
-            raise _InputError(f"point violates domain constraint {con}")
-    return point
-
-
 # ---------------------------------------------------------------------------
 # command bodies
 
 
 def _cmd_check(args, s, source, digest) -> Report:
-    if args.point is not None:
-        rep = validate_structure(s, _parse_point(args.point, s.model))
-    else:
-        rep = s.axiom_report()
-    data = {"sample_point": {k: str(v) for k, v in rep.sample_point.items()}}
+    rep = s.axiom_report()
+    data = {}
     if rep.inertia is not None:
         data["metric_inertia"] = list(rep.inertia)
     if rep.eigen_dims is not None:
@@ -234,20 +203,15 @@ def _cmd_curvature(args, s, source, digest) -> Report:
 
 def _cmd_identities(args, s, source, digest) -> Report:
     try:
-        rep = run_suite(s, mode=args.mode)
+        rep = run_suite(s)
     except StructureError as exc:
         if exc.report is not None:
             raise  # an axiom failure: _execute reports every axiom check
         check = CheckResult("hypothesis_quasi_para_sasakian", False,
                             witness=str(exc))
         return Report("identities", source, digest, checks=[check])
-    checks = list(rep.results.values())
-    data = {
-        "mode": rep.mode,
-        "sample_points": [{k: str(v) for k, v in p.items()}
-                          for p in rep.sample_points],
-    }
-    return Report("identities", source, digest, checks=checks, data=data)
+    return Report("identities", source, digest,
+                  checks=list(rep.results.values()), data={})
 
 
 def _cmd_deform(args, s, source, digest) -> Report:

@@ -102,10 +102,6 @@ class EvaluationError(ExprError):
     """Raised when a point evaluation is undefined (denominator vanishes)."""
 
 
-class ConstraintViolation(EvaluationError):
-    """Raised when a point violates a domain constraint (e.g. z = 0)."""
-
-
 class Variables(tuple):
     """An ordered tuple of variable names with a memo of canonical forms.
 
@@ -410,14 +406,6 @@ class DomainConstraint:
 
     expression: "RationalExpr"
 
-    def holds_at(self, point: Mapping[str, Fraction | int]) -> bool:
-        """Whether the point lies in the domain; a point where the
-        expression is undefined lies outside it."""
-        try:
-            return self.expression.evaluate(point) != 0
-        except EvaluationError:
-            return False
-
     def __str__(self) -> str:
         return f"{self.expression} != 0"
 
@@ -628,22 +616,15 @@ class RationalExpr:
         return RationalExpr._make(
             self.variables, *_canonical(self.variables, num, _pmul(d, d)))
 
-    def evaluate(self, point: Mapping[str, Fraction | int],
-                 constraints: Iterable[DomainConstraint] = ()) -> Fraction:
-        """Evaluate at an exact rational point.
-
-        Constraints are checked first, then the denominator; either failure
-        raises (ConstraintViolation resp. EvaluationError).
-        """
+    def evaluate(self, point: Mapping[str, Fraction | int]) -> Fraction:
+        """Evaluate at an exact rational point; raises EvaluationError where
+        the denominator vanishes or a variable has no value."""
         vals = []
         for name in self.variables:
             if name not in point:
                 raise EvaluationError(f"no value for variable {name!r}")
             vals.append(Fraction(point[name]))
         values = tuple(vals)
-        for con in constraints:
-            if not con.holds_at(point):
-                raise ConstraintViolation(f"constraint {con} violated at {dict(point)}")
         dval = _peval(self._dend(), values)
         if dval == 0:
             raise EvaluationError(f"denominator vanishes at {dict(point)}")

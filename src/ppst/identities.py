@@ -30,28 +30,20 @@ Keys, in canonical order, with the identity each one checks
         + g(AX, phi Y) tr(phi A) - g(AX, AY)
   S2    r* + r = -tr(phi A)^2
 
-Structures are verified symbolically by default; ``sampled`` mode instead
-judges each residual at exact rational points over the scalar variables
-(weaker, and recorded as such in the report): five on a chart, and the one
-point {} on a frame, whose scalars are constants.
+Every residual is judged symbolically: it passes only when it vanishes
+identically, so a verdict holds at every point of the domain.  No residual
+is ever evaluated at a point.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from fractions import Fraction
+from dataclasses import dataclass, replace
 from itertools import product
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator
 
 from .curvature import covariant_derivative
 from .linalg import bilinear, block_bilinear, dot, mat_vec, signed_sum, trace_product
-from .models import (
-    FrameModel,
-    Scalar,
-    Vec,
-    evaluate_at,
-    sample_points,
-)
+from .models import FrameModel, Scalar, Vec
 from .report import CheckResult, residual_check
 from .structures import ParacontactStructure, StructureError
 
@@ -61,9 +53,7 @@ IDENTITY_KEYS = ("p1", "P5", "P6a", "P6b", "P6c", "P2", "P3", "P4",
 
 @dataclass
 class IdentityReport:
-    mode: str
     results: dict[str, CheckResult]
-    sample_points: list[dict[str, Fraction]] = field(default_factory=list)
 
     @property
     def passed(self) -> bool:
@@ -273,51 +263,19 @@ def _details(ctx: _Context, key: str) -> dict[str, str] | None:
     return None
 
 
-def _judge(ctx: _Context, key: str, mode: str,
-           points: Sequence[Mapping[str, Fraction]]) -> CheckResult:
-    details = _details(ctx, key)
+def _judge(ctx: _Context, key: str) -> CheckResult:
     labels = ctx.labels + ("scalar",)
-    if mode == "symbolic":
-        return replace(residual_check(key, _residuals(ctx, key), labels),
-                       details=details)
-    named = list(_residuals(ctx, key))
-    cons = ctx.model.constraints
-    for point in points:
-        check = residual_check(
-            key, ((idx, evaluate_at(v, point, cons)) for idx, v in named), labels)
-        if not check.passed:  # the witness also names the point
-            at, _, value = check.witness.partition(": ")
-            pt = {k: str(f) for k, f in point.items()}
-            return CheckResult(key, False, witness=f"{at}, point {pt}: {value}",
-                               details=details)
-    return CheckResult(key, True, details=details)
+    return replace(residual_check(key, _residuals(ctx, key), labels),
+                   details=_details(ctx, key))
 
 
-def run_suite(s: ParacontactStructure, mode: str = "auto",
-              points: Sequence[Mapping[str, Fraction]] | None = None) -> IdentityReport:
-    """Run the identity suite; refuses on non-quasi-para-Sasakian input.
-
-    mode: "auto" (symbolic), "symbolic", or "sampled" (``sample_points``, or
-    >= 5 given points).
-    """
+def run_suite(s: ParacontactStructure) -> IdentityReport:
+    """Run the identity suite; refuses on non-quasi-para-Sasakian input."""
     cls = s.classification()  # raises StructureError on axiom failure
     if not cls.flags["quasi_para_sasakian"]:
         witness = cls.witnesses.get("quasi_para_sasakian", "")
         raise StructureError(
             f"identity suite requires a quasi-para-Sasakian structure; "
             f"classified as {cls.label!r} ({witness})")
-    if mode == "auto":
-        mode = "symbolic"
-    if mode not in ("symbolic", "sampled"):
-        raise ValueError(f"unknown mode {mode!r}")
-    pts: list[dict[str, Fraction]] = []
-    if mode == "sampled":
-        if points is not None:
-            pts = [dict(p) for p in points]
-            if len(pts) < 5:
-                raise ValueError("sampled mode needs at least 5 points")
-        else:
-            pts = sample_points(s.model, 5)
     ctx = _Context(s)
-    results = {key: _judge(ctx, key, mode, pts) for key in IDENTITY_KEYS}
-    return IdentityReport(mode=mode, results=results, sample_points=pts)
+    return IdentityReport(results={key: _judge(ctx, key) for key in IDENTITY_KEYS})

@@ -37,7 +37,7 @@ the skipped terms are most of the work.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Sequence, TypeVar
+from typing import Callable, Iterable, Sequence, TypeVar
 
 F = TypeVar("F")
 Matrix = tuple[tuple[F, ...], ...]
@@ -214,37 +214,51 @@ def nullspace(mat: Sequence[Sequence[F]], one: F) -> list[tuple[F, ...]]:
     return basis
 
 
-def symmetric_signature(mat: Sequence[Sequence[Fraction]]) -> tuple[int, int, int]:
-    """(positive, negative, zero) inertia of an exact symmetric matrix.
+def symmetric_signature(mat: Sequence[Sequence[F]], sign: Callable[[F], int | None],
+                        ) -> tuple[tuple[int, int, int] | None, F | None]:
+    """(positive, negative, zero) inertia of an exact symmetric matrix by
+    congruence diagonalization over its field, and None; or None and the
+    first nonzero pivot that ``sign`` maps to None instead of +1 or -1.
 
-    Congruence diagonalization over Q; Sylvester's law makes the counts
+    Zero tests are truthiness; ``sign`` decides only the nonzero pivots.
+    Each step works on the trailing block, which stays symmetric: a zero
+    diagonal entry is swapped for a nonzero one or, failing that, made
+    nonzero by adding a row and column that pair with it; then the pivot
+    row clears the rows below it.  Sylvester's law makes the counts
     basis-independent.
     """
     m = _rows(mat)
     n = len(m)
+    pivots = []
     for k in range(n):
         if not m[k][k]:
             swap = next((j for j in range(k + 1, n) if m[j][j]), None)
             if swap is not None:
+                m[k], m[swap] = m[swap], m[k]
                 for row in m:
                     row[k], row[swap] = row[swap], row[k]
-                m[k], m[swap] = m[swap], m[k]
             else:
                 other = next((j for j in range(k + 1, n) if m[k][j]), None)
-                if other is None:
-                    continue
-                for c in range(n):
-                    m[k][c] = m[k][c] + m[other][c]
-                for row in m:
-                    row[k] = row[k] + row[other]
+                if other is not None:
+                    for c in range(k, n):
+                        m[k][c] = m[k][c] + m[other][c]
+                    for r in range(k, n):
+                        m[r][k] = m[r][k] + m[r][other]
         pivot = m[k][k]
+        pivots.append(pivot)
+        if not pivot:
+            continue
         for j in range(k + 1, n):
             if m[j][k]:
                 f = quotient(m[j][k], pivot)
-                for c in range(n):
-                    m[j][c] = m[j][c] - f * m[k][c]
-                for row in m:
-                    row[j] = row[j] - f * row[k]
-    pos = sum(1 for k in range(n) if m[k][k] > 0)
-    neg = sum(1 for k in range(n) if m[k][k] < 0)
-    return pos, neg, n - pos - neg
+                for c in range(k + 1, n):
+                    if m[k][c]:
+                        m[j][c] = m[j][c] - f * m[k][c]
+    counts = {1: 0, -1: 0}
+    for pivot in pivots:
+        if pivot:
+            s = sign(pivot)
+            if s is None:
+                return None, pivot
+            counts[s] += 1
+    return (counts[1], counts[-1], n - counts[1] - counts[-1]), None

@@ -19,9 +19,17 @@ exact.
 One exterior derivative serves forms of every degree, and one derivation
 rule, ``_derivation``, extends a derivation from scalars and basis fields
 to tensors of any valence: it is the Lie derivative here and the
-covariant derivative in :mod:`ppst.curvature`.  The two
-helpers :func:`constant_value` and :func:`evaluate_at` cover what only
-rational functions need (a constant test, a point evaluation).
+covariant derivative in :mod:`ppst.curvature`.  The helper
+:func:`constant_value` covers what only rational functions need (a
+constant test).
+
+A model also answers two questions about a scalar over its whole domain,
+never at a point: ``sign`` (+1 or -1 when the scalar has that sign at every
+point, else None) and ``defined_on_domain`` (whether its denominator
+vanishes nowhere).  On a frame both are plain comparisons of constants.
+On a chart the domain is R^k minus the zeros of every declared constraint's
+numerator and denominator, and one certificate, ``ChartModel._certify``,
+decides both (see there).
 
 :class:`TensorField` is the one container of component tables: the
 fields of a structure, a frame's structure constants, and the metric
@@ -41,11 +49,19 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations, product
 from typing import Iterable, Mapping, Sequence, Union
 
 from . import linalg
-from .expr import DomainConstraint, RationalExpr, Variables
+from .expr import (
+    DomainConstraint,
+    PolyTerms,
+    RationalExpr,
+    Variables,
+    _exact_quotient,
+    _split,
+)
 from .parser import parse_expr
 
 Scalar = Union[int, Fraction, RationalExpr]
@@ -66,19 +82,6 @@ def constant_value(value: Scalar) -> Fraction | None:
     if isinstance(value, RationalExpr):
         return value.constant_value() if value.is_constant else None
     return Fraction(value)
-
-
-def evaluate_at(value: Scalar, point: Mapping[str, Fraction | int],
-                constraints: Iterable[DomainConstraint] = ()) -> int | Fraction:
-    """The value of a scalar of either field at an exact point, stored by
-    the ``rational`` rule.
-
-    A rational function is evaluated (and may raise EvaluationError or
-    ConstraintViolation); a frame scalar is its own value, as stored.
-    """
-    if isinstance(value, RationalExpr):
-        return rational(value.evaluate(point, constraints))
-    return value
 
 
 def constant_ratio(pairs: Iterable[tuple[Scalar, Scalar]]) -> Fraction | None:
@@ -151,13 +154,38 @@ class ManifoldModel:
         """Components of [e_i, e_j] for basis fields."""
         raise NotImplementedError
 
+    def sign(self, value: Scalar) -> int | None:
+        """+1 or -1 when a nonzero scalar has that sign at every point of
+        the domain, else None."""
+        raise NotImplementedError
+
+    def defined_on_domain(self, value: Scalar) -> bool:
+        """Whether the scalar's denominator vanishes nowhere on the domain."""
+        raise NotImplementedError
+
     @property
     def basis_labels(self) -> tuple[str, ...]:
         raise NotImplementedError
 
 
+def _definite_sign(poly: Mapping[tuple[int, ...], int | Fraction]) -> int | None:
+    """+1 or -1 when poly is c Q with Q a positive constant plus monomials
+    with even exponents and positive coefficients, such as 1 + 24y^2, so
+    that Q >= its constant > 0 at every real point; else None."""
+    if all(any(m) for m in poly) or any(e & 1 for m in poly for e in m):
+        return None
+    signs = {c > 0 for c in poly.values()}
+    if len(signs) != 1:
+        return None
+    return 1 if signs.pop() else -1
+
+
 class ChartModel(ManifoldModel):
     """A single coordinate chart, optionally with nonzero-constraints.
+
+    The domain is R^k minus the zeros of the numerator and the denominator
+    of every constraint; ``sign`` and ``defined_on_domain`` decide over all
+    of it, by the one rule in ``_certify``.
 
     Scalars are RationalExpr over the coordinate tuple.  ``coordinates`` is
     one :class:`~ppst.expr.Variables` object (kept as given if it already
@@ -186,6 +214,60 @@ class ChartModel(ManifoldModel):
             cons.append(c)
         self.constraints = tuple(cons)
         self._zero_vec = (self.zero,) * self.dim
+
+    @cached_property
+    def _domain_factors(self) -> tuple[PolyTerms, ...]:
+        """The irreducible factors of every constraint's numerator and
+        denominator: each variable that divides one, and what ``_split``
+        finds in the rest (sympy runs only on a multi-term leftover that no
+        factor the chart knows divides).  Each is nonzero at every domain
+        point.  A factor with a definite sign is left out, since it vanishes
+        nowhere anyway.  Split on first use, once per chart."""
+        factors = {}
+        for con in self.constraints:
+            for poly in (con.expression.num, con.expression.den):
+                content = tuple(map(min, zip(*(m for m, _ in poly))))
+                for i, e in enumerate(content):
+                    if e:
+                        unit = tuple(int(j == i) for j in range(self.dim))
+                        factors[((unit, 1),)] = None
+                if len(poly) > 1:
+                    rest = {tuple(a - b for a, b in zip(m, content)): c
+                            for m, c in poly}
+                    factors.update(dict.fromkeys(
+                        p for p, _ in _split(self.coordinates, rest)))
+        return tuple(p for p in factors if _definite_sign(dict(p)) is None)
+
+    def _certify(self, poly: PolyTerms, even: bool) -> int | None:
+        """The one domain rule: poly's sign if certified, else None.
+
+        poly is divided by each domain factor as often as it goes, and what
+        is left must have a definite sign (``_definite_sign``).  A domain
+        factor is nonzero on the domain, so poly then vanishes nowhere on
+        it.  With ``even`` every factor must also go an even number of
+        times: its power is then positive on the domain, and poly has the
+        sign of what is left.  Without ``even`` the result only says that
+        poly vanishes nowhere.
+        """
+        rest = dict(poly)
+        sign = _definite_sign(rest)
+        if sign is None and rest:
+            for p in self._domain_factors:
+                e = 0
+                while (q := _exact_quotient(rest, p)) is not None:
+                    rest, e = q, e + 1
+                if even and e & 1:
+                    return None
+            sign = _definite_sign(rest)
+        return sign
+
+    def sign(self, value: RationalExpr) -> int | None:
+        """Certified when both the numerator and the denominator are."""
+        num, den = self._certify(value.num, True), self._certify(value.den, True)
+        return None if num is None or den is None else num * den
+
+    def defined_on_domain(self, value: RationalExpr) -> bool:
+        return self._certify(value.den, False) is not None
 
     def scalar(self, value: ScalarLike) -> RationalExpr:
         if isinstance(value, RationalExpr):
@@ -301,6 +383,14 @@ class FrameModel(ManifoldModel):
 
     def diff(self, i: int, f: int | Fraction) -> int | Fraction:
         return self.zero  # frame scalars are constants
+
+    @staticmethod
+    def sign(value: int | Fraction) -> int:
+        return (value > 0) - (value < 0)
+
+    @staticmethod
+    def defined_on_domain(value: int | Fraction) -> bool:
+        return True
 
     def bracket_vector(self, i: int, j: int) -> tuple[int | Fraction, ...]:
         return self.constants.vector_at(i, j)
@@ -641,62 +731,6 @@ def realize_frame(chart: ChartModel, vectors: Sequence[TensorField],
     frame = FrameModel(labels, signature, brackets)
     frame_metric = TensorField.from_rows(frame, (0, 2), G)
     return frame, frame_metric
-
-
-# ---------------------------------------------------------------------------
-# deterministic sample points
-
-_CANDIDATES = (Fraction(1), Fraction(2), Fraction(1, 2), Fraction(3), Fraction(-1),
-               Fraction(5), Fraction(-2), Fraction(7, 2), Fraction(4), Fraction(-3))
-
-
-def _candidate_points(variables: Sequence[str], degree: int, count: int):
-    """The fixed candidates, then every a in N^k with |a| < degree + count,
-    by increasing |a| (stars and bars, so no box is built).
-
-    A nonzero p of total degree <= D does not vanish on all of T_D = {a :
-    |a| <= D}: by induction on k, its top coefficient p_e in x_k (degree
-    <= D - e) is nonzero at some a' in T_{D-e}, and p(a', x_k) has degree e,
-    so it is nonzero at some x_k in {0..e}.  When ``degree`` bounds the
-    product of every constraint's numerator and denominator, one linear
-    factor per point already found shows that T_{degree+count-1} holds
-    ``count`` points of the domain.
-    """
-    ncand = len(_CANDIDATES)
-    for k in range(1000):
-        # round k // ncand shifts every candidate by 5 per round, so a
-        # constraint that vanishes at all of them still meets fresh values
-        shift = 5 * (k // ncand)
-        yield {c: _CANDIDATES[(k + 3 * i) % ncand] + shift
-               for i, c in enumerate(variables)}
-    nvars = len(variables)
-    for total in range(degree + count):
-        for bars in combinations(range(total + nvars - 1), nvars - 1):
-            edges = (-1, *bars, total + nvars - 1)
-            yield {c: Fraction(edges[i + 1] - edges[i] - 1)
-                   for i, c in enumerate(variables)}
-
-
-def sample_points(model: ManifoldModel, count: int) -> list[dict[str, Fraction]]:
-    """Deterministic exact points over the scalar variables satisfying the
-    model constraints; a model without variables has the one point {}.
-    Past the fixed candidates a graded grid follows, so a domain that is
-    not empty always yields ``count`` points."""
-    if not model.scalar_variables:
-        return [{}]
-    degree = sum(max(sum(m) for m, _ in poly) for con in model.constraints
-                 for poly in (con.expression.num, con.expression.den))
-    points: list[dict[str, Fraction]] = []
-    for point in _candidate_points(model.scalar_variables, degree, count):
-        if len(points) == count:
-            break
-        if point in points:
-            continue
-        if all(con.holds_at(point) for con in model.constraints):
-            points.append(point)
-    if len(points) < count:
-        raise GeometryError("could not find enough constraint-satisfying points")
-    return points
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,8 @@ The axioms, with dim M = 2n+1 and signature (n+1, n):
 
 which force phi xi = 0, eta o phi = 0 and make the +1/-1 eigendistributions
 of phi on ker eta both n-dimensional.  validate_structure checks each axiom
-as an exact residual and reports witnesses for failures.
+as an exact residual, and the signature and the eigendistributions on the
+whole domain, and reports witnesses for failures.
 
 Derived objects: the fundamental 2-form Phi(X,Y) = g(X, phi Y), the
 normality tensor N1 = [phi,phi] - 2 deta (x) xi, the shape-like operator
@@ -45,7 +46,6 @@ from .curvature import (
     riemann,
     star_ricci_scalar,
 )
-from .expr import EvaluationError
 from .linalg import bilinear, dot, mat_vec, signed_sum
 from .models import (
     ChartModel,
@@ -55,10 +55,8 @@ from .models import (
     Scalar,
     TensorField,
     _bracket_comps,
-    evaluate_at,
     exterior_derivative,
     lie_derivative,
-    sample_points,
 )
 from .report import CheckResult, first_nonzero, residual_check
 
@@ -77,7 +75,6 @@ class StructureError(Exception):
 @dataclass
 class AxiomReport:
     checks: list[CheckResult]
-    sample_point: dict[str, Fraction]
     eigen_dims: tuple[int, int] | None = None
     inertia: tuple[int, int, int] | None = None
 
@@ -208,6 +205,19 @@ class ParacontactStructure:
         return lie_derivative(self.phi, self.xi) * Fraction(1, 2)
 
     @cached_property
+    def eigenspaces(self) -> tuple[list[tuple[Scalar, ...]], list[tuple[Scalar, ...]]]:
+        """Bases of D+ and D-, the nullspaces of phi - Id and phi + Id over
+        the model's field."""
+        ph, one, zero = self.phi.rows(), self.model.one, self.model.zero
+        d = self.model.dim
+
+        def shifted(c: Scalar) -> tuple[tuple[Scalar, ...], ...]:  # phi - c Id
+            return tuple(tuple(ph[i][j] - (c if i == j else zero)
+                               for j in range(d)) for i in range(d))
+        return (linalg.nullspace(shifted(one), one),
+                linalg.nullspace(shifted(-one), one))
+
+    @cached_property
     def phi_basis(self) -> tuple[TensorField, ...]:
         return build_phi_basis(self)
 
@@ -271,20 +281,34 @@ def nijenhuis_N1(s: ParacontactStructure) -> TensorField:
 # ---------------------------------------------------------------------------
 # axioms
 
-def _evaluate_matrix(s: ParacontactStructure, T: TensorField,
-                     point: Mapping[str, Fraction]) -> list[list[int | Fraction]]:
-    """T's rows at the point, each value stored by the ``rational`` rule."""
-    cons = s.model.constraints
-    return [[evaluate_at(v, point, cons) for v in row] for row in T.rows()]
+def validate_structure(s: ParacontactStructure) -> AxiomReport:
+    """Check every structure axiom as an exact residual, on the whole domain.
 
+    The identities are residuals that must vanish identically.  The two
+    pointwise facts are decided over the model's field and hold at every
+    point of the domain (see ``ManifoldModel.sign`` and
+    ``defined_on_domain``), never at a chosen point.
 
-def validate_structure(s: ParacontactStructure,
-                       point: Mapping[str, Fraction] | None = None) -> AxiomReport:
-    """Check every structure axiom as an exact residual.
+    ``metric_signature``: g is symmetric, no denominator of g vanishes on
+    the domain, and congruence diagonalization over the field gives pivots
+    p_1..p_d, each of fixed sign on the domain, with inertia (n+1, n, 0).
+    At a domain point q, g(q) is defined, and the same elimination runs on
+    g(q): each step divides only by an earlier pivot, nonzero at q, so g(q)
+    is congruent to diag(p_1(q), .., p_d(q)), and by Sylvester's law its
+    signature is (n+1, n) at q as well.
 
-    Pointwise linear-algebra facts (metric signature, eigendistribution
-    dimensions) are checked at an exact rational sample point in chart mode
-    and symbolically (constant data) in frame mode.
+    ``eigendistributions``: no denominator of phi vanishes on the domain,
+    and the nullspaces of phi -+ Id over the field have dimensions (n, n).
+    When every other check passes, the dimensions are (n, n) at every
+    domain point q too.  g(q) and phi(q) are defined, and g(q) is
+    nondegenerate.  So g^-1 and, from eta (x) eta = g(phi., phi.) + g, eta
+    are defined at q, hence xi = g^-1 eta is too, and the axioms hold at q.
+    Let P = phi(q) and V = ker eta(q), the g(q)-orthogonal complement of
+    xi(q), nondegenerate because g(xi, xi) = eta(xi) = 1.  P maps V into V
+    (eta o phi = 0) and P^2 = Id on V, so V = D+ + D- with dim D+ + dim D- =
+    2n.  For X, Y in D+, g(X, Y) = g(PX, PY) = -g(X, Y), so D+ is totally
+    isotropic in V, and so is D-: each has dimension at most n, hence
+    exactly n.
     """
     model = s.model
     d, n = model.dim, model.n
@@ -292,16 +316,27 @@ def validate_structure(s: ParacontactStructure,
     phicols = tuple(zip(*ph))
     xv, ev = s.xi.vec(), s.eta.data
     zero = model.zero
-    pt = dict(point) if point is not None else sample_points(model, 1)[0]
+    labels = model.basis_labels
     checks: list[CheckResult] = []
 
     def axiom(name: str, entries: Mapping[tuple[int, ...], Scalar],
               what: str) -> None:
-        check = residual_check(name, entries.items(), model.basis_labels, what)
+        check = residual_check(name, entries.items(), labels, what)
         if not check.passed:  # the report also keeps the residual value
             value = first_nonzero(entries.items())[1]
             check = replace(check, details={"residual": str(value)})
         checks.append(check)
+
+    def undefined(name: str, rows) -> str | None:
+        """A witness for the first entry whose denominator is not
+        certified nonzero on the domain, or None."""
+        at = next(((i, j) for i, j in product(range(d), repeat=2)
+                   if not model.defined_on_domain(rows[i][j])), None)
+        if at is None:
+            return None
+        i, j = at
+        return (f"denominator of {name}({labels[i]},{labels[j]}) = "
+                f"{rows[i][j]} is not certified nonzero on the domain")
 
     # phi^2 = Id - eta (x) xi
     ent = {}
@@ -333,52 +368,39 @@ def validate_structure(s: ParacontactStructure,
     axiom("eta_phi", {(j,): dot(ev, phicols[j], zero) for j in range(d)},
           "eta(phi .)")
 
-    # metric signature (n+1, n) at the sample point; inertia is defined
+    # metric signature (n+1, n) on the whole domain; inertia is defined
     # for a symmetric g only, so an asymmetric pair is the witness
     inertia: tuple[int, int, int] | None = None
     asym = next(((i, j) for i, j in combinations(range(d), 2)
                  if grows[i][j] != grows[j][i]), None)
     if asym is not None:
         i, j = asym
-        li, lj = model.basis_labels[i], model.basis_labels[j]
-        checks.append(CheckResult(
-            "metric_signature", False,
-            witness=f"g({li},{lj}) = {grows[i][j]}, g({lj},{li}) = {grows[j][i]}"))
+        witness = (f"g({labels[i]},{labels[j]}) = {grows[i][j]}, "
+                   f"g({labels[j]},{labels[i]}) = {grows[j][i]}")
     else:
-        try:
-            inertia = linalg.symmetric_signature(_evaluate_matrix(s, s.g, pt))
-            ok = inertia == (n + 1, n, 0)
-            checks.append(CheckResult(
-                "metric_signature", ok, witness=None if ok else
-                f"inertia {inertia} at {pt}, expected {(n + 1, n, 0)}"))
-        except EvaluationError as exc:  # e.g. a constraint violated at a custom point
-            inertia = None
-            checks.append(CheckResult("metric_signature", False, witness=str(exc)))
+        witness = undefined("g", grows)
+        if witness is None:
+            inertia, unsigned = linalg.symmetric_signature(grows, model.sign)
+            if unsigned is not None:
+                witness = f"pivot {unsigned} has no fixed sign on the domain"
+            elif inertia != (n + 1, n, 0):
+                witness = f"inertia {inertia}, expected {(n + 1, n, 0)}"
+    checks.append(CheckResult("metric_signature", witness is None, witness))
 
     # eigendistributions of phi: dim D+ = dim D- = n
-    eigen: tuple[int, int] | None
-    try:
-        pmat = _evaluate_matrix(s, s.phi, pt)
-        dims = []
-        for sign in (1, -1):
-            m = [[pmat[i][j] - (sign if i == j else 0) for j in range(d)]
-                 for i in range(d)]
-            dims.append(d - linalg.rank(m))
-        eigen = (dims[0], dims[1])
-        ok = eigen == (n, n)
-        checks.append(CheckResult("eigendistributions", ok,
-                                  witness=None if ok else
-                                  f"dim(D+, D-) = {eigen}, expected {(n, n)}"))
-    except EvaluationError as exc:
-        eigen = None
-        checks.append(CheckResult("eigendistributions", False, witness=str(exc)))
+    eigen: tuple[int, int] | None = None
+    witness = undefined("phi", ph)
+    if witness is None:
+        eigen = tuple(map(len, s.eigenspaces))
+        if eigen != (n, n):
+            witness = f"dim(D+, D-) = {eigen}, expected {(n, n)}"
+    checks.append(CheckResult("eigendistributions", witness is None, witness))
 
     # declared frame, when given, must be an honest phi-basis
     if s.declared_frame is not None:
         checks.append(_declared_frame_check(s))
 
-    return AxiomReport(checks=checks, sample_point=pt, eigen_dims=eigen,
-                       inertia=inertia)
+    return AxiomReport(checks=checks, eigen_dims=eigen, inertia=inertia)
 
 
 def _declared_frame_check(s: ParacontactStructure) -> CheckResult:
@@ -430,21 +452,15 @@ def build_phi_basis(s: ParacontactStructure) -> tuple[TensorField, ...]:
     an axiom failure.
     """
     model = s.model
-    d, n = model.dim, model.n
+    n = model.n
     if s.declared_frame is not None:
         check = next(c for c in s.axiom_report().checks
                      if c.name == "declared_frame_phi_basis")
         if check.passed:
             return s.declared_frame
         raise StructureError(f"declared frame is not a phi-basis: {check.witness}")
-    ph = s.phi.rows()
-    one, zero = model.one, model.zero
-    plus_mat = tuple(tuple(ph[i][j] - (one if i == j else zero)
-                           for j in range(d)) for i in range(d))
-    minus_mat = tuple(tuple(ph[i][j] + (one if i == j else zero)
-                            for j in range(d)) for i in range(d))
-    vplus = linalg.nullspace(plus_mat, one)
-    vminus = linalg.nullspace(minus_mat, one)
+    zero = model.zero
+    vplus, vminus = s.eigenspaces
     if len(vplus) != n or len(vminus) != n:
         raise StructureError(
             f"eigendistributions have dimensions ({len(vplus)}, {len(vminus)}), "

@@ -113,3 +113,37 @@ def negative_curvature_frame() -> ParacontactStructure:
     eta = TensorField.covector(model, (0, 0, 1))
     return ParacontactStructure(model, phi, xi, model.orthonormal_metric(), eta,
                                 name="constant-negative-curvature")
+
+
+def chart_spec(g, phi, constraints=None, xi="0, 0, 1", eta="0, 0, 1",
+               frame=None, name="domain-probe") -> str:
+    """Spec text of a structure on the chart (x, y, z): g, phi and frame
+    as three row strings each, the rest as one string."""
+    lines = ["[manifold]", f"name = {name}", "mode = chart", "dim = 3",
+             "coordinates = x, y, z"]
+    if constraints is not None:
+        lines.append(f"constraints = {constraints}")
+    for section, key, rows in (("g", "row", g), ("phi", "row", phi),
+                               ("frame", "field", frame)):
+        if rows is not None:
+            lines += ["", f"[{section}]"]
+            lines += [f"{key}{i + 1} = {row}" for i, row in enumerate(rows)]
+    lines += ["", "[xi]", f"components = {xi}", "", "[eta]",
+              f"components = {eta}"]
+    return "\n".join(lines) + "\n"
+
+
+# phi swapping d/dx and d/dy, the phi of flat-paracosymplectic
+PHI_SWAP = ("0, 1, 0", "1, 0, 0", "0, 0, 0")
+
+
+def recharted_corrected(w: str, constraints=None) -> str:
+    """example-chart-corrected with z replaced by w = w(y, z): the axioms
+    hold identically for every w, and g, phi and eta divide by w."""
+    w = f"({w})"
+    return chart_spec(
+        g=(f"1, 0, -4*y/{w}", "0, -1, 0", f"-4*y/{w}, 0, (1+16*y^2)/{w}^2"),
+        phi=("0, 4*y, 0", f"0, 0, 1/{w}", f"0, {w}, 0"),
+        xi="1, 0, 0", eta=f"1, 0, -4*y/{w}",
+        frame=(f"4*y, 0, {w}", "0, 1, 0", "1, 0, 0"),
+        constraints=constraints, name=f"recharted-w={w}")

@@ -145,7 +145,7 @@ def test_criterion_05_identity_suite_on_four_models():
         names = ("example-frame", "example-chart-corrected",
                  "flat-paracosymplectic", "parasasakian-deformed")
         for name in names:
-            report = run_suite(_model(name), mode="symbolic")
+            report = run_suite(_model(name))
             assert set(report.results) == set(IDENTITY_KEYS)
             bad = [k for k, r in report.results.items() if not r.passed]
             assert not bad, f"{name}: failing identities {bad}"

@@ -19,7 +19,7 @@ from ppst.report import digest_text
 from ppst.spaceforms import get_model, model_catalog
 from ppst.specfile import export_text, import_spec
 
-from _models import GOLDEN
+from _models import GOLDEN, PHI_SWAP, chart_spec
 
 
 def _schema() -> dict:
@@ -149,9 +149,9 @@ def test_mathematical_failure_never_exit_2():
 @pytest.mark.parametrize("argv", [
     ["check"],
     ["check", "--model", "no-such-model"],
-    ["check", "--model", "example-frame", "--point", "x=1,y=2,z=0"],
-    ["check", "--model", "flat-paracosymplectic", "--point", "x=1,q=2,z=1"],
-    ["check", "--model", "flat-paracosymplectic", "--point", "x=1"],
+    ["check", "--model", "example-frame", "other.spec"],
+    ["classify", "/nonexistent/in.spec"],
+    ["deform", "--model", "example-frame", "--alpha", "1/0", "--beta", "4"],
     ["deform", "--model", "example-frame", "--alpha", "0", "--beta", "4"],
     ["deform", "--model", "example-frame", "--alpha", "2", "--beta", "-4"],
     ["models", "--export", "example-frame"],
@@ -223,22 +223,40 @@ def test_largest_admitted_literal_runs_curvature(tmp_path):
 
 
 def test_point_on_frame_model_rejected():
-    report = run_command(["check", "--model", "example-frame",
-                          "--point", "x=1,y=1,z=1"])
-    assert report.exit_code == 2
-    assert "chart-mode" in report.error
+    """No verdict depends on a point, so there is no --point option."""
+    with pytest.raises(SystemExit) as info:
+        run_command(["check", "--model", "example-frame",
+                     "--point", "x=1,y=1,z=1"])
+    assert info.value.code == 2
 
 
-def test_check_at_custom_point():
-    report = run_command(["check", "--model", "example-chart-corrected",
-                          "--point", "x=2,y=-1,z=1/3"])
-    assert report.exit_code == 0
-    assert report.data["sample_point"] == {"x": "2", "y": "-1", "z": "1/3"}
+def _spec(tmp_path, text: str, name: str = "probe.spec"):
+    spec = tmp_path / name
+    spec.write_text(text, encoding="utf-8")
+    return spec
+
+
+# flat-paracosymplectic with g = diag(x, -x, 1): every identical axiom
+# holds, but g is degenerate on x = 0, which lies in the domain
+DEGENERATE_ON_X_0 = chart_spec(g=("x, 0, 0", "0, -x, 0", "0, 0, 1"),
+                               phi=PHI_SWAP, name="flat-g-x")
+
+
+@pytest.mark.parametrize("command", ["check", "classify"])
+def test_metric_degenerate_inside_the_domain_fails(tmp_path, command):
+    """The pivot x of g changes sign on x = 0, so no signature holds on
+    the whole domain: exit 1, with the pivot as the witness."""
+    report = run_command([command, str(_spec(tmp_path, DEGENERATE_ON_X_0))])
+    assert report.exit_code == 1
+    assert [(c.name, c.witness) for c in report.checks if not c.passed] == [
+        ("metric_signature", "pivot x has no fixed sign on the domain")]
+    if command == "check":
+        assert "metric_inertia" not in report.data
 
 
 def _undefined_constraint_spec(tmp_path):
     """chart-1+z2 with a constraint 1/(x-1) that is undefined at x = 1,
-    the first candidate value of every sample point."""
+    so the domain leaves out x = 1."""
     text = (GOLDEN / "chart-1+z2.spec").read_text(encoding="utf-8")
     text = text.replace("constraints = (1+z^2)", "constraints = z, 1/(x-1)")
     assert "1/(x-1)" in text
@@ -250,17 +268,35 @@ def _undefined_constraint_spec(tmp_path):
 @pytest.mark.parametrize("command",
                          ["check", "classify", "identities", "curvature", "theorem"])
 def test_constraint_undefined_at_a_candidate_point_is_skipped(tmp_path, command):
+    """A constraint undefined on x = 1 only shrinks the domain, and the
+    structure is sound on all of it."""
     report = run_command([command, str(_undefined_constraint_spec(tmp_path))])
     assert report.exit_code == 0
     if command == "check":
-        assert report.data["sample_point"]["x"] == "2"
+        _assert_domain_checks_pass(report)
+
+
+def _assert_domain_checks_pass(report):
+    """Both domain checks pass, and the report names no point."""
+    checks = {c.name: c.passed for c in report.checks}
+    assert checks["metric_signature"] and checks["eigendistributions"]
+    assert report.data == {"metric_inertia": [2, 1, 0],
+                           "phi_eigen_dims": [1, 1]}
 
 
 def test_point_where_a_constraint_is_undefined_rejected(tmp_path):
-    report = run_command(["check", str(_undefined_constraint_spec(tmp_path)),
-                          "--point", "x=1,y=1,z=1"])
-    assert report.exit_code == 2
-    assert report.error == "point violates domain constraint (1)/(x - 1) != 0"
+    """The domain leaves out x = 1, where the constraint 1/(x-1) is
+    undefined, so a metric dividing by (x-1)^2 passes; without the
+    constraint x = 1 lies in the domain and the check fails there."""
+    g = ("1/(x-1)^2, 0, 0", "0, -1/(x-1)^2, 0", "0, 0, 1")
+    report = run_command(["check", str(_spec(tmp_path, chart_spec(
+        g=g, phi=PHI_SWAP, constraints="1/(x-1)")))])
+    assert report.exit_code == 0
+    _assert_domain_checks_pass(report)
+    report = run_command(["check", str(_spec(tmp_path, chart_spec(
+        g=g, phi=PHI_SWAP)))])
+    assert report.exit_code == 1
+    assert [c.name for c in report.checks if not c.passed] == ["metric_signature"]
 
 
 @pytest.mark.parametrize("command", ["check", "curvature"])
@@ -278,28 +314,25 @@ def test_identically_zero_constraint_is_an_input_error(tmp_path, command):
 
 @pytest.mark.parametrize("command", ["check", "curvature"])
 def test_constraint_vanishing_at_every_first_candidate_is_sampled(tmp_path, command):
-    """A constraint that vanishes at all ten first-round sample candidates
-    still leaves a domain: later rounds draw fresh values, so the verdict
-    is on the geometry, never the sampling."""
+    """A constraint with ten rational roots still leaves a domain, and no
+    verdict depends on where they lie: g and phi divide only by 1 + z^2,
+    which vanishes nowhere."""
     roots = "(x-1)*(x-2)*(2*x-1)*(x-3)*(x+1)*(x-5)*(x+2)*(2*x-7)*(x-4)*(x+3)"
     text = (GOLDEN / "chart-1+z2.spec").read_text(encoding="utf-8")
     spec = tmp_path / "roots.spec"
     spec.write_text(text.replace("constraints = (1+z^2)", f"constraints = {roots}"),
                     encoding="utf-8")
     report = run_command([command, str(spec)])
-    assert report.exit_code in (0, 1)
-    assert "constraint-satisfying points" not in report.to_text()
+    assert report.exit_code == 0
     if command == "check":
-        assert report.data["sample_point"] == {"x": "6", "y": "8", "z": "3"}
+        _assert_domain_checks_pass(report)
 
 
 @pytest.mark.parametrize("command", ["check", "curvature"])
 def test_constraint_vanishing_at_every_candidate_is_sampled_on_a_grid(
         tmp_path, command):
-    """Over all 1,000 candidates y - x takes only eight values, so a
-    constraint vanishing at those eight rejects every candidate though
-    y = x lies in the domain; the graded grid that follows them holds a
-    domain point."""
+    """A constraint that vanishes on eight planes y - x = c still leaves a
+    domain, and the structure is sound on all of it."""
     differences = ("y-x+5", "y-x+3", "2*y-2*x+5", "y-x+2", "y-x+1", "y-x-2",
                    "2*y-2*x-7", "2*y-2*x-9")
     text = (GOLDEN / "chart-1+z2.spec").read_text(encoding="utf-8")
@@ -311,7 +344,7 @@ def test_constraint_vanishing_at_every_candidate_is_sampled_on_a_grid(
     report = run_command([command, str(spec)])
     assert report.exit_code == 0
     if command == "check":
-        assert report.data["sample_point"] == {"x": "0", "y": "0", "z": "0"}
+        _assert_domain_checks_pass(report)
 
 
 def test_both_spec_and_model_rejected(tmp_path):
@@ -349,6 +382,7 @@ def test_cached_parser_gives_the_reports_of_a_fresh_one(tmp_path, capsys):
              ["identities", "--model", "example-frame", "--mode", "sampled"],
              ["no-such-command"],
              ["deform", str(spec), "--alpha", "-2", "--beta", "4"],
+             ["check", "--model", "example-chart-corrected"],
              ["models", "--format", "json"]]
 
     def outcome(run, argv):
@@ -364,8 +398,11 @@ def test_cached_parser_gives_the_reports_of_a_fresh_one(tmp_path, capsys):
 
     outcomes = [outcome(run_command, argv) for argv in argvs]
     assert outcomes == [outcome(fresh, argv) for argv in argvs]
-    assert [o[0] for o in outcomes] == [0, 0, 2, 0, 2, 0, 0]
+    assert [o[0] for o in outcomes] == [2, 0, 2, 2, 2, 0, 0, 0]
+    assert "unrecognized arguments: --point" in outcomes[0][1]
     assert "required: --alpha, --beta" in outcomes[2][1]
+    # with no --mode option, argparse reads --mode as a prefix of --model
+    assert "unknown model 'sampled'" in outcomes[3][1]
 
 
 def test_theorem_branches():
@@ -390,23 +427,17 @@ def test_theorem_branches():
 
 
 def test_identities_command_and_modes():
+    """One mode: every residual is judged symbolically, and the report
+    carries no mode or point.  There is no --mode option: argparse reads
+    --mode as a prefix of --model, so "--mode sampled" names a model."""
     payload = _validated(["identities", "--model", "example-frame"])
     assert payload["exit_code"] == 0
     assert len(payload["checks"]) == 15
-    assert payload["data"]["mode"] == "symbolic"
-
-    payload = _validated(["identities", "--model", "example-chart-corrected",
+    assert payload["data"] == {}
+    report = run_command(["identities", "--model", "example-chart-corrected",
                           "--mode", "sampled"])
-    assert payload["exit_code"] == 0
-    assert payload["data"]["mode"] == "sampled"
-    assert len(payload["data"]["sample_points"]) == 5
-
-
-def test_identities_sampled_on_frame_reports_one_point():
-    payload = _validated(["identities", "--model", "example-frame",
-                          "--mode", "sampled"])
-    assert payload["exit_code"] == 0
-    assert payload["data"]["sample_points"] == [{}]
+    assert report.exit_code == 2
+    assert report.error.startswith("unknown model 'sampled'")
 
 
 def test_identities_on_failing_axioms_lists_every_axiom_check():
@@ -503,3 +534,24 @@ def test_console_entry_point_subprocess():
     assert proc.returncode == 0
     payload = json.loads(proc.stdout)
     assert payload["data"]["r"] == "8"
+
+
+def test_catalog_check_and_classify_import_no_sympy():
+    """The domain rule certifies the catalog charts' pivots and
+    denominators by trial division over monomial constraint factors, so
+    check and classify never load sympy (a cold import takes about half
+    a second).  One process runs them in turn and reports after each."""
+    argvs = [[command, "--model", name]
+             for name in ("flat-paracosymplectic", "example-chart-printed",
+                          "example-chart-corrected", "example-frame")
+             for command in ("check", "classify")]
+    code = ("import sys\n"
+            "from ppst.cli import run_command\n"
+            f"for argv in {argvs!r}:\n"
+            "    run_command(argv)\n"
+            "    print(' '.join(argv), 'sympy' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [f"{' '.join(argv)} False"
+                                        for argv in argvs]

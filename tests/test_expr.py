@@ -9,8 +9,6 @@ import pytest
 
 from ppst import expr
 from ppst.expr import (
-    ConstraintViolation,
-    DomainConstraint,
     EvaluationError,
     RationalExpr,
     VariableMismatchError,
@@ -247,18 +245,6 @@ def test_mixed_partials_commute():
 def test_evaluate_exact():
     e = (1 + 28 * Y ** 2) / (Z ** 2)
     assert e.evaluate({"x": 0, "y": 1, "z": 2}) == Fraction(29, 4)
-
-
-def test_evaluate_checks_constraints_first():
-    con = DomainConstraint(Z)
-    with pytest.raises(ConstraintViolation):
-        (X + Y).evaluate({"x": 1, "y": 1, "z": 0}, [con])
-
-
-def test_constraint_fails_where_it_is_undefined():
-    con = DomainConstraint(1 / (X - 1))
-    assert not con.holds_at({"x": 1, "y": 0, "z": 0})
-    assert con.holds_at({"x": 2, "y": 0, "z": 0})
 
 
 def test_evaluate_denominator_vanishes():

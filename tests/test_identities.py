@@ -52,7 +52,6 @@ def test_identity_keys_canonical_order():
 
 def test_frame_example_full_suite_symbolic():
     report = run_suite(frame_example())
-    assert report.mode == "symbolic"
     assert report.passed
     assert list(report.results) == list(IDENTITY_KEYS)
     for key, res in report.results.items():
@@ -60,17 +59,6 @@ def test_frame_example_full_suite_symbolic():
     assert report.results["R1.3"].details == {"S(xi,xi)": "-8", "tr(A^2)": "8"}
     assert report.results["S2"].details == {
         "r": "8", "r*": "-24", "tr(phi A)": "4"}
-
-
-def test_frame_example_full_suite_sampled_agrees_with_symbolic():
-    # frame scalars are constants, so the one point {} decides them
-    sampled = run_suite(frame_example(), mode="sampled")
-    symbolic = run_suite(frame_example(), mode="symbolic")
-    assert sampled.mode == "sampled" and len(sampled.sample_points) == 1
-    assert sampled.passed
-    assert list(sampled.results) == list(IDENTITY_KEYS)
-    assert ({k: (r.passed, r.details) for k, r in sampled.results.items()}
-            == {k: (r.passed, r.details) for k, r in symbolic.results.items()})
 
 
 def test_corrected_chart_full_suite_symbolic():
@@ -96,25 +84,6 @@ def test_negative_curvature_full_suite():
     assert report.results["R1.3"].details == {"S(xi,xi)": "-2", "tr(A^2)": "2"}
 
 
-def test_sampled_mode_on_chart():
-    report = run_suite(chart_corrected(), mode="sampled")
-    assert report.mode == "sampled"
-    assert report.passed
-    assert len(report.sample_points) >= 5
-    # every point satisfies the chart constraint z != 0
-    assert all(p["z"] != 0 for p in report.sample_points)
-
-
-def test_sampled_mode_rejects_too_few_points():
-    with pytest.raises(ValueError):
-        run_suite(frame_example(), mode="sampled", points=[{}, {}])
-
-
-def test_unknown_mode_rejected():
-    with pytest.raises(ValueError):
-        run_suite(frame_example(), mode="numeric")
-
-
 def test_suite_refuses_non_qps_structure():
     # [e2, xi] = e2 makes dPhi(e1,e2,xi) nonzero: not quasi-para-Sasakian
     model = FrameModel(("e1", "e2", "xi"), (1, -1, 1), {(1, 2): (0, 1, 0)})
@@ -138,12 +107,16 @@ def test_failure_witness_formatting():
     # corrupt a precomputed pairing to exercise the failure reporting path
     ctx = identities._Context(frame_example())
     ctx.gA[0][1] = ctx.model.one
-    res = identities._judge(ctx, "p1", "symbolic", [])
+    res = identities._judge(ctx, "p1")
     assert not res.passed
     assert res.witness == "residual at (e1,e2): 3"
-    res = identities._judge(ctx, "p1", "sampled", [{}])
+    # on a chart the witness is the nonzero residual itself, over the
+    # coordinates, and names the phi-basis arguments
+    ctx = identities._Context(chart_corrected())
+    ctx.gA[1][0] = ctx.gA[1][0] + ctx.model.scalar("x")
+    res = identities._judge(ctx, "p1")
     assert not res.passed
-    assert "point" in res.witness and ": 3" in res.witness
+    assert res.witness == "residual at (X1,Y1): x"
 
 
 def test_vector_identity_witness_drops_the_component():
@@ -151,7 +124,7 @@ def test_vector_identity_witness_drops_the_component():
     ctx = identities._Context(frame_example())
     one = ctx.model.one
     ctx.nabla_phi_b[0][1] = tuple(c + one for c in ctx.nabla_phi_b[0][1])
-    res = identities._judge(ctx, "P5", "symbolic", [])
+    res = identities._judge(ctx, "P5")
     assert not res.passed
     assert res.witness == "residual at (e1,e2): 1"
 
@@ -160,21 +133,9 @@ def test_p6b_witness_names_scalar():
     ctx = identities._Context(frame_example())
     xi = ctx.xi_index
     ctx.A_b[xi] = (ctx.model.one,) + tuple(ctx.A_b[xi][1:])
-    res = identities._judge(ctx, "P6b", "symbolic", [])
+    res = identities._judge(ctx, "P6b")
     assert not res.passed
     assert res.witness == "residual at (scalar): 1"
-
-
-def test_sampled_witness_names_the_point():
-    ctx = identities._Context(chart_corrected())
-    ctx.gA[1][0] = ctx.gA[1][0] + ctx.model.scalar("x")
-    res = identities._judge(ctx, "p1", "symbolic", [])
-    assert res.witness == "residual at (X1,Y1): x"
-    res = identities._judge(ctx, "p1", "sampled",
-                            [{"x": 0, "y": 1, "z": 1}, {"x": 2, "y": 1, "z": 3}])
-    assert not res.passed
-    assert (res.witness
-            == "residual at (X1,Y1), point {'x': '2', 'y': '1', 'z': '3'}: 2")
 
 
 def test_basis_labels_in_context():

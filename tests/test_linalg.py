@@ -263,5 +263,20 @@ INERTIA_CASES = {
 @pytest.mark.parametrize("name", INERTIA_CASES)
 def test_symmetric_signature(name):
     rows, inertia = INERTIA_CASES[name]
-    assert linalg.symmetric_signature(_fractions(rows)) == inertia
-    assert linalg.symmetric_signature(_frame(rows)) == inertia
+    sign = FRAME.sign
+    assert linalg.symmetric_signature(_fractions(rows), sign) == (inertia, None)
+    assert linalg.symmetric_signature(_frame(rows), sign) == (inertia, None)
+
+
+def test_symmetric_signature_over_a_chart_names_an_unsigned_pivot():
+    """Over Q(x, y, z) the pivots of [[1, y], [y, y^2 - x^2]] are 1 and
+    -x^2: on the chart without constraints x = 0 is a domain point, so
+    -x^2 has no fixed sign and is returned; with the constraint x it is
+    negative everywhere."""
+    rows = [["1", "y", "0"], ["y", "y^2 - x^2", "0"], ["0", "0", "1"]]
+    mat = tuple(tuple(CHART.scalar(v) for v in row) for row in rows)
+    inertia, unsigned = linalg.symmetric_signature(mat, CHART.sign)
+    assert inertia is None and str(unsigned) == "-x^2"
+    chart = ChartModel(("x", "y", "z"), constraints=("x",))
+    mat = tuple(tuple(chart.scalar(v) for v in row) for row in rows)
+    assert linalg.symmetric_signature(mat, chart.sign) == ((2, 1, 0), None)

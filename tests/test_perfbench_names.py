@@ -57,20 +57,17 @@ DEFAULTED = [
     "Classification.__init__(witnesses)",
     "DeformationReport.__init__(results)",
     "FrameModel.__init__(brackets)",
-    "IdentityReport.__init__(sample_points)",
     "ParacontactStructure.__init__(eta)",
     "ParacontactStructure.__init__(declared_frame)",
     "ParacontactStructure.__init__(name)",
     "RationalExpr.__init__(den)", "RationalExpr.constant(variables)",
-    "RationalExpr.evaluate(constraints)", "RationalExpr.one(variables)",
+    "RationalExpr.one(variables)",
     "RationalExpr.zero(variables)",
     "Report.__init__(checks)", "Report.__init__(data)", "Report.__init__(error)",
     "SpecFileError.__init__(field)", "SpecFileError.__init__(line)",
     "StructureError.__init__(report)",
     "TheoremReport.__init__(assertions)", "TheoremReport.__init__(reason)",
-    "run_suite(mode)", "run_suite(points)",
     "search_constant_negative_curvature(values)",
-    "validate_structure(point)",
 ]
 
 

@@ -7,13 +7,16 @@ from fractions import Fraction
 import pytest
 
 from _models import (
+    PHI_SWAP,
     chart_corrected,
+    chart_spec,
     chart_printed,
     flat_cosymplectic,
     frame_example,
     golden_structure,
     negative_curvature_frame,
     para_heisenberg,
+    recharted_corrected,
 )
 from ppst import identities
 from ppst.cli import run_command
@@ -87,25 +90,80 @@ def test_chart_printed_fails_with_witnesses():
         assert checks[name].passed, name
 
 
-def test_validate_structure_at_custom_point():
-    s = chart_corrected()
-    report = validate_structure(s, {"x": Fraction(0), "y": Fraction(1),
-                                    "z": Fraction(3)})
-    assert report.passed
-    assert report.sample_point == {"x": 0, "y": 1, "z": 3}
+# -- the domain rule ------------------------------------------------------------
+#
+# A chart's domain is R^3 minus the zeros of every constraint's numerator
+# and denominator.  metric_signature needs every pivot of g to have a
+# fixed sign there, eigendistributions needs no denominator of phi to
+# vanish there.
+
+
+def _failures(text: str) -> list[tuple[str, str]]:
+    report = validate_structure(import_text(text))
+    return [(c.name, c.witness) for c in report.failures()]
 
 
 def test_validate_structure_at_constraint_violating_point():
-    # z != 0 is a domain constraint of the chart; the pointwise checks fail
-    # with the violation as witness instead of raising
-    report = validate_structure(chart_corrected(), {"x": Fraction(1),
-                                                    "y": Fraction(1),
-                                                    "z": Fraction(0)})
-    checks = _check_map(report)
-    for name in ("metric_signature", "eigendistributions"):
-        assert not checks[name].passed
-        assert "constraint" in checks[name].witness
-    assert report.inertia is None and report.eigen_dims is None
+    """example-chart-corrected divides by z, and z = 0 violates its
+    constraint z != 0: no check looks there, so the structure passes on
+    its domain.  Without the constraint z = 0 lies in the domain, and both
+    domain checks name the denominator z."""
+    report = validate_structure(import_text(recharted_corrected("z", "z")))
+    assert report.passed
+    assert report.inertia == (2, 1, 0) and report.eigen_dims == (1, 1)
+    assert _failures(recharted_corrected("z")) == [
+        ("metric_signature", "denominator of g(d/dx,d/dz) = (-4*y)/(z) "
+                             "is not certified nonzero on the domain"),
+        ("eigendistributions", "denominator of phi(d/dy,d/dz) = (1)/(z) "
+                               "is not certified nonzero on the domain")]
+
+
+def test_odd_power_of_a_constraint_factor_has_no_fixed_sign():
+    """z != 0 on the domain, but z changes sign across z = 0."""
+    text = chart_spec(g=("z, 0, 0", "0, -1, 0", "0, 0, 1"), phi=PHI_SWAP,
+                      constraints="z")
+    assert ("metric_signature", "pivot z has no fixed sign on the domain"
+            ) in _failures(text)
+
+
+def test_even_power_of_a_constraint_factor_has_a_fixed_sign():
+    text = chart_spec(g=("z^2, 0, 0", "0, -1, 0", "0, 0, 1"),
+                      phi=("0, 1/z, 0", "z, 0, 0", "0, 0, 0"), constraints="z")
+    report = validate_structure(import_text(text))
+    assert report.passed
+    assert report.inertia == (2, 1, 0) and report.eigen_dims == (1, 1)
+
+
+def test_zero_free_denominator_needs_no_constraint():
+    """1 + z^2 is a positive constant plus an even square: it vanishes
+    nowhere on R^3, so no constraint has to declare it."""
+    text = chart_spec(g=("1/(1+z^2), 0, 0", "0, -1/(1+z^2), 0", "0, 0, 1"),
+                      phi=PHI_SWAP)
+    assert _failures(text) == []
+
+
+def test_factors_of_a_product_constraint_cover_a_denominator():
+    """(1+y)*(1+z) != 0 makes 1 + y a domain factor: g and phi divide by
+    it, and the pivot 1/(1+y)^2 takes it out twice.  Without the
+    constraint both checks fail on y = -1."""
+    assert _failures(recharted_corrected("1+y", "(1+y)*(1+z)")) == []
+    assert _failures(recharted_corrected("1+y")) == [
+        ("metric_signature", "denominator of g(d/dx,d/dz) = (-4*y)/(y + 1) "
+                             "is not certified nonzero on the domain"),
+        ("eigendistributions", "denominator of phi(d/dy,d/dz) = (1)/(y + 1) "
+                               "is not certified nonzero on the domain")]
+
+
+def test_undeclared_denominator_of_phi_fails_eigendistributions():
+    """phi with eigenvectors e1 + e2 (+1) and a null vector in ker eta
+    (-1) around xi = e3 + (e1 + e2)/x, against the constant g: every
+    identical axiom holds and g is fine, but phi is undefined on x = 0."""
+    text = chart_spec(g=("1, 0, 0", "0, -1, 0", "0, 0, 1"),
+                      phi=("0, 1, -1/x", "1, 0, -1/x", "1/x, -1/x, 0"),
+                      xi="1/x, 1/x, 1", eta="1/x, -1/x, 1")
+    assert _failures(text) == [
+        ("eigendistributions", "denominator of phi(d/dx,d/dz) = (-1)/(x) "
+                               "is not certified nonzero on the domain")]
 
 
 def test_signature_failure_detected():

@@ -110,8 +110,12 @@ def test_failure_witness_formatting():
     res = identities._judge(ctx, "p1")
     assert not res.passed
     assert res.witness == "residual at (e1,e2): 3"
-    # on a chart the witness is the nonzero residual itself, over the
-    # coordinates, and names the phi-basis arguments
+
+
+def test_sampled_witness_names_the_point():
+    # on a chart the witness names the phi-basis arguments and gives the
+    # nonzero residual itself as a function of the coordinates, so every
+    # point where the identity fails can be read off it
     ctx = identities._Context(chart_corrected())
     ctx.gA[1][0] = ctx.gA[1][0] + ctx.model.scalar("x")
     res = identities._judge(ctx, "p1")

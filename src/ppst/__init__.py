@@ -16,10 +16,10 @@ Layers, bottom up:
 
 - :mod:`ppst.expr` / :mod:`ppst.parser`: canonical multivariate rational
   expressions and their grammar.
-- :mod:`ppst.linalg`: exact matrices (one row reduction for rank,
-  nullspace and inverse; inertia) and the contraction kernel (dot,
-  mat_vec, bilinear, trace_product, and block_bilinear over the last two
-  slots of a flat table).
+- :mod:`ppst.linalg`: exact matrices (one row reduction for nullspace
+  and inverse; inertia) and the contraction kernel (dot, mat_vec,
+  bilinear, trace_product, and block_bilinear over the last two slots of
+  a flat table), whose empty sum is the int 0 on both fields.
 - :mod:`ppst.models`: chart and frame manifold models, tensor fields,
   brackets, the exterior derivative of any degree, and the one derivation
   rule behind the Lie and covariant derivatives.  ``TensorField`` is the

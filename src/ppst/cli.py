@@ -66,12 +66,12 @@ class _InputError(Exception):
 @functools.cache  # parse_args leaves the parser unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="ppst",
+        prog="ppst", allow_abbrev=False,
         description="exact checks for almost paracontact metric structures")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name: str, help_text: str, spec_input: bool = True):
-        p = sub.add_parser(name, help=help_text)
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
         p.add_argument("--format", choices=("json", "text"), default="text",
                        help="report format (default: text)")
         if spec_input:
@@ -193,11 +193,10 @@ def _cmd_curvature(args, s, source, digest) -> Report:
                        for j, k in product(range(d), repeat=2)},
     }
     if s.axiom_report().passed:
-        zero = s.model.zero
         xv, a_rows = s.xi.vec(), s.A.rows()
-        data["S(xi,xi)"] = str(bilinear(ricci_rows, xv, xv, zero))
-        data["trace_phi_A"] = str(trace_product(s.phi.rows(), a_rows, zero))
-        data["trace_A_squared"] = str(trace_product(a_rows, a_rows, zero))
+        data["S(xi,xi)"] = str(bilinear(ricci_rows, xv, xv))
+        data["trace_phi_A"] = str(trace_product(s.phi.rows(), a_rows))
+        data["trace_A_squared"] = str(trace_product(a_rows, a_rows))
     return Report("curvature", source, digest, checks=checks, data=data)
 
 

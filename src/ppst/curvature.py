@@ -62,9 +62,8 @@ def levi_civita(g: TensorField, ginv: TensorField) -> TensorField:
     model = g.model
     d = model.dim
     grows, inv = g.rows(), ginv.rows()
-    zero = model.zero
     # gc[i][j][l] = g([e_i, e_j], e_l)
-    gc = [[mat_vec(grows, model.bracket_vector(i, j), zero) for j in range(d)]
+    gc = [[mat_vec(grows, model.bracket_vector(i, j)) for j in range(d)]
           for i in range(d)]
     nabla = {}  # nabla[i, j] = nabla_{e_i} e_j
     for i, j in product(range(d), repeat=2):
@@ -73,10 +72,9 @@ def levi_civita(g: TensorField, ginv: TensorField) -> TensorField:
             val = signed_sum(
                 (model.diff(i, grows[j][l]), model.diff(j, grows[i][l]),
                  gc[i][j][l]),
-                (model.diff(l, grows[i][j]), gc[i][l][j], gc[j][l][i]),
-                zero)
+                (model.diff(l, grows[i][j]), gc[i][l][j], gc[j][l][i]))
             rhs.append(linalg.quotient(val, 2) if val else val)
-        nabla[i, j] = mat_vec(inv, rhs, zero)
+        nabla[i, j] = mat_vec(inv, rhs)
     return TensorField(model, (1, 2), [nabla[i, j][k] for k, i, j
                                        in product(range(d), repeat=3)])
 
@@ -108,7 +106,6 @@ def riemann(conn: TensorField) -> TensorField:
         raise GeometryError("connection must have valence (1,2)")
     model = conn.model
     d = model.dim
-    zero = model.zero
     G, dd = conn.data, d * d
     # nabla_op[i][l][m] = Gamma^l_im, the matrix of nabla_{e_i};
     # gamma_k[k][l][m] = Gamma^l_mk, whose column m is nabla_{e_m} e_k;
@@ -123,12 +120,12 @@ def riemann(conn: TensorField) -> TensorField:
         cij = model.bracket_vector(i, j)
         for k in range(d):
             Gjk, Gik = col[j * d + k], col[i * d + k]
-            ij = mat_vec(nabla_op[i], Gjk, zero)
-            ji = mat_vec(nabla_op[j], Gik, zero)
-            br = mat_vec(gamma_k[k], cij, zero)
+            ij = mat_vec(nabla_op[i], Gjk)
+            ji = mat_vec(nabla_op[j], Gik)
+            br = mat_vec(gamma_k[k], cij)
             rv[i, j, k] = tuple(
                 signed_sum((model.diff(i, Gjk[l]), ij[l]),
-                           (model.diff(j, Gik[l]), ji[l], br[l]), zero)
+                           (model.diff(j, Gik[l]), ji[l], br[l]))
                 for l in range(d))
     return TensorField(model, (1, 3), [rv[i, j, k][l] for l, k, i, j
                                        in product(range(d), repeat=4)])
@@ -139,12 +136,11 @@ def ricci_scalar(curv: TensorField, ginv: TensorField,
     """(Ricci tensor, scalar curvature)."""
     model = curv.model
     d = model.dim
-    zero = model.zero
     R = curv.vector_at
     S = TensorField(model, (0, 2), [
-        signed_sum((R(k, a, j)[a] for a in range(d)), (), zero)
+        signed_sum((R(k, a, j)[a] for a in range(d)), ())
         for j, k in product(range(d), repeat=2)])
-    return S, model.scalar(trace_product(ginv.rows(), S.rows(), zero))
+    return S, model.scalar(trace_product(ginv.rows(), S.rows()))
 
 
 def star_ricci_scalar(curv: TensorField, phi: TensorField, ginv: TensorField,
@@ -152,7 +148,6 @@ def star_ricci_scalar(curv: TensorField, phi: TensorField, ginv: TensorField,
     """(star-Ricci tensor, star scalar); assumes phi is g-skew-adjoint."""
     model = curv.model
     d = model.dim
-    zero = model.zero
     R, dd = curv.data, d * d
     ph = phi.rows()
     phicols = tuple(zip(*ph))
@@ -163,10 +158,10 @@ def star_ricci_scalar(curv: TensorField, phi: TensorField, ginv: TensorField,
                for m in range(d)]
         for b in range(d):
             # column m of Z -> R(Z, e_a) phi e_b
-            img = [mat_vec(op, phicols[b], zero) for op in ops]
-            data.append(-trace_product(ph, tuple(zip(*img)), zero))
+            img = [mat_vec(op, phicols[b]) for op in ops]
+            data.append(-trace_product(ph, tuple(zip(*img))))
     S = TensorField(model, (0, 2), data)
-    return S, model.scalar(trace_product(ginv.rows(), S.rows(), zero))
+    return S, model.scalar(trace_product(ginv.rows(), S.rows()))
 
 
 # ---------------------------------------------------------------------------

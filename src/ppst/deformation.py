@@ -107,12 +107,11 @@ def verify_deformation_relations(s: ParacontactStructure,
     st = apply_deformation(s, params)
     alpha, beta = model.scalar(params.alpha), model.scalar(params.beta)
     t = quotient(alpha ** 2, beta) - 1
-    zero = model.zero
     conn, conn2 = s.connection, st.connection  # also checks g, g~ symmetric
     A_cols, A2_cols = tuple(zip(*s.A.rows())), tuple(zip(*st.A.rows()))
     # Bv[i][j] = B(e_i, e_j) = t (eta(e_j) A e_i + eta(e_i) A e_j)
-    tev = [t * e if t and e else zero for e in s.eta.data]
-    Bv = [[tuple(dot((tev[j], tev[i]), (A_cols[i][l], A_cols[j][l]), zero)
+    tev = [t * e if t and e else 0 for e in s.eta.data]
+    Bv = [[tuple(dot((tev[j], tev[i]), (A_cols[i][l], A_cols[j][l]))
                  for l in range(d)) for j in range(d)] for i in range(d)]
     report = DeformationReport(params=params)
 
@@ -121,7 +120,7 @@ def verify_deformation_relations(s: ParacontactStructure,
             lhs = conn2.vector_at(i, j)
             rhs = conn.vector_at(i, j)
             for l in range(d):
-                yield (i, j), signed_sum((lhs[l],), (rhs[l], Bv[i][j][l]), zero)
+                yield (i, j), signed_sum((lhs[l],), (rhs[l], Bv[i][j][l]))
 
     report.results["i00"] = residual_check("i00", i00_entries(), labels)
 
@@ -130,14 +129,13 @@ def verify_deformation_relations(s: ParacontactStructure,
         for i in range(d):
             for l in range(d):
                 a = A_cols[i][l]
-                yield (i,), signed_sum((A2_cols[i][l],), (a * f if a else a,),
-                                       zero)
+                yield (i,), signed_sum((A2_cols[i][l],), (a * f if a else a,))
 
     report.results["i5"] = residual_check("i5", i5_entries(), labels)
 
     # g(A e_i, .) and g~(A~ e_i, .); g, g~ are symmetric
-    gA = [mat_vec(s.g.rows(), A_cols[i], zero) for i in range(d)]
-    gA2 = [mat_vec(st.g.rows(), A2_cols[i], zero) for i in range(d)]
+    gA = [mat_vec(s.g.rows(), A_cols[i]) for i in range(d)]
+    gA2 = [mat_vec(st.g.rows(), A2_cols[i]) for i in range(d)]
 
     def i6_entries():
         for i, j in product(range(d), repeat=2):
@@ -159,12 +157,11 @@ def verify_deformation_relations(s: ParacontactStructure,
             lhs = curv2.vector_at(k, i, j)
             rhs = curv.vector_at(k, i, j)
             nBji, nBij = nB.vector_at(j, i, k), nB.vector_at(i, j, k)
-            t1 = mat_vec(B_op[i], Bv[j][k], zero)
-            t2 = mat_vec(B_op[j], Bv[i][k], zero)
+            t1 = mat_vec(B_op[i], Bv[j][k])
+            t2 = mat_vec(B_op[j], Bv[i][k])
             for l in range(d):
-                yield (i, j, k), signed_sum(
-                    (lhs[l], nBji[l], t2[l]),
-                    (rhs[l], nBij[l], t1[l]), zero)
+                yield (i, j, k), signed_sum((lhs[l], nBji[l], t2[l]),
+                                            (rhs[l], nBij[l], t1[l]))
 
     report.results["i777"] = residual_check("i777", i777_entries(), labels)
     return report

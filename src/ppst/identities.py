@@ -91,16 +91,14 @@ class _Context:
         ph = s.phi.rows()
         A = s.A.rows()
         ev = s.eta.data
-        zero = model.zero
-        self.zero = zero
         self.g_rows = grows
         self.xi_vec = s.xi.vec()
         # basis images and pairings
-        self.phi_b = [mat_vec(ph, c, zero) for c in self.cols]
-        self.A_b = [mat_vec(A, c, zero) for c in self.cols]
-        self.A_phi_b = [mat_vec(A, v, zero) for v in self.phi_b]
-        self.phi_A_b = [mat_vec(ph, v, zero) for v in self.A_b]
-        self.eta_b = [dot(ev, c, zero) for c in self.cols]
+        self.phi_b = [mat_vec(ph, c) for c in self.cols]
+        self.A_b = [mat_vec(A, c) for c in self.cols]
+        self.A_phi_b = [mat_vec(A, v) for v in self.phi_b]
+        self.phi_A_b = [mat_vec(ph, v) for v in self.A_b]
+        self.eta_b = [dot(ev, c) for c in self.cols]
         self.gA = [[self.g(self.A_b[a], self.cols[b]) for b in range(d)]
                    for a in range(d)]
         self.gAphi = [[self.g(self.A_b[a], self.phi_b[b]) for b in range(d)]
@@ -114,18 +112,17 @@ class _Context:
         for a in range(d):
             ops = []
             for b in range(d):
-                op = block_bilinear(R, self.cols[a], self.cols[b], zero)
+                op = block_bilinear(R, self.cols[a], self.cols[b])
                 ops.append([op[l * d:(l + 1) * d] for l in range(d)])
-            self.R3.append([[mat_vec(op, c, zero) for c in self.cols]
-                            for op in ops])
-            self.R3_phi.append([[mat_vec(op, v, zero) for v in self.phi_b]
+            self.R3.append([[mat_vec(op, c) for c in self.cols] for op in ops])
+            self.R3_phi.append([[mat_vec(op, v) for v in self.phi_b]
                                 for op in ops])
         # g b_e and g phi b_e as covectors: g(u, b_e) = u . g b_e
-        g_b = [mat_vec(grows, c, zero) for c in self.cols]
-        g_phi_b = [mat_vec(grows, v, zero) for v in self.phi_b]
-        self.gR = [[[[dot(u, w, zero) for w in g_b] for u in rab]
+        g_b = [mat_vec(grows, c) for c in self.cols]
+        g_phi_b = [mat_vec(grows, v) for v in self.phi_b]
+        self.gR = [[[[dot(u, w) for w in g_b] for u in rab]
                     for rab in ra] for ra in self.R3]
-        self.gRphi = [[[[dot(u, w, zero) for w in g_phi_b] for u in rab]
+        self.gRphi = [[[[dot(u, w) for w in g_phi_b] for u in rab]
                        for rab in ra] for ra in self.R3_phi]
         self.xi_index = d - 1  # basis order puts xi last
         # covariant derivatives as (1,2)/(0,2) tensors, then basis-contracted:
@@ -134,26 +131,24 @@ class _Context:
         nphi = covariant_derivative(s.phi, conn).data
         nA = covariant_derivative(s.A, conn).data
         neta = covariant_derivative(s.eta, conn)
-        self.nabla_phi_b = [[block_bilinear(nphi, u, v, zero) for v in self.cols]
+        self.nabla_phi_b = [[block_bilinear(nphi, u, v) for v in self.cols]
                             for u in self.cols]
-        self.nabla_A_b = [[block_bilinear(nA, u, v, zero) for v in self.cols]
+        self.nabla_A_b = [[block_bilinear(nA, u, v) for v in self.cols]
                           for u in self.cols]
         xiv = self.cols[self.xi_index]
-        self.nabla_eta_xi = [bilinear(neta.rows(), xiv, c, zero)
-                             for c in self.cols]
+        self.nabla_eta_xi = [bilinear(neta.rows(), xiv, c) for c in self.cols]
         # Ricci data contracted on the basis, and the scalar curvatures
         (S, self.r), (Sstar, self.rstar) = s.ricci, s.star_ricci
         S, Sstar = S.rows(), Sstar.rows()
-        self.S_b = [[bilinear(S, u, v, zero) for v in self.cols]
-                    for u in self.cols]
-        self.Sstar_b = [[bilinear(Sstar, u, v, zero) for v in self.cols]
+        self.S_b = [[bilinear(S, u, v) for v in self.cols] for u in self.cols]
+        self.Sstar_b = [[bilinear(Sstar, u, v) for v in self.cols]
                         for u in self.cols]
         # operator traces (basis independent, computed over model indices)
-        self.tr_phiA = trace_product(ph, A, zero)
-        self.tr_A2 = trace_product(A, A, zero)
+        self.tr_phiA = trace_product(ph, A)
+        self.tr_A2 = trace_product(A, A)
 
     def g(self, u: Vec, v: Vec) -> Scalar:
-        return bilinear(self.g_rows, u, v, self.zero)
+        return bilinear(self.g_rows, u, v)
 
     def _label_basis(self) -> tuple[str, ...]:
         model = self.model
@@ -173,7 +168,6 @@ def _residual_fn(ctx: _Context, key: str):
     a scalar or a vector."""
     d = ctx.d
     xi = ctx.xi_index
-    zero = ctx.zero
     gA, gAphi, gAA, eta = ctx.gA, ctx.gAphi, ctx.gAA, ctx.eta_b
     gR, gRphi = ctx.gR, ctx.gRphi
     if key == "p1":
@@ -183,8 +177,8 @@ def _residual_fn(ctx: _Context, key: str):
             lead = ctx.nabla_phi_b[a][b]
             coeffs = (gAphi[a][b], eta[b])
             return tuple(signed_sum(
-                (lead[l], dot(coeffs, (ctx.xi_vec[l], ctx.phi_A_b[a][l]), zero)),
-                (), zero) for l in range(d))
+                (lead[l], dot(coeffs, (ctx.xi_vec[l], ctx.phi_A_b[a][l]))),
+                ()) for l in range(d))
         return 2, res
     if key == "P6a":
         return 1, lambda b: ctx.nabla_phi_b[xi][b]
@@ -206,14 +200,13 @@ def _residual_fn(ctx: _Context, key: str):
             return tuple(lead[l] + grad[l] for l in range(d))
         return 2, res
     if key == "R1.1":
-        return 2, lambda a, b: signed_sum((gR[xi][a][b][xi],), (gAA[a][b],),
-                                          zero)
+        return 2, lambda a, b: signed_sum((gR[xi][a][b][xi],), (gAA[a][b],))
     if key == "R1.2":
         def val(a, b, c):
             return signed_sum(
                 (gRphi[xi][a][b][c], gR[xi][a][b][c],
-                 dot((gAA[a][c],), (eta[b],), zero)),
-                (dot((gAA[a][b],), (eta[c],), zero),), zero)
+                 dot((gAA[a][c],), (eta[b],))),
+                (dot((gAA[a][b],), (eta[c],)),))
         return 3, val
     if key == "R1.3":
         return 0, lambda: ctx.S_b[xi][xi] + ctx.tr_A2
@@ -222,10 +215,9 @@ def _residual_fn(ctx: _Context, key: str):
             gRab = gR[a][b]
             return signed_sum(
                 (gRphi[a][b][c][e], gRab[c][e],
-                 dot((gAphi[a][e], gA[a][e]), (gAphi[b][c], gA[b][c]), zero)),
-                (dot((eta[e], eta[c]), (gRab[c][xi], gRab[xi][e]), zero),
-                 dot((gAphi[a][c], gA[a][c]), (gAphi[b][e], gA[b][e]), zero)),
-                zero)
+                 dot((gAphi[a][e], gA[a][e]), (gAphi[b][c], gA[b][c]))),
+                (dot((eta[e], eta[c]), (gRab[c][xi], gRab[xi][e])),
+                 dot((gAphi[a][c], gA[a][c]), (gAphi[b][e], gA[b][e]))))
         return 4, val
     if key == "S1":
         def val(a, b):

@@ -3,16 +3,16 @@
 Routines work over any exact field whose elements support +, -, *, /,
 truthiness (zero test) and equality: the rationals of a frame (an int
 when integral, else a fractions.Fraction) and RationalExpr qualify.  The
-caller supplies the field's multiplicative identity or zero where one
-must be synthesized.  Everything is small and dense; dimensions here are
+caller supplies the field's multiplicative identity where a unit entry
+must be built.  Everything is small and dense; dimensions here are
 at most 2n+1 for the models treated by this package.
 
 Every division of two field elements goes through ``quotient``: int / int
 would give a float, so two ints divide exactly, to an int when the
 division is exact and to a Fraction otherwise.
 
-One Gauss-Jordan row reduction, ``_rref``, serves ``rank``, ``nullspace``
-and ``invert_matrix`` (the right half of rref [M | I]; a missing pivot
+One Gauss-Jordan row reduction, ``_rref``, serves ``nullspace`` and
+``invert_matrix`` (the right half of rref [M | I]; a missing pivot
 means singular, so no determinant is computed).
 
 The contraction kernel ``dot``, ``mat_vec``, ``bilinear`` and
@@ -26,12 +26,20 @@ build g(u, v), phi v, eta(v), tr(phi A) and every per-component formula
 + and - of their own, so that a zero term costs a truthiness test and no
 field operation.  Each kernel function skips every zero term and every
 term with a zero factor before multiplying, starts its sum from the first
-surviving term, and returns the field zero it was given when no term
-survives, so its result is that zero or a field element.  ``mat_vec``,
-``bilinear`` and ``block_bilinear`` find the support of their vector(s)
-once; when it is empty they return the given zero, one per row or block,
-without visiting a row.  Exact sums do not change, and on sparse frame data
-the skipped terms are most of the work.
+surviving term, and returns the int 0 when no term survives, as ``sum``
+does, so its result is 0 or a field element.  ``mat_vec``, ``bilinear``
+and ``block_bilinear`` find the support of their vector(s) once; when it
+is empty they return 0, one per row or block, without visiting a row.
+Exact sums do not change, and on sparse frame data the skipped terms are
+most of the work.
+
+The int 0 is a safe empty sum on both fields.  On a frame it is the
+field's zero.  On a chart, RationalExpr takes an int in + - * / == and
+hash, and a zero RationalExpr has the bool and str of the int 0.  The
+only chart operations that need a RationalExpr (``diff``, ``sign`` and
+``defined_on_domain``) see table entries and basis vectors only, and
+those are RationalExprs: ``TensorField`` coerces every entry it stores,
+and ``model.delta`` builds from ``model.one`` and ``model.zero``.
 """
 
 from __future__ import annotations
@@ -56,7 +64,7 @@ def quotient(a: F, b: F) -> F:
     return a / b
 
 
-def signed_sum(plus: Iterable[F], minus: Iterable[F], zero: F) -> F:
+def signed_sum(plus: Iterable[F], minus: Iterable[F]) -> F:
     """sum(plus) - sum(minus), skipping zero terms."""
     acc = None
     for t in plus:
@@ -65,23 +73,23 @@ def signed_sum(plus: Iterable[F], minus: Iterable[F], zero: F) -> F:
     for t in minus:
         if t:
             acc = -t if acc is None else acc - t
-    return zero if acc is None else acc
+    return 0 if acc is None else acc
 
 
-def dot(u: Sequence[F], v: Sequence[F], zero: F) -> F:
+def dot(u: Sequence[F], v: Sequence[F]) -> F:
     """sum_i u_i v_i."""
     acc = None
     for a, b in zip(u, v):
         if a and b:
             acc = a * b if acc is None else acc + a * b
-    return zero if acc is None else acc
+    return 0 if acc is None else acc
 
 
-def mat_vec(m: Sequence[Sequence[F]], v: Sequence[F], zero: F) -> tuple[F, ...]:
+def mat_vec(m: Sequence[Sequence[F]], v: Sequence[F]) -> tuple[F, ...]:
     """The vector m v; each entry of v is tested once, not once per row."""
     support = [(j, b) for j, b in enumerate(v) if b]
     if not support:
-        return (zero,) * len(m)
+        return (0,) * len(m)
     out = []
     for row in m:
         acc = None
@@ -89,16 +97,15 @@ def mat_vec(m: Sequence[Sequence[F]], v: Sequence[F], zero: F) -> tuple[F, ...]:
             a = row[j]
             if a:
                 acc = a * b if acc is None else acc + a * b
-        out.append(zero if acc is None else acc)
+        out.append(0 if acc is None else acc)
     return tuple(out)
 
 
-def bilinear(m: Sequence[Sequence[F]], u: Sequence[F], v: Sequence[F],
-             zero: F) -> F:
+def bilinear(m: Sequence[Sequence[F]], u: Sequence[F], v: Sequence[F]) -> F:
     """sum_ij u_i m_ij v_j, as sum_i u_i (m_i . v)."""
     support = [(j, b) for j, b in enumerate(v) if b]
     if not support:
-        return zero
+        return 0
     acc = None
     for a, row in zip(u, m):
         if a:
@@ -109,11 +116,11 @@ def bilinear(m: Sequence[Sequence[F]], u: Sequence[F], v: Sequence[F],
                     b = x * c if b is None else b + x * c
             if b:
                 acc = a * b if acc is None else acc + a * b
-    return zero if acc is None else acc
+    return 0 if acc is None else acc
 
 
-def block_bilinear(data: Sequence[F], u: Sequence[F], v: Sequence[F],
-                   zero: F) -> tuple[F, ...]:
+def block_bilinear(data: Sequence[F], u: Sequence[F],
+                   v: Sequence[F]) -> tuple[F, ...]:
     """sum_ij u_i v_j T[.., i, j] over the last two slots of a flat table:
     ``bilinear`` of each consecutive block of d x d entries, d = len(u),
     one result per block.  The supports of u and v are found once."""
@@ -122,7 +129,7 @@ def block_bilinear(data: Sequence[F], u: Sequence[F], v: Sequence[F],
     us = [(i * d, a) for i, a in enumerate(u) if a]  # (row offset, u_i)
     vs = [(j, b) for j, b in enumerate(v) if b]
     if not us or not vs:
-        return (zero,) * (len(data) // dd)
+        return (0,) * (len(data) // dd)
     out = []
     for base in range(0, len(data), dd):
         acc = None
@@ -135,12 +142,11 @@ def block_bilinear(data: Sequence[F], u: Sequence[F], v: Sequence[F],
                     b = x * c if b is None else b + x * c
             if b:
                 acc = a * b if acc is None else acc + a * b
-        out.append(zero if acc is None else acc)
+        out.append(0 if acc is None else acc)
     return tuple(out)
 
 
-def trace_product(a: Sequence[Sequence[F]], b: Sequence[Sequence[F]],
-                  zero: F) -> F:
+def trace_product(a: Sequence[Sequence[F]], b: Sequence[Sequence[F]]) -> F:
     """tr(a b) = sum_km a_km b_mk."""
     acc = None
     for k, row in enumerate(a):
@@ -148,7 +154,7 @@ def trace_product(a: Sequence[Sequence[F]], b: Sequence[Sequence[F]],
             y = b[m][k]
             if x and y:
                 acc = x * y if acc is None else acc + x * y
-    return zero if acc is None else acc
+    return 0 if acc is None else acc
 
 
 def _rows(mat: Sequence[Sequence[F]]) -> list[list[F]]:
@@ -191,10 +197,6 @@ def invert_matrix(mat: Sequence[Sequence[F]], one: F) -> Matrix:
     if pivots[:n] != list(range(n)):
         raise SingularMatrixError("matrix is singular over the field")
     return tuple(tuple(row[n:]) for row in rows)
-
-
-def rank(mat: Sequence[Sequence[F]]) -> int:
-    return len(_rref(mat)[1])
 
 
 def nullspace(mat: Sequence[Sequence[F]], one: F) -> list[tuple[F, ...]]:

@@ -13,9 +13,10 @@ its own exact scalar field:
 Both expose the same operational surface (zero, one, scalar, diff,
 bracket_vector, ...), so the differential-geometry operators and everything
 built on them are written once against it, using only the operations both
-fields share: +, -, *, equality, truthiness as the zero test, and str;
-a quotient of two scalars is ``linalg.quotient``, which keeps two ints
-exact.
+fields share: +, -, *, equality, hash, truthiness as the zero test, and
+str.  Each also takes the int 0, the contraction kernel's empty sum, on
+both fields.  A quotient of two scalars is ``linalg.quotient``, which
+keeps two ints exact.
 One exterior derivative serves forms of every degree, and one derivation
 rule, ``_derivation``, extends a derivation from scalars and basis fields
 to tensors of any valence: it is the Lie derivative here and the
@@ -68,15 +69,6 @@ Scalar = Union[int, Fraction, RationalExpr]
 ScalarLike = Union[int, Fraction, str, RationalExpr]
 
 
-def rational(value: int | Fraction) -> int | Fraction:
-    """A rational number in a frame's storage: an int when integral, else a
-    Fraction (whose denominator is then never 1)."""
-    if type(value) is int:
-        return value
-    value = Fraction(value)
-    return value.numerator if value.denominator == 1 else value
-
-
 def constant_value(value: Scalar) -> Fraction | None:
     """The rational constant a scalar of either field equals, or None."""
     if isinstance(value, RationalExpr):
@@ -89,8 +81,8 @@ def constant_ratio(pairs: Iterable[tuple[Scalar, Scalar]]) -> Fraction | None:
 
     c is read off the first pair with b != 0; the scan stops at the first
     pair that breaks a = c b, also at a nonzero a before that b.  The
-    pairs are tested against c stored as ``rational`` stores it, so an
-    integral c costs int products on a frame; c is returned as a Fraction.
+    pairs are tested against c stored as ``FrameModel.scalar`` stores it, so
+    an integral c costs int products on a frame; c is returned as a Fraction.
     """
     c = None
     for a, b in pairs:
@@ -99,7 +91,7 @@ def constant_ratio(pairs: Iterable[tuple[Scalar, Scalar]]) -> Fraction | None:
                 c = constant_value(linalg.quotient(a, b))
                 if c is None:
                     return None
-                stored = rational(c)
+                stored = FrameModel.scalar(c)
             elif a:
                 return None
         elif a - b * stored:
@@ -298,8 +290,8 @@ class ChartModel(ManifoldModel):
 class FrameModel(ManifoldModel):
     """A global frame with constant structure constants.
 
-    Scalars are rational constants stored as ``rational`` stores them: an
-    int when integral, else a Fraction.  ``scalar``, a static method so
+    Scalars are rational constants, each an int when integral, else a
+    Fraction whose denominator is not 1.  ``scalar``, a static method so
     that the rule can be applied before a model exists, applies it to every
     input (int, Fraction, str or constant RationalExpr) and refuses a
     float, so the bracket table and every tensor field on a frame hold ints
@@ -355,7 +347,7 @@ class FrameModel(ManifoldModel):
         if isinstance(value, RationalExpr):
             if not value.is_constant:
                 raise GeometryError(f"frame scalars are constants, got {value!r}")
-            return rational(value.constant_value())
+            return FrameModel.scalar(value.constant_value())
         if isinstance(value, int):  # a bool
             return int(value)
         # a float would be rounded, so it is refused rather than converted
@@ -366,7 +358,7 @@ class FrameModel(ManifoldModel):
         # totally antisymmetric and vanishes on a repeated index, so the
         # triples i < j < k decide it; the first violation found is the
         # lexicographically first violating ordered triple
-        d, zero = self.dim, self.zero
+        d = self.dim
         C, dd, c = self.constants.data, d * d, self.bracket_vector
         # col[k][l][m] = c^l_mk, the l-th components of [e_m, e_k]
         col = [[C[l * dd + k:(l + 1) * dd:d] for l in range(d)]
@@ -374,9 +366,9 @@ class FrameModel(ManifoldModel):
         for i, j, k in combinations(range(d), 3):
             cij, cjk, cki = c(i, j), c(j, k), c(k, i)
             for l in range(d):
-                if (linalg.dot(cij, col[k][l], zero)
-                        + linalg.dot(cjk, col[i][l], zero)
-                        + linalg.dot(cki, col[j][l], zero)):
+                if (linalg.dot(cij, col[k][l])
+                        + linalg.dot(cjk, col[i][l])
+                        + linalg.dot(cki, col[j][l])):
                     raise GeometryError(
                         f"bracket table violates the Jacobi identity at "
                         f"({self.labels[i]},{self.labels[j]},{self.labels[k]})")
@@ -444,7 +436,7 @@ class TensorField:
         for idx, value in entries.items():
             if len(idx) != rank:
                 raise GeometryError(f"index {idx} has wrong rank")
-            data[cls._offset_static(model.dim, idx)] = model.scalar(value)
+            data[cls._offset_static(model.dim, idx)] = value
         return cls(model, valence, data)
 
     @classmethod
@@ -558,8 +550,7 @@ Vec = tuple[Scalar, ...]
 
 def _apply_vec(model: ManifoldModel, X: Vec, f: Scalar) -> Scalar:
     """X(f) = X^i e_i(f), differentiating only along the nonzero X^i."""
-    return linalg.dot(X, [model.diff(i, f) if a else a for i, a in enumerate(X)],
-                      model.zero)
+    return linalg.dot(X, [model.diff(i, f) if a else a for i, a in enumerate(X)])
 
 
 def _bracket_comps(model: ManifoldModel, X: Vec, Y: Vec) -> Vec:
@@ -569,11 +560,10 @@ def _bracket_comps(model: ManifoldModel, X: Vec, Y: Vec) -> Vec:
     commute, so only the last term is left on a frame and only the first
     two on a chart.
     """
-    zero = model.zero
     if isinstance(model, FrameModel):
-        return linalg.block_bilinear(model.constants.data, X, Y, zero)
+        return linalg.block_bilinear(model.constants.data, X, Y)
     return tuple(linalg.signed_sum((_apply_vec(model, X, y),),
-                                   (_apply_vec(model, Y, x),), zero)
+                                   (_apply_vec(model, Y, x),))
                  for x, y in zip(X, Y))
 
 
@@ -622,7 +612,7 @@ def exterior_derivative(omega: TensorField) -> TensorField:
                     other = w[m * pw[p - 1] + base]
                     if other:
                         terms[(a + b) % 2].append(c * other)
-        val = linalg.signed_sum(*terms, model.zero)
+        val = linalg.signed_sum(*terms)
         out.append(linalg.quotient(val, n) if val else val)
     return TensorField(model, (0, n), out)
 
@@ -694,11 +684,9 @@ def realize_frame(chart: ChartModel, vectors: Sequence[TensorField],
     except linalg.SingularMatrixError:
         raise GeometryError("frame vector fields are linearly dependent") from None
 
-    zero = chart.zero
-
     def in_frame(w: Vec) -> tuple[Fraction, ...]:
         consts = []
-        for c in linalg.mat_vec(inv, w, zero):
+        for c in linalg.mat_vec(inv, w):
             const = constant_value(c)
             if const is None:
                 raise GeometryError(f"frame re-expression is not constant: {c}")
@@ -716,7 +704,7 @@ def realize_frame(chart: ChartModel, vectors: Sequence[TensorField],
     for a in range(d):
         row = []
         for b in range(d):
-            acc = linalg.bilinear(grows, cols[a], cols[b], zero)
+            acc = linalg.bilinear(grows, cols[a], cols[b])
             const = constant_value(acc)
             if const is None:
                 raise GeometryError(f"frame metric is not constant: g({a},{b}) = {acc}")

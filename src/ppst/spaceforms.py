@@ -42,7 +42,7 @@ from .deformation import (
     proportionality_constant,
 )
 from .linalg import bilinear, dot, nullspace, trace_product
-from .models import FrameModel, GeometryError, TensorField, constant_ratio, rational
+from .models import FrameModel, GeometryError, TensorField, constant_ratio
 from .report import CheckResult, residual_check
 from .specfile import import_text
 from .structures import ParacontactStructure, StructureError, nijenhuis_N1
@@ -124,8 +124,7 @@ def check_constant_curvature_theorem(s: ParacontactStructure) -> TheoremReport:
     add(CheckResult("K_equals_minus_lambda_squared", K == -lam ** 2,
                     witness=f"K = {K}, lambda = {lam}"))
     ph, A = s.phi.rows(), s.A.rows()
-    zero = model.zero
-    tr = trace_product(ph, A, zero)
+    tr = trace_product(ph, A)
     add(CheckResult("trace_phi_A", tr == 2 * n * lam,
                     witness=f"tr(phi A) = {tr}, 2n lambda = {2 * n * lam}"))
     grows = s.g.rows()
@@ -143,7 +142,7 @@ def check_constant_curvature_theorem(s: ParacontactStructure) -> TheoremReport:
     A_cols, phicols = tuple(zip(*A)), tuple(zip(*ph))
     ent = {}
     for i, j in product(range(d), repeat=2):
-        ent[(i, j)] = (bilinear(grows, A_cols[i], phicols[j], zero)
+        ent[(i, j)] = (bilinear(grows, A_cols[i], phicols[j])
                        + (grows[i][j] - ev[i] * ev[j]) * lam)
     add(residual_check("shape_phi_pairing", ent.items(), labels))
     try:
@@ -284,7 +283,7 @@ def search_constant_negative_curvature(
     # the pivots c02 and c12[1:] depend only on c12[0], to their right, so
     # the walk keeps the order of values^9
     for coords in product(vals, repeat=len(basis)):
-        entries = [rational(dot(coords, col, 0)) for col in columns]
+        entries = [FrameModel.scalar(dot(coords, col)) for col in columns]
         if not set(entries).issubset(vals):
             continue
         brackets = _bracket_table(entries)

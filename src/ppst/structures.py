@@ -145,7 +145,7 @@ class ParacontactStructure:
         self.g = g
         self.eta_derived = eta is None
         if eta is None:
-            eta = TensorField.covector(model, mat_vec(g.rows(), xi.vec(), model.zero))
+            eta = TensorField.covector(model, mat_vec(g.rows(), xi.vec()))
         elif eta.valence != (0, 1):
             raise GeometryError("eta must have valence (0,1)")
         self.eta = eta
@@ -246,9 +246,8 @@ class ParacontactStructure:
 def fundamental_form(s: ParacontactStructure) -> TensorField:
     """Phi(X,Y) = g(X, phi Y); antisymmetric by the compatibility axiom."""
     grows = s.g.rows()
-    zero = s.model.zero
     return TensorField.from_rows(s.model, (0, 2), [
-        [dot(row, col, zero) for col in zip(*s.phi.rows())] for row in grows])
+        [dot(row, col) for col in zip(*s.phi.rows())] for row in grows])
 
 
 def nijenhuis_N1(s: ParacontactStructure) -> TensorField:
@@ -261,20 +260,18 @@ def nijenhuis_N1(s: ParacontactStructure) -> TensorField:
     xv = s.xi.vec()
     deta = s.deta
     phicols = tuple(zip(*ph))
-    zero = model.zero
     entries = {}
     for i, j in product(range(d), repeat=2):
         br = model.bracket_vector(i, j)
-        t1 = mat_vec(ph, mat_vec(ph, br, zero), zero)
+        t1 = mat_vec(ph, mat_vec(ph, br))
         t2 = _bracket_comps(model, phicols[i], phicols[j])
-        t3 = mat_vec(ph, _bracket_comps(model, phicols[i], model.delta(j)), zero)
-        t4 = mat_vec(ph, _bracket_comps(model, model.delta(i), phicols[j]), zero)
+        t3 = mat_vec(ph, _bracket_comps(model, phicols[i], model.delta(j)))
+        t4 = mat_vec(ph, _bracket_comps(model, model.delta(i), phicols[j]))
         dij = deta[(i, j)]
         for k in range(d):
             entries[(k, i, j)] = signed_sum(
                 (t1[k], t2[k]),
-                (t3[k], t4[k], 2 * dij * xv[k] if dij and xv[k] else zero),
-                zero)
+                (t3[k], t4[k], 2 * dij * xv[k] if dij and xv[k] else 0))
     return TensorField.from_entries(model, (1, 2), entries)
 
 
@@ -342,30 +339,30 @@ def validate_structure(s: ParacontactStructure) -> AxiomReport:
     ent = {}
     for k, j in product(range(d), repeat=2):
         delta = model.one if k == j else zero
-        ent[(k, j)] = dot(ph[k], phicols[j], zero) - delta + xv[k] * ev[j]
+        ent[(k, j)] = dot(ph[k], phicols[j]) - delta + xv[k] * ev[j]
     axiom("phi_squared", ent, "phi^2 - Id + eta(x)xi")
 
     # eta(xi) = 1
-    axiom("eta_xi", {(): dot(ev, xv, zero) - model.one}, "eta(xi) - 1")
+    axiom("eta_xi", {(): dot(ev, xv) - model.one}, "eta(xi) - 1")
 
     # g(phi X, phi Y) + g(X, Y) - eta(X) eta(Y) = 0
     ent = {}
     for i, j in product(range(d), repeat=2):
-        ent[(i, j)] = (bilinear(grows, phicols[i], phicols[j], zero)
+        ent[(i, j)] = (bilinear(grows, phicols[i], phicols[j])
                        + grows[i][j] - ev[i] * ev[j])
     axiom("metric_phi_compatibility", ent, "g(phi.,phi.) + g - eta(x)eta")
 
     # eta = g(., xi)
-    g_xi = mat_vec(grows, xv, zero)
+    g_xi = mat_vec(grows, xv)
     axiom("eta_is_g_xi", {(j,): ev[j] - g_xi[j] for j in range(d)},
           "eta != g(.,xi); residual")
 
     # phi xi = 0
-    phi_xi = mat_vec(ph, xv, zero)
+    phi_xi = mat_vec(ph, xv)
     axiom("phi_xi", {(k,): phi_xi[k] for k in range(d)}, "phi(xi)")
 
     # eta o phi = 0
-    axiom("eta_phi", {(j,): dot(ev, phicols[j], zero) for j in range(d)},
+    axiom("eta_phi", {(j,): dot(ev, phicols[j]) for j in range(d)},
           "eta(phi .)")
 
     # metric signature (n+1, n) on the whole domain; inertia is defined
@@ -412,7 +409,6 @@ def _declared_frame_check(s: ParacontactStructure) -> CheckResult:
         return CheckResult(name, False,
                            witness=f"expected {d} frame fields, got {len(frame)}")
     ph = s.phi.rows()
-    zero = model.zero
     cols = [f.vec() for f in frame]
     frame_names = (["e" + str(i + 1) for i in range(d - 1)] + ["xi"]
                    if not isinstance(model, FrameModel) else list(model.labels))
@@ -426,7 +422,7 @@ def _declared_frame_check(s: ParacontactStructure) -> CheckResult:
             details={"residual": str(value - expected)})
     # Y_i = phi X_i and the last field is xi
     for i in range(n):
-        img = mat_vec(ph, cols[i], zero)
+        img = mat_vec(ph, cols[i])
         diff = [a - b for a, b in zip(img, cols[n + i])]
         if any(diff):
             return CheckResult(
@@ -459,7 +455,6 @@ def build_phi_basis(s: ParacontactStructure) -> tuple[TensorField, ...]:
         if check.passed:
             return s.declared_frame
         raise StructureError(f"declared frame is not a phi-basis: {check.witness}")
-    zero = model.zero
     vplus, vminus = s.eigenspaces
     if len(vplus) != n or len(vminus) != n:
         raise StructureError(
@@ -471,21 +466,21 @@ def build_phi_basis(s: ParacontactStructure) -> tuple[TensorField, ...]:
     for i in range(n):
         # pivot: a nonzero pairing g(u+_a, u-_b); exists by nondegeneracy
         pivot = next(((a, b) for a in range(i, n) for b in range(i, n)
-                      if bilinear(grows, up[a], um[b], zero)), None)
+                      if bilinear(grows, up[a], um[b])), None)
         if pivot is None:
             raise StructureError("degenerate pairing between eigendistributions")
         a, b = pivot
         up[i], up[a] = up[a], up[i]
         um[i], um[b] = um[b], um[i]
-        p = bilinear(grows, up[i], um[i], zero)
+        p = bilinear(grows, up[i], um[i])
         for r in range(i + 1, n):
-            f = linalg.quotient(bilinear(grows, up[r], um[i], zero), p)
+            f = linalg.quotient(bilinear(grows, up[r], um[i]), p)
             up[r] = [c - f * ci for c, ci in zip(up[r], up[i])]
-            f = linalg.quotient(bilinear(grows, up[i], um[r], zero), p)
+            f = linalg.quotient(bilinear(grows, up[i], um[r]), p)
             um[r] = [c - f * ci for c, ci in zip(um[r], um[i])]
     xs, ys = [], []
     for i in range(n):
-        p = bilinear(grows, up[i], um[i], zero)
+        p = bilinear(grows, up[i], um[i])
         pairs = tuple(zip(up[i], um[i]))
         xvec = tuple(linalg.quotient(p * c + 2 * m, 2 * p) for c, m in pairs)
         yvec = tuple(linalg.quotient(p * c - 2 * m, 2 * p) for c, m in pairs)
@@ -507,12 +502,11 @@ def _gram_mismatch(s: ParacontactStructure, cols: Sequence[Sequence[Scalar]],
     levi_civita accepts.
     """
     grows = s.g.rows()
-    zero = s.model.zero
     eps = phi_basis_eps(s)
     for a, b in combinations_with_replacement(range(len(cols)), 2):
         expected = eps[a] if a == b else 0
-        value = bilinear(grows, cols[a], cols[b], zero)
-        if value - s.model.scalar(expected):
+        value = bilinear(grows, cols[a], cols[b])
+        if value - expected:
             return a, b, value, expected
     return None
 

@@ -401,8 +401,8 @@ def test_cached_parser_gives_the_reports_of_a_fresh_one(tmp_path, capsys):
     assert [o[0] for o in outcomes] == [2, 0, 2, 2, 2, 0, 0, 0]
     assert "unrecognized arguments: --point" in outcomes[0][1]
     assert "required: --alpha, --beta" in outcomes[2][1]
-    # with no --mode option, argparse reads --mode as a prefix of --model
-    assert "unknown model 'sampled'" in outcomes[3][1]
+    # --mode is not read as a prefix of --model
+    assert "unrecognized arguments: --mode" in outcomes[3][1]
 
 
 def test_theorem_branches():
@@ -428,16 +428,27 @@ def test_theorem_branches():
 
 def test_identities_command_and_modes():
     """One mode: every residual is judged symbolically, and the report
-    carries no mode or point.  There is no --mode option: argparse reads
-    --mode as a prefix of --model, so "--mode sampled" names a model."""
+    carries no mode or point.  There is no --mode option (see
+    test_abbreviated_options_are_usage_errors)."""
     payload = _validated(["identities", "--model", "example-frame"])
     assert payload["exit_code"] == 0
     assert len(payload["checks"]) == 15
     assert payload["data"] == {}
-    report = run_command(["identities", "--model", "example-chart-corrected",
-                          "--mode", "sampled"])
-    assert report.exit_code == 2
-    assert report.error.startswith("unknown model 'sampled'")
+
+
+@pytest.mark.parametrize("argv, unknown", [
+    (["identities", "--model", "example-frame", "--mode", "symbolic"], "--mode"),
+    (["check", "--model", "example-frame", "--form", "json"], "--form"),
+], ids=["mode-for-model", "form-for-format"])
+def test_abbreviated_options_are_usage_errors(argv, unknown, capsys):
+    """An option is matched by its full name only: a prefix of --model or
+    --format is an unrecognized argument, exit 2, not that option."""
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert f"unrecognized arguments: {unknown}" in captured.err
+    assert captured.out == ""
 
 
 def test_identities_on_failing_axioms_lists_every_axiom_check():

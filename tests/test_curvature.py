@@ -175,8 +175,7 @@ def test_chart_frame_agreement():
 
     chart_conn = connection(g)
     for a, b in product(range(3), repeat=2):
-        w = linalg.mat_vec(covariant_derivative(vectors[b], chart_conn).rows(),
-                           cols[a], m.zero)
+        w = linalg.mat_vec(covariant_derivative(vectors[b], chart_conn).rows(), cols[a])
         coords = tuple(
             sum((inv[c][i] * w[i] for i in range(1, 3)), inv[c][0] * w[0])
             for c in range(3))
@@ -216,17 +215,17 @@ def test_covariant_derivative_matches_its_definition(spec, fields):
     against the Leibniz rule, with nabla_X Y = X(Y) + Gamma(X, Y)."""
     s = golden_structure(spec)
     m, conn = s.model, s.connection
-    d, zero = m.dim, m.zero
+    d = m.dim
     X, Y, Z = ([m.scalar(c) for c in comps] for comps in fields)
     # gamma[k][i][j] = Gamma^k_ij
     gamma = [[[conn[(k, i, j)] for j in range(d)] for i in range(d)]
              for k in range(d)]
 
     def along(V, f):
-        return linalg.dot(V, [m.diff(i, f) for i in range(d)], zero)
+        return linalg.dot(V, [m.diff(i, f) for i in range(d)])
 
     def nabla(V, W):
-        return [along(V, w) + linalg.bilinear(gk, V, W, zero)
+        return [along(V, w) + linalg.bilinear(gk, V, W)
                 for w, gk in zip(W, gamma)]
 
     XY, XZ = nabla(X, Y), nabla(X, Z)

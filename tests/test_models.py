@@ -341,10 +341,23 @@ def test_no_frame_pipeline_stores_a_float_or_an_integral_fraction(monkeypatch):
     assert {int, Fraction} == set(map(type, seen))
 
 
-def test_chart_tensors_share_the_coordinates_memo():
-    """Every scalar of a chart's tensors lives on the model's Variables object."""
+def test_chart_tensors_share_the_coordinates_memo(monkeypatch):
+    """Every scalar of a chart's tensors is a RationalExpr on the model's
+    Variables object: every field the chart-1+z2 pipeline builds (the
+    covariant derivatives of the identity suite, B and nabla B of the
+    deformation laws, and the theorem's among them) and both scalar
+    curvatures.  The contraction kernel returns the int 0 for an empty
+    sum, so this rests on TensorField coercing every entry it stores."""
+    built = []
+    init = TensorField.__init__
+
+    def recorded(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
+    monkeypatch.setattr(TensorField, "__init__", recorded)
     s = import_text((GOLDEN / "chart-1+z2.spec").read_text(encoding="utf-8"))
     model = s.model
+    _run_pipeline(s)
     deformed = apply_deformation(s, DeformationParams(-2, 4))
     # values parsed over an equal plain tuple must be re-homed, too
     foreign = TensorField.vector(model, [parse_expr(v, ("x", "y", "z"))
@@ -355,8 +368,13 @@ def test_chart_tensors_share_the_coordinates_memo():
                     *t.phi_basis, t.metric_inverse, t.connection,
                     t.curvature, t.ricci[0], t.star_ricci[0]]
     tensors += s.declared_frame
-    assert all(c.variables is model.coordinates
-               for t in tensors for c in t.data)
+    monkeypatch.undo()
+    assert len(built) > 40
+    scalars = [c for t in built + tensors for c in t.data]
+    scalars += [t.ricci[1] for t in (s, deformed)]
+    scalars += [t.star_ricci[1] for t in (s, deformed)]
+    assert all(isinstance(c, RationalExpr) and c.variables is model.coordinates
+               for c in scalars)
 
 
 # -- tensor fields -----------------------------------------------------------
@@ -467,7 +485,7 @@ def test_d_squared_is_zero_frame():
 def _open_two_form(s, x) -> TensorField:
     """eta ^ g(x, .), a 2-form that is not closed on the golden inputs."""
     ev = s.eta.data
-    w = linalg.mat_vec(s.g.rows(), x, s.model.zero)
+    w = linalg.mat_vec(s.g.rows(), x)
     return TensorField.from_rows(s.model, (0, 2), [
         [ev[i] * w[j] - ev[j] * w[i] for j in range(s.model.dim)]
         for i in range(s.model.dim)])
@@ -484,7 +502,7 @@ def test_exterior_derivative_matches_its_definition(spec, fields):
     x, y, z = X.vec(), Y.vec(), Z.vec()
 
     def along(v, f):
-        return linalg.dot(v, [m.diff(i, f) for i in range(m.dim)], m.zero)
+        return linalg.dot(v, [m.diff(i, f) for i in range(m.dim)])
 
     xy, xz, yz = (lie_bracket(U, V).vec() for U, V in ((X, Y), (X, Z), (Y, Z)))
 
@@ -596,7 +614,6 @@ def test_lie_derivative_matches_its_definition(build, fields):
     """(L_X eta)Y, (L_X g)(Y,Z) and (L_X phi)Y against their definitions."""
     s = build()
     m = s.model
-    zero = m.zero
     X, V, W = (TensorField.vector(m, comps) for comps in fields)
     # non-basis arguments, each with a bracket term
     Y = lie_bracket(X, V) + V
@@ -604,7 +621,7 @@ def test_lie_derivative_matches_its_definition(build, fields):
     x, y, z = X.vec(), Y.vec(), Z.vec()
 
     def along_x(f):
-        return linalg.dot(x, [m.diff(i, f) for i in range(m.dim)], zero)
+        return linalg.dot(x, [m.diff(i, f) for i in range(m.dim)])
 
     def br(u, v):
         return lie_bracket(TensorField.vector(m, u), TensorField.vector(m, v)).vec()
@@ -613,18 +630,17 @@ def test_lie_derivative_matches_its_definition(build, fields):
     xy, xz = br(x, y), br(x, z)
 
     l_eta = lie_derivative(s.eta, X).data
-    assert (linalg.dot(l_eta, y, zero)
-            == along_x(linalg.dot(eta, y, zero)) - linalg.dot(eta, xy, zero))
+    assert linalg.dot(l_eta, y) == along_x(linalg.dot(eta, y)) - linalg.dot(eta, xy)
 
     l_g = lie_derivative(s.g, X).rows()
-    assert (linalg.bilinear(l_g, y, z, zero)
-            == along_x(linalg.bilinear(g, y, z, zero))
-            - linalg.bilinear(g, xy, z, zero) - linalg.bilinear(g, y, xz, zero))
+    assert (linalg.bilinear(l_g, y, z)
+            == along_x(linalg.bilinear(g, y, z))
+            - linalg.bilinear(g, xy, z) - linalg.bilinear(g, y, xz))
 
     l_phi = lie_derivative(s.phi, X).rows()
-    expected = [a - b for a, b in zip(br(x, linalg.mat_vec(phi, y, zero)),
-                                      linalg.mat_vec(phi, xy, zero))]
-    assert list(linalg.mat_vec(l_phi, y, zero)) == expected
+    expected = [a - b for a, b in zip(br(x, linalg.mat_vec(phi, y)),
+                                      linalg.mat_vec(phi, xy))]
+    assert list(linalg.mat_vec(l_phi, y)) == expected
     assert any(expected)
     # any valence: on a vector field the Lie derivative is the bracket
     assert lie_derivative(Y, X) == lie_bracket(X, Y)
@@ -690,13 +706,11 @@ def _realized_structure(s):
     cols = [v.vec() for v in vectors]
     inv = linalg.invert_matrix(tuple(zip(*cols)), m.one)
     ph = s.phi.rows()
-    phi_cols = [linalg.mat_vec(inv, linalg.mat_vec(ph, c, m.zero), m.zero)
-                for c in cols]
+    phi_cols = [linalg.mat_vec(inv, linalg.mat_vec(ph, c)) for c in cols]
     return ParacontactStructure(
         frame, TensorField.from_rows(frame, (1, 1), list(zip(*phi_cols))),
-        TensorField.vector(frame, linalg.mat_vec(inv, s.xi.vec(), m.zero)),
-        fg, TensorField.covector(frame, [linalg.dot(s.eta.data, c, m.zero)
-                                         for c in cols]))
+        TensorField.vector(frame, linalg.mat_vec(inv, s.xi.vec())),
+        fg, TensorField.covector(frame, [linalg.dot(s.eta.data, c) for c in cols]))
 
 
 def test_chart_frames_cover_every_chart():

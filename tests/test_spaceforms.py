@@ -26,7 +26,7 @@ from ppst.deformation import (
     apply_deformation,
     proportionality_constant,
 )
-from ppst.models import ChartModel, FrameModel, GeometryError, TensorField, rational
+from ppst.models import ChartModel, FrameModel, GeometryError, TensorField
 from ppst.spaceforms import (
     SearchHit,
     check_constant_curvature_theorem,
@@ -289,7 +289,8 @@ def _brute_force_search(vals) -> list[SearchHit]:
 ], ids=["0,2", "2,0,-2", "1,2", "-1,0,1,2", "halves", "repeated"])
 def test_search_matches_the_brute_force_reference(values, count):
     hits = search_constant_negative_curvature(values)
-    reference = _brute_force_search(tuple(dict.fromkeys(map(rational, values))))
+    values = tuple(dict.fromkeys(map(FrameModel.scalar, values)))
+    reference = _brute_force_search(values)
     assert repr(hits) == repr(reference)
     assert len(hits) == count
 

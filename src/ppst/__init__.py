@@ -19,10 +19,12 @@ Layers, bottom up:
 - :mod:`ppst.linalg`: exact matrices (one row reduction for nullspace
   and inverse; inertia) and the contraction kernel (dot, mat_vec,
   bilinear, trace_product, and block_bilinear over the last two slots of
-  a flat table), whose empty sum is the int 0 on both fields.
+  a flat table).  The ints 0 and 1 are the zero and the unit of both
+  fields: an empty sum is 0 and an identity matrix holds 0 and 1.
 - :mod:`ppst.models`: chart and frame manifold models, tensor fields,
   brackets, the exterior derivative of any degree, and the one derivation
-  rule behind the Lie and covariant derivatives.  ``TensorField`` is the
+  rule behind the Lie and covariant derivatives.  A plain number is a
+  constant on both models, so ``diff`` maps it to 0.  ``TensorField`` is the
   one container of component tables, flat with upper slots first: a
   frame's structure constants and every table below are TensorFields.
 - :mod:`ppst.curvature`: the metric inverse, the Levi-Civita connection
@@ -62,7 +64,7 @@ from .deformation import (
     proportionality_constant,
     verify_deformation_relations,
 )
-from .expr import DomainConstraint, RationalExpr
+from .expr import RationalExpr
 from .identities import IDENTITY_KEYS, IdentityReport, run_suite
 from .models import (
     ChartModel,
@@ -102,7 +104,6 @@ __all__ = [
     "DEFORMATION_KEYS",
     "DeformationParams",
     "DeformationReport",
-    "DomainConstraint",
     "FrameModel",
     "GeometryError",
     "IDENTITY_KEYS",

@@ -261,6 +261,8 @@ def _cmd_theorem(args, s, source, digest) -> Report:
 
 
 def _cmd_models(args) -> Report:
+    if args.export is None and args.output is not None:
+        raise _InputError("-o FILE needs --export NAME", source="catalog")
     if args.export is not None:
         if args.output is None:
             raise _InputError("--export needs -o FILE",

@@ -50,7 +50,7 @@ def metric_inverse(g: TensorField) -> TensorField:
     if rows != tuple(zip(*rows)):
         raise GeometryError("metric must be symmetric")
     try:
-        inv = linalg.invert_matrix(rows, g.model.one)
+        inv = linalg.invert_matrix(rows)
     except linalg.SingularMatrixError:
         raise DegenerateMetricError("metric determinant is identically zero") from None
     return TensorField(g.model, (2, 0), [c for row in inv for c in row])

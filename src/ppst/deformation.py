@@ -80,7 +80,7 @@ def apply_deformation(s: ParacontactStructure,
     """Return the deformed structure; derived data is recomputed lazily."""
     model = s.model
     alpha, beta = model.scalar(params.alpha), model.scalar(params.beta)
-    xi2 = s.xi * quotient(model.one, alpha)
+    xi2 = s.xi * quotient(1, alpha)
     eta2 = s.eta * alpha
     ev = s.eta.data
     d = model.dim

@@ -72,7 +72,6 @@ from __future__ import annotations
 
 import heapq
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -400,16 +399,6 @@ def _poly_str(variables: tuple[str, ...], terms: PolyTerms) -> str:
 
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DomainConstraint:
-    """A coordinate-domain restriction: the expression vanishes nowhere."""
-
-    expression: "RationalExpr"
-
-    def __str__(self) -> str:
-        return f"{self.expression} != 0"
-
-
 class RationalExpr:
     """An exact rational function in a fixed tuple of variables."""
 
@@ -463,14 +452,6 @@ class RationalExpr:
         mono = tuple(1 if v == name else 0 for v in variables)
         return cls._make(variables, ((mono, 1),),
                          ((_zero_mono(len(variables)), 1),))
-
-    @classmethod
-    def zero(cls, variables: Iterable[str] = ()) -> "RationalExpr":
-        return cls.constant(0, variables)
-
-    @classmethod
-    def one(cls, variables: Iterable[str] = ()) -> "RationalExpr":
-        return cls.constant(1, variables)
 
     # -- structure ----------------------------------------------------------
 
@@ -590,7 +571,7 @@ class RationalExpr:
             return self._reciprocal() ** (-exponent)
         # square-and-multiply: O(log exponent) products; canonical form
         # makes the result independent of the multiplication order
-        out = RationalExpr.one(self.variables)
+        out = RationalExpr.constant(1, self.variables)
         base = self
         while exponent:
             if exponent & 1:

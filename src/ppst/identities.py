@@ -43,7 +43,7 @@ from typing import Iterator
 
 from .curvature import covariant_derivative
 from .linalg import bilinear, block_bilinear, dot, mat_vec, signed_sum, trace_product
-from .models import FrameModel, Scalar, Vec
+from .models import FrameModel, Scalar
 from .report import CheckResult, residual_check
 from .structures import ParacontactStructure, StructureError
 
@@ -78,14 +78,11 @@ class _Context:
     """
 
     def __init__(self, s: ParacontactStructure):
-        self.s = s
         model = s.model
         self.model = model
         d = model.dim
         self.d = d
-        basis = s.phi_basis
-        self.basis = basis
-        self.cols = [b.vec() for b in basis]
+        self.cols = [b.vec() for b in s.phi_basis]
         self.labels = self._label_basis()
         grows = s.g.rows()
         ph = s.phi.rows()
@@ -99,11 +96,11 @@ class _Context:
         self.A_phi_b = [mat_vec(A, v) for v in self.phi_b]
         self.phi_A_b = [mat_vec(ph, v) for v in self.A_b]
         self.eta_b = [dot(ev, c) for c in self.cols]
-        self.gA = [[self.g(self.A_b[a], self.cols[b]) for b in range(d)]
+        self.gA = [[bilinear(grows, self.A_b[a], self.cols[b]) for b in range(d)]
                    for a in range(d)]
-        self.gAphi = [[self.g(self.A_b[a], self.phi_b[b]) for b in range(d)]
-                      for a in range(d)]
-        self.gAA = [[self.g(self.A_b[a], self.A_b[b]) for b in range(d)]
+        self.gAphi = [[bilinear(grows, self.A_b[a], self.phi_b[b])
+                       for b in range(d)] for a in range(d)]
+        self.gAA = [[bilinear(grows, self.A_b[a], self.A_b[b]) for b in range(d)]
                     for a in range(d)]
         # curvature applied to basis triples: R3[a][b][c] = R(b_a, b_b) b_c,
         # where the operator R(b_a, b_b) has rows l
@@ -147,14 +144,11 @@ class _Context:
         self.tr_phiA = trace_product(ph, A)
         self.tr_A2 = trace_product(A, A)
 
-    def g(self, u: Vec, v: Vec) -> Scalar:
-        return bilinear(self.g_rows, u, v)
-
     def _label_basis(self) -> tuple[str, ...]:
         model = self.model
         if isinstance(model, FrameModel):
             identity = all(
-                self.cols[a][i] == (model.one if a == i else model.zero)
+                self.cols[a][i] == int(a == i)
                 for a in range(self.d) for i in range(self.d))
             if identity:
                 return model.labels
@@ -190,9 +184,11 @@ def _residual_fn(ctx: _Context, key: str):
         return 1, lambda b: tuple(ctx.A_phi_b[b][l] - ctx.phi_A_b[b][l]
                                   for l in range(d))
     if key == "P3":
-        return 2, lambda a, b: ctx.g(ctx.A_phi_b[a], ctx.phi_b[b]) + ctx.gA[a][b]
+        return 2, lambda a, b: (bilinear(ctx.g_rows, ctx.A_phi_b[a], ctx.phi_b[b])
+                                + ctx.gA[a][b])
     if key == "P4":
-        return 2, lambda a, b: ctx.g(ctx.A_phi_b[a], ctx.cols[b]) + ctx.gAphi[a][b]
+        return 2, lambda a, b: (bilinear(ctx.g_rows, ctx.A_phi_b[a], ctx.cols[b])
+                                + ctx.gAphi[a][b])
     if key == "R1":
         def res(a, b):
             lead = ctx.R3[xi][a][b]

@@ -2,10 +2,10 @@
 
 Routines work over any exact field whose elements support +, -, *, /,
 truthiness (zero test) and equality: the rationals of a frame (an int
-when integral, else a fractions.Fraction) and RationalExpr qualify.  The
-caller supplies the field's multiplicative identity where a unit entry
-must be built.  Everything is small and dense; dimensions here are
-at most 2n+1 for the models treated by this package.
+when integral, else a fractions.Fraction) and RationalExpr qualify.  A
+unit entry is the int 1 and a zero entry the int 0 on both fields.
+Everything is small and dense; dimensions here are at most 2n+1 for the
+models treated by this package.
 
 Every division of two field elements goes through ``quotient``: int / int
 would give a float, so two ints divide exactly, to an int when the
@@ -33,13 +33,12 @@ is empty they return 0, one per row or block, without visiting a row.
 Exact sums do not change, and on sparse frame data the skipped terms are
 most of the work.
 
-The int 0 is a safe empty sum on both fields.  On a frame it is the
-field's zero.  On a chart, RationalExpr takes an int in + - * / == and
-hash, and a zero RationalExpr has the bool and str of the int 0.  The
-only chart operations that need a RationalExpr (``diff``, ``sign`` and
-``defined_on_domain``) see table entries and basis vectors only, and
-those are RationalExprs: ``TensorField`` coerces every entry it stores,
-and ``model.delta`` builds from ``model.one`` and ``model.zero``.
+The ints 0 and 1 are safe on both fields.  On a frame they are field
+elements.  On a chart, RationalExpr takes an int in + - * / == and hash,
+and a constant RationalExpr has the bool, str and hash of its value.  A
+chart's ``diff`` takes a plain number as a constant, and ``sign`` and
+``defined_on_domain`` see only table entries, which ``TensorField``
+coerces to RationalExprs.
 """
 
 from __future__ import annotations
@@ -188,28 +187,26 @@ def _rref(mat: Sequence[Sequence[F]]) -> tuple[list[list[F]], list[int]]:
     return m, pivots
 
 
-def invert_matrix(mat: Sequence[Sequence[F]], one: F) -> Matrix:
+def invert_matrix(mat: Sequence[Sequence[F]]) -> Matrix:
     """Exact inverse, the right half of rref [M | I]; raises SingularMatrixError."""
     n = len(mat)
-    zero = one - one
-    rows, pivots = _rref([list(row) + [one if i == j else zero for j in range(n)]
+    rows, pivots = _rref([list(row) + [int(i == j) for j in range(n)]
                           for i, row in enumerate(mat)])
     if pivots[:n] != list(range(n)):
         raise SingularMatrixError("matrix is singular over the field")
     return tuple(tuple(row[n:]) for row in rows)
 
 
-def nullspace(mat: Sequence[Sequence[F]], one: F) -> list[tuple[F, ...]]:
+def nullspace(mat: Sequence[Sequence[F]]) -> list[tuple[F, ...]]:
     """Basis of the right nullspace: one vector per non-pivot column."""
-    zero = one - one
     rows, pivots = _rref(mat)
     ncols = len(mat[0]) if mat else 0
     basis = []
     for c in range(ncols):
         if c in pivots:
             continue
-        v = [zero] * ncols
-        v[c] = one
+        v = [0] * ncols
+        v[c] = 1
         for row, pc in zip(rows, pivots):
             v[pc] = -row[c]
         basis.append(tuple(v))

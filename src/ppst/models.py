@@ -10,13 +10,13 @@ its own exact scalar field:
   constants [e_i, e_j] = c^k_ij e_k; scalars are rational constants,
   each an ``int`` when integral and a ``fractions.Fraction`` otherwise.
 
-Both expose the same operational surface (zero, one, scalar, diff,
-bracket_vector, ...), so the differential-geometry operators and everything
-built on them are written once against it, using only the operations both
-fields share: +, -, *, equality, hash, truthiness as the zero test, and
-str.  Each also takes the int 0, the contraction kernel's empty sum, on
-both fields.  A quotient of two scalars is ``linalg.quotient``, which
-keeps two ints exact.
+Both expose the same operational surface (scalar, diff, bracket_vector,
+...), so the differential-geometry operators and everything built on them
+are written once against it, using only the operations both fields share:
++, -, *, equality, hash, truthiness as the zero test, and str.  The ints
+0 and 1 are the zero and the one of both fields, and ``diff`` of a plain
+number is 0 on both, since it is a constant.  A quotient of two scalars
+is ``linalg.quotient``, which keeps two ints exact.
 One exterior derivative serves forms of every degree, and one derivation
 rule, ``_derivation``, extends a derivation from scalars and basis fields
 to tensors of any valence: it is the Lie derivative here and the
@@ -56,7 +56,6 @@ from typing import Iterable, Mapping, Sequence, Union
 
 from . import linalg
 from .expr import (
-    DomainConstraint,
     PolyTerms,
     RationalExpr,
     Variables,
@@ -111,7 +110,7 @@ class ManifoldModel:
     """Shared surface of chart and frame models."""
 
     dim: int
-    constraints: tuple[DomainConstraint, ...]
+    constraints: tuple[RationalExpr, ...]
     scalar_variables: tuple[str, ...]
 
     @property
@@ -122,15 +121,9 @@ class ManifoldModel:
         if self.dim < 3 or self.dim % 2 == 0:
             raise GeometryError(f"dimension must be odd and >= 3, got {self.dim}")
 
-    # scalar helpers ---------------------------------------------------------
-
-    # the field's additive and multiplicative identities, set once per model
-    zero: Scalar
-    one: Scalar
-
-    def delta(self, i: int) -> tuple[Scalar, ...]:
+    def delta(self, i: int) -> tuple[int, ...]:
         """Components of the i-th basis vector field."""
-        return tuple(self.one if j == i else self.zero for j in range(self.dim))
+        return tuple(int(j == i) for j in range(self.dim))
 
     # overridden by the concrete models ---------------------------------------
 
@@ -175,9 +168,10 @@ def _definite_sign(poly: Mapping[tuple[int, ...], int | Fraction]) -> int | None
 class ChartModel(ManifoldModel):
     """A single coordinate chart, optionally with nonzero-constraints.
 
-    The domain is R^k minus the zeros of the numerator and the denominator
-    of every constraint; ``sign`` and ``defined_on_domain`` decide over all
-    of it, by the one rule in ``_certify``.
+    Each constraint is a chart scalar that must vanish nowhere: the domain
+    is R^k minus the zeros of every constraint's numerator and
+    denominator; ``sign`` and ``defined_on_domain`` decide over all of it,
+    by the one rule in ``_certify``.
 
     Scalars are RationalExpr over the coordinate tuple.  ``coordinates`` is
     one :class:`~ppst.expr.Variables` object (kept as given if it already
@@ -187,25 +181,16 @@ class ChartModel(ManifoldModel):
     """
 
     def __init__(self, coordinates: Iterable[str],
-                 constraints: Iterable[DomainConstraint | RationalExpr | str] = ()):
+                 constraints: Iterable[RationalExpr | str] = ()):
         self.coordinates = Variables.of(coordinates)
         self.dim = len(self.coordinates)
         self.scalar_variables = self.coordinates
         self._check_dim()
-        self.zero = RationalExpr.zero(self.coordinates)
-        self.one = RationalExpr.one(self.coordinates)
-        cons = []
-        for c in constraints:
-            if isinstance(c, str):
-                c = DomainConstraint(parse_expr(c, self.coordinates))
-            elif isinstance(c, RationalExpr):
-                c = DomainConstraint(c)
-            if c.expression.is_zero:
-                raise GeometryError(f"domain constraint {c} holds nowhere: "
+        self.constraints = tuple(self.scalar(c) for c in constraints)
+        for c in self.constraints:
+            if c.is_zero:
+                raise GeometryError(f"domain constraint {c} != 0 holds nowhere: "
                                     f"the domain is empty")
-            cons.append(c)
-        self.constraints = tuple(cons)
-        self._zero_vec = (self.zero,) * self.dim
 
     @cached_property
     def _domain_factors(self) -> tuple[PolyTerms, ...]:
@@ -217,7 +202,7 @@ class ChartModel(ManifoldModel):
         nowhere anyway.  Split on first use, once per chart."""
         factors = {}
         for con in self.constraints:
-            for poly in (con.expression.num, con.expression.den):
+            for poly in (con.num, con.den):
                 content = tuple(map(min, zip(*(m for m, _ in poly))))
                 for i, e in enumerate(content):
                     if e:
@@ -273,11 +258,13 @@ class ChartModel(ManifoldModel):
             return parse_expr(value, self.scalar_variables)
         return RationalExpr.constant(value, self.scalar_variables)
 
-    def diff(self, i: int, f: RationalExpr) -> RationalExpr:
-        return f.derivative(self.coordinates[i])
+    def diff(self, i: int, f: Scalar) -> Scalar:
+        if isinstance(f, RationalExpr):
+            return f.derivative(self.coordinates[i])
+        return 0  # a plain number is a constant
 
-    def bracket_vector(self, i: int, j: int) -> tuple[RationalExpr, ...]:
-        return self._zero_vec
+    def bracket_vector(self, i: int, j: int) -> tuple[int, ...]:
+        return (0,) * self.dim
 
     @property
     def basis_labels(self) -> tuple[str, ...]:
@@ -306,9 +293,6 @@ class FrameModel(ManifoldModel):
     constants[(k, i, j)] = c^k_ij, the layout of a connection's Gamma.
     """
 
-    zero = 0
-    one = 1
-
     def __init__(self, labels: Iterable[str], signature: Iterable[int],
                  brackets: Mapping[tuple[int, int], Sequence[ScalarLike]] | None = None):
         self.labels = tuple(labels)
@@ -323,7 +307,7 @@ class FrameModel(ManifoldModel):
             raise GeometryError(f"signature must have {self.n + 1} plus and "
                                 f"{self.n} minus entries")
         d = self.dim
-        data = [self.zero] * d ** 3
+        data = [0] * d ** 3
         for (i, j), comps in (brackets or {}).items():
             if not 0 <= i < j < d:
                 raise GeometryError(f"bracket key must have 0 <= i < j < dim, got {(i, j)}")
@@ -373,8 +357,8 @@ class FrameModel(ManifoldModel):
                         f"bracket table violates the Jacobi identity at "
                         f"({self.labels[i]},{self.labels[j]},{self.labels[k]})")
 
-    def diff(self, i: int, f: int | Fraction) -> int | Fraction:
-        return self.zero  # frame scalars are constants
+    def diff(self, i: int, f: int | Fraction) -> int:
+        return 0  # frame scalars are constants
 
     @staticmethod
     def sign(value: int | Fraction) -> int:
@@ -385,7 +369,8 @@ class FrameModel(ManifoldModel):
         return True
 
     def bracket_vector(self, i: int, j: int) -> tuple[int | Fraction, ...]:
-        return self.constants.vector_at(i, j)
+        d = self.dim
+        return self.constants.data[i * d + j::d * d]
 
     @property
     def basis_labels(self) -> tuple[str, ...]:
@@ -432,7 +417,7 @@ class TensorField:
     def from_entries(cls, model: ManifoldModel, valence: tuple[int, int],
                      entries: Mapping[tuple[int, ...], ScalarLike]) -> "TensorField":
         rank = sum(valence)
-        data = [model.zero] * model.dim ** rank
+        data = [0] * model.dim ** rank
         for idx, value in entries.items():
             if len(idx) != rank:
                 raise GeometryError(f"index {idx} has wrong rank")
@@ -680,7 +665,7 @@ def realize_frame(chart: ChartModel, vectors: Sequence[TensorField],
     cols = [v.vec() for v in vectors]
     mat = tuple(tuple(cols[a][i] for a in range(d)) for i in range(d))
     try:
-        inv = linalg.invert_matrix(mat, chart.one)
+        inv = linalg.invert_matrix(mat)
     except linalg.SingularMatrixError:
         raise GeometryError("frame vector fields are linearly dependent") from None
 

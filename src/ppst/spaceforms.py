@@ -53,9 +53,8 @@ def constant_curvature_of(s: ParacontactStructure) -> Fraction | None:
     d = s.model.dim
     R = s.curvature.vector_at
     grows = s.g.rows()
-    zero = s.model.zero
     return constant_ratio(
-        (r, (grows[j][k] if l == i else zero) - (grows[i][k] if l == j else zero))
+        (r, (grows[j][k] if l == i else 0) - (grows[i][k] if l == j else 0))
         for i, j, k in product(range(d), repeat=3)
         for l, r in enumerate(R(k, i, j)))
 
@@ -261,7 +260,7 @@ def _qps_kernel() -> tuple[tuple[int | Fraction, ...], ...]:
     for m in range(9):
         s = _standard_frame_structure(_bracket_table([int(i == m) for i in range(9)]))
         columns.append(s.N1.data + s.dPhi.data)
-    return tuple(nullspace(list(zip(*columns)), 1))
+    return tuple(nullspace(list(zip(*columns))))
 
 
 def search_constant_negative_curvature(

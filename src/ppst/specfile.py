@@ -408,7 +408,7 @@ def export_text(s: ParacontactStructure) -> str:
         lines.append(f"dim = {model.dim}")
         lines.append(f"coordinates = {', '.join(model.coordinates)}")
         if model.constraints:
-            cons = ", ".join(str(c.expression) for c in model.constraints)
+            cons = ", ".join(map(str, model.constraints))
             lines.append(f"constraints = {cons}")
     elif isinstance(model, FrameModel):
         lines.append("mode = frame")

@@ -208,14 +208,12 @@ class ParacontactStructure:
     def eigenspaces(self) -> tuple[list[tuple[Scalar, ...]], list[tuple[Scalar, ...]]]:
         """Bases of D+ and D-, the nullspaces of phi - Id and phi + Id over
         the model's field."""
-        ph, one, zero = self.phi.rows(), self.model.one, self.model.zero
-        d = self.model.dim
+        ph, d = self.phi.rows(), self.model.dim
 
-        def shifted(c: Scalar) -> tuple[tuple[Scalar, ...], ...]:  # phi - c Id
-            return tuple(tuple(ph[i][j] - (c if i == j else zero)
+        def shifted(c: int) -> tuple[tuple[Scalar, ...], ...]:  # phi - c Id
+            return tuple(tuple(ph[i][j] - (c if i == j else 0)
                                for j in range(d)) for i in range(d))
-        return (linalg.nullspace(shifted(one), one),
-                linalg.nullspace(shifted(-one), one))
+        return linalg.nullspace(shifted(1)), linalg.nullspace(shifted(-1))
 
     @cached_property
     def phi_basis(self) -> tuple[TensorField, ...]:
@@ -312,7 +310,6 @@ def validate_structure(s: ParacontactStructure) -> AxiomReport:
     ph, grows = s.phi.rows(), s.g.rows()
     phicols = tuple(zip(*ph))
     xv, ev = s.xi.vec(), s.eta.data
-    zero = model.zero
     labels = model.basis_labels
     checks: list[CheckResult] = []
 
@@ -338,12 +335,11 @@ def validate_structure(s: ParacontactStructure) -> AxiomReport:
     # phi^2 = Id - eta (x) xi
     ent = {}
     for k, j in product(range(d), repeat=2):
-        delta = model.one if k == j else zero
-        ent[(k, j)] = dot(ph[k], phicols[j]) - delta + xv[k] * ev[j]
+        ent[(k, j)] = dot(ph[k], phicols[j]) - int(k == j) + xv[k] * ev[j]
     axiom("phi_squared", ent, "phi^2 - Id + eta(x)xi")
 
     # eta(xi) = 1
-    axiom("eta_xi", {(): dot(ev, xv) - model.one}, "eta(xi) - 1")
+    axiom("eta_xi", {(): dot(ev, xv) - 1}, "eta(xi) - 1")
 
     # g(phi X, phi Y) + g(X, Y) - eta(X) eta(Y) = 0
     ent = {}

@@ -29,7 +29,7 @@ def golden_structure(spec: str) -> ParacontactStructure:
 def feed(T: TensorField, *vectors) -> list:
     """Components of T with the given component tuples in its last slots."""
     m = T.model
-    out = [m.zero] * m.dim ** (T.rank - len(vectors))
+    out = [0] * m.dim ** (T.rank - len(vectors))
     block = m.dim ** len(vectors)
     for off, (idx, t) in enumerate(T.items()):
         for v, i in zip(vectors, idx[T.rank - len(vectors):]):

@@ -88,8 +88,8 @@ def _traces(s) -> tuple[RationalExpr, RationalExpr]:
     d = s.model.dim
     a_rows = s.A.rows()
     phi_rows = s.phi.rows()
-    tr_phi_a = s.model.zero
-    tr_a_sq = s.model.zero
+    tr_phi_a = 0
+    tr_a_sq = 0
     for k, m in product(range(d), repeat=2):
         tr_phi_a = tr_phi_a + phi_rows[k][m] * a_rows[m][k]
         tr_a_sq = tr_a_sq + a_rows[k][m] * a_rows[m][k]

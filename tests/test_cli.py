@@ -155,6 +155,7 @@ def test_mathematical_failure_never_exit_2():
     ["deform", "--model", "example-frame", "--alpha", "0", "--beta", "4"],
     ["deform", "--model", "example-frame", "--alpha", "2", "--beta", "-4"],
     ["models", "--export", "example-frame"],
+    ["models", "-o", "out.spec"],
     ["models", "--export", "no-such-model", "-o", "/dev/null"],
 ])
 def test_input_errors_exit_2(argv):

@@ -38,7 +38,7 @@ def test_gcd_cancellation():
 def test_power_by_squaring_matches_repeated_products():
     base = (X + 2 * Y) / (Z - 1)
     for n in range(9):
-        repeated = RationalExpr.one(VARS)
+        repeated = RationalExpr.constant(1, VARS)
         for _ in range(n):
             repeated = repeated * base
         assert base ** n == repeated

@@ -29,14 +29,14 @@ def test_curvature_tables_match_the_operator(spec):
     R(b_a, b_b) summed from the Riemann components."""
     s = golden_structure(spec)
     ctx = identities._Context(s)
-    zero, g, ph = s.model.zero, s.g.rows(), s.phi.rows()
+    g, ph = s.g.rows(), s.phi.rows()
     cols = [b.vec() for b in s.phi_basis]
     phi_cols = [mat_vec(ph, c) for c in cols]
     d = len(cols)
     R = s.curvature
     for a, b in product(range(d), repeat=2):
         op = [[sum((R[(l, k, i, j)] * cols[a][i] * cols[b][j]
-                    for i, j in product(range(d), repeat=2)), zero)
+                    for i, j in product(range(d), repeat=2)), 0)
                for k in range(d)] for l in range(d)]
         for c, e in product(range(d), repeat=2):
             assert ctx.gR[a][b][c][e] == bilinear(
@@ -106,7 +106,7 @@ def test_suite_refuses_axiom_failure():
 def test_failure_witness_formatting():
     # corrupt a precomputed pairing to exercise the failure reporting path
     ctx = identities._Context(frame_example())
-    ctx.gA[0][1] = ctx.model.one
+    ctx.gA[0][1] = 1
     res = identities._judge(ctx, "p1")
     assert not res.passed
     assert res.witness == "residual at (e1,e2): 3"
@@ -126,8 +126,7 @@ def test_sampled_witness_names_the_point():
 def test_vector_identity_witness_drops_the_component():
     # P5 entries are indexed (X, Y, component); the witness names (X, Y)
     ctx = identities._Context(frame_example())
-    one = ctx.model.one
-    ctx.nabla_phi_b[0][1] = tuple(c + one for c in ctx.nabla_phi_b[0][1])
+    ctx.nabla_phi_b[0][1] = tuple(c + 1 for c in ctx.nabla_phi_b[0][1])
     res = identities._judge(ctx, "P5")
     assert not res.passed
     assert res.witness == "residual at (e1,e2): 1"
@@ -136,7 +135,7 @@ def test_vector_identity_witness_drops_the_component():
 def test_p6b_witness_names_scalar():
     ctx = identities._Context(frame_example())
     xi = ctx.xi_index
-    ctx.A_b[xi] = (ctx.model.one,) + tuple(ctx.A_b[xi][1:])
+    ctx.A_b[xi] = (1,) + tuple(ctx.A_b[xi][1:])
     res = identities._judge(ctx, "P6b")
     assert not res.passed
     assert res.witness == "residual at (scalar): 1"
@@ -162,7 +161,7 @@ def _change_frame(s: ParacontactStructure, P) -> ParacontactStructure:
     old = s.model
     d = old.dim
     cols = list(zip(*P))
-    Pinv = invert_matrix(P, 1)
+    Pinv = invert_matrix(P)
     brackets = {(a, b): mat_vec(Pinv, [
                     sum(old.bracket_vector(i, j)[k] * cols[a][i] * cols[b][j]
                         for i, j in product(range(d), repeat=2))
@@ -200,7 +199,7 @@ def test_verdicts_do_not_depend_on_the_frame(name):
     drawn = 0
     while drawn < 4:
         P = [[rng.randint(-2, 2) for _ in range(d)] for _ in range(d)]
-        if nullspace(P, 1):  # P is singular
+        if nullspace(P):  # P is singular
             continue
         drawn += 1
         t = _change_frame(s, P)

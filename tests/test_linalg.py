@@ -30,21 +30,19 @@ def _frame(rows):
     return tuple(tuple(FrameModel.scalar(F(v)) for v in row) for row in rows)
 
 
-# each case: (matrix, field one, expected rank); the chart matrices have a
+# each case: (matrix, expected rank); the chart matrices have a
 # non-monomial entry, so elimination divides by a polynomial with two terms
 CASES = {
-    "fraction-invertible": (_fractions([[2, 1, 0], [1, 3, 1], [0, 1, "1/2"]]), F(1), 3),
-    "fraction-singular": (_fractions([[1, 2, 3], [2, 4, 6], [0, 1, 1]]), F(1), 2),
-    "fraction-wide": (_fractions([[1, 0, 2, -1], [0, 1, 1, 1]]), F(1), 2),
-    "frame-invertible": (_frame([[2, 1, 0], [1, 3, 1], [0, 1, "1/2"]]), 1, 3),
-    "frame-singular": (_frame([[2, 4, 6], [3, 6, 9], [0, 3, 1]]), 1, 2),
-    "frame-wide": (_frame([[3, 0, 2, -1], [0, 2, 1, 1]]), 1, 2),
+    "fraction-invertible": (_fractions([[2, 1, 0], [1, 3, 1], [0, 1, "1/2"]]), 3),
+    "fraction-singular": (_fractions([[1, 2, 3], [2, 4, 6], [0, 1, 1]]), 2),
+    "fraction-wide": (_fractions([[1, 0, 2, -1], [0, 1, 1, 1]]), 2),
+    "frame-invertible": (_frame([[2, 1, 0], [1, 3, 1], [0, 1, "1/2"]]), 3),
+    "frame-singular": (_frame([[2, 4, 6], [3, 6, 9], [0, 3, 1]]), 2),
+    "frame-wide": (_frame([[3, 0, 2, -1], [0, 2, 1, 1]]), 2),
     "chart-invertible": (_chart([["1 + y^2", "x", "0"], ["x", "-1", "z"],
-                                 ["0", "z", "1/(1 + z)"]]), CHART.one, 3),
-    "chart-singular": (_chart([["1 + y^2", "x"], ["x*(1 + y^2)", "x^2"]]),
-                       CHART.one, 1),
-    "chart-wide": (_chart([["x + y", "1", "0"], ["0", "y", "1 + x*z"]]),
-                   CHART.one, 2),
+                                 ["0", "z", "1/(1 + z)"]]), 3),
+    "chart-singular": (_chart([["1 + y^2", "x"], ["x*(1 + y^2)", "x^2"]]), 1),
+    "chart-wide": (_chart([["x + y", "1", "0"], ["0", "y", "1 + x*z"]]), 2),
 }
 
 
@@ -75,24 +73,24 @@ def test_quotient_is_exact():
 @pytest.mark.parametrize("name", [n for n in CASES if n.startswith("frame")])
 def test_frame_elimination_divides_exactly(name):
     """On int entries rref and its users stay exact: no float appears."""
-    mat, one, _ = CASES[name]
-    results = [linalg._rref(mat)[0], linalg.nullspace(mat, one)]
+    mat, _ = CASES[name]
+    results = [linalg._rref(mat)[0], linalg.nullspace(mat)]
     if name.endswith("invertible"):
-        results.append(linalg.invert_matrix(mat, one))
+        results.append(linalg.invert_matrix(mat))
     assert all(type(c) in (int, F) for rows in results for row in rows for c in row)
 
 
 @pytest.mark.parametrize("name", CASES)
 def test_rank(name):
     """The row reduction finds one pivot per unit of rank."""
-    mat, _, expected = CASES[name]
+    mat, expected = CASES[name]
     assert len(linalg._rref(mat)[1]) == expected
 
 
 @pytest.mark.parametrize("name", CASES)
 def test_nullspace_is_annihilated_and_has_the_complementary_dimension(name):
-    mat, one, expected_rank = CASES[name]
-    basis = linalg.nullspace(mat, one)
+    mat, expected_rank = CASES[name]
+    basis = linalg.nullspace(mat)
     assert len(basis) == len(mat[0]) - expected_rank
     for v in basis:
         assert any(v)
@@ -101,10 +99,9 @@ def test_nullspace_is_annihilated_and_has_the_complementary_dimension(name):
 
 @pytest.mark.parametrize("name", [n for n in CASES if n.endswith("invertible")])
 def test_inverse_is_a_two_sided_inverse(name):
-    mat, one, _ = CASES[name]
-    zero = one - one
-    inv = linalg.invert_matrix(mat, one)
-    identity = tuple(tuple(one if i == j else zero for j in range(len(mat)))
+    mat, _ = CASES[name]
+    inv = linalg.invert_matrix(mat)
+    identity = tuple(tuple(int(i == j) for j in range(len(mat)))
                      for i in range(len(mat)))
     assert _mat_mul(mat, inv) == identity
     assert _mat_mul(inv, mat) == identity
@@ -112,14 +109,14 @@ def test_inverse_is_a_two_sided_inverse(name):
 
 @pytest.mark.parametrize("name", [n for n in CASES if n.endswith("singular")])
 def test_singular_matrix_has_no_inverse(name):
-    mat, one, _ = CASES[name]
+    mat, _ = CASES[name]
     with pytest.raises(linalg.SingularMatrixError):
-        linalg.invert_matrix(mat, one)
+        linalg.invert_matrix(mat)
 
 
 def test_empty_matrix_has_rank_zero():
     assert linalg._rref(()) == ([], [])
-    assert linalg.nullspace((), F(1)) == []
+    assert linalg.nullspace(()) == []
 
 
 # kernel inputs per field: zero, then (u, v, m) dense, sparse, with
@@ -136,7 +133,7 @@ KERNEL_INPUTS = {
         "zero": (_fractions([[0, 0, 0]])[0], _fractions([[0, 0, 0]])[0],
                  _fractions([[1, 2, 0], ["1/3", -1, 5], [2, 2, 2]])),
     }),
-    "chart": (CHART.zero, {
+    "chart": (CHART.scalar(0), {
         "dense": (_chart([["1 + y^2", "x", "-1/(1 + z)"]])[0],
                   _chart([["x", "z", "y^2"]])[0],
                   _chart([["1", "x", "0"], ["y", "1/(1 + y^2)", "z"],
@@ -228,7 +225,7 @@ def test_block_bilinear_and_vector_at_match_the_components(field, valence):
     unit and all-zero vectors, where every result is the int 0."""
     model, values = NONZERO[field]
     rng = random.Random(f"block-{field}-{valence}")
-    d, zero = model.dim, model.zero
+    d, zero = model.dim, model.scalar(0)
     T = TensorField(model, valence, [
         zero if rng.random() < 1 / 3 else rng.choice(values)
         for _ in range(d ** sum(valence))])

@@ -116,8 +116,6 @@ def _stored_rational(c) -> bool:
 
 def test_frame_scalars_are_int_or_fraction():
     f = example_frame()
-    assert type(f.zero) is int and type(f.one) is int
-    assert (f.zero, f.one) == (0, 1) and f.diff(0, f.one) is f.zero
     for value in (3, "3", Fraction(3), RationalExpr.constant(3, ("x",))):
         assert type(f.scalar(value)) is int and f.scalar(value) == 3
     assert type(f.scalar(True)) is int and f.scalar(True) == 1
@@ -292,10 +290,10 @@ def test_coefficients_are_int_or_fraction_and_numbers_leave_as_fraction(
     assert type(r.evaluate({"x": 1, "y": 3, "z": -2})) is Fraction
     assert type(s.g[(1, 1)].constant_value()) is Fraction
     assert type(constant_value(s.g[(1, 1)])) is Fraction
-    assert type(RationalExpr.zero(("x",)).constant_value()) is Fraction
+    assert type(RationalExpr.constant(0, ("x",)).constant_value()) is Fraction
     frame = golden_structure("heisenberg5-c4.spec").model
     assert all(_stored_rational(c) for c in frame.constants.data)
-    assert type(constant_value(frame.one)) is Fraction
+    assert type(constant_value(frame.scalar(1))) is Fraction
 
 
 def test_no_frame_pipeline_stores_a_float_or_an_integral_fraction(monkeypatch):
@@ -408,15 +406,38 @@ def test_lie_bracket_chart():
     e1 = TensorField.vector(m, ("4*y", "0", "z"))
     e2 = TensorField.vector(m, ("0", "1", "0"))
     b = lie_bracket(e1, e2)
-    assert b.vec() == (m.scalar(-4), m.zero, m.zero)
+    assert b.vec() == (m.scalar(-4), 0, 0)
+
+
+def test_diff_of_a_plain_number_is_zero_on_both_models():
+    """A plain number is a constant on both fields, so every basis field
+    maps it to the int 0.  A chart's basis vectors are int tuples, and the
+    bracket of a chart field with a coordinate field is -d/dx_j of its
+    components, by lie_bracket and by the Lie derivative along it."""
+    for m in (chart3(), example_frame()):
+        for i in range(m.dim):
+            for c in (0, 1, Fraction(-1, 2)):
+                assert type(m.diff(i, c)) is int and m.diff(i, c) == 0
+    m = chart3()
+    assert m.delta(1) == (0, 1, 0) and all(type(c) is int for c in m.delta(1))
+    X = TensorField.vector(m, ("x*y", "z/(1 + y^2)", "x^2 - z"))
+    expected = {0: ("-y", "0", "-2*x"),
+                1: ("-x", "2*y*z/(1 + y^2)^2", "0"),
+                2: ("0", "-1/(1 + y^2)", "1")}
+    for j, comps in expected.items():
+        want = tuple(m.scalar(c) for c in comps)
+        e_j = TensorField.vector(m, m.delta(j))
+        assert lie_bracket(X, e_j).vec() == want
+        assert lie_bracket(e_j, X).vec() == tuple(-c for c in want)
+        assert lie_derivative(e_j, X).vec() == want
 
 
 def test_lie_bracket_frame():
     m = example_frame()
     e1 = TensorField.vector(m, (1, 0, 0))
     e2 = TensorField.vector(m, (0, 1, 0))
-    assert lie_bracket(e1, e2).vec() == (m.zero, m.zero, m.scalar(4))
-    assert lie_bracket(e2, e1).vec() == (m.zero, m.zero, m.scalar(-4))
+    assert lie_bracket(e1, e2).vec() == (0, 0, m.scalar(4))
+    assert lie_bracket(e2, e1).vec() == (0, 0, m.scalar(-4))
 
 
 def test_lie_bracket_bilinear_seeded():
@@ -596,7 +617,7 @@ def test_constant_ratio():
     x = chart3().scalar("x")
     assert constant_ratio([(x * 3, x), (x - x, x)]) is None
     assert constant_ratio([(x * 3, x), (x * 6, x * 2)]) == 3
-    assert constant_ratio([(x, chart3().one)]) is None  # not constant
+    assert constant_ratio([(x, chart3().scalar(1))]) is None  # not constant
 
     def pairs():  # the scan stops at the first pair that breaks the ratio
         yield F(1), F(1)
@@ -664,7 +685,7 @@ def test_realize_frame_corrected_chart():
     m, g, vectors = corrected_chart_data()
     frame, fg = realize_frame(m, vectors, g, ("e1", "e2", "xi"))
     assert frame.signature == (1, -1, 1)
-    assert frame.bracket_vector(0, 1) == (frame.zero, frame.zero, frame.scalar(-4))
+    assert frame.bracket_vector(0, 1) == (0, 0, frame.scalar(-4))
     assert fg.rows()[0][0] == 1 and fg.rows()[1][1] == -1 and fg.rows()[2][2] == 1
 
 
@@ -704,7 +725,7 @@ def _realized_structure(s):
     labels = [f"e{i + 1}" for i in range(d - 1)] + ["xi"]
     frame, fg = realize_frame(m, vectors, s.g, labels)
     cols = [v.vec() for v in vectors]
-    inv = linalg.invert_matrix(tuple(zip(*cols)), m.one)
+    inv = linalg.invert_matrix(tuple(zip(*cols)))
     ph = s.phi.rows()
     phi_cols = [linalg.mat_vec(inv, linalg.mat_vec(ph, c)) for c in cols]
     return ParacontactStructure(

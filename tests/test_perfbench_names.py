@@ -61,8 +61,6 @@ DEFAULTED = [
     "ParacontactStructure.__init__(declared_frame)",
     "ParacontactStructure.__init__(name)",
     "RationalExpr.__init__(den)", "RationalExpr.constant(variables)",
-    "RationalExpr.one(variables)",
-    "RationalExpr.zero(variables)",
     "Report.__init__(checks)", "Report.__init__(data)", "Report.__init__(error)",
     "SpecFileError.__init__(field)", "SpecFileError.__init__(line)",
     "StructureError.__init__(report)",

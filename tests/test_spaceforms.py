@@ -57,11 +57,11 @@ def test_constant_curvature_of_deformed_example():
 def _curvature_stub(model, metric_rows, K, extra=()):
     """A stand-in structure with R(e_i,e_j)e_k = K(g_jk e_i - g_ik e_j),
     plus the (i, j, k, l) -> value entries of ``extra``."""
-    d, zero = model.dim, model.zero
+    d = model.dim
     g = TensorField.from_rows(model, (0, 2), metric_rows)
     rows, K, extra = g.rows(), model.scalar(K), dict(extra)
     R = TensorField(model, (1, 3), [
-        K * ((rows[j][k] if l == i else zero) - (rows[i][k] if l == j else zero))
+        K * ((rows[j][k] if l == i else 0) - (rows[i][k] if l == j else 0))
         + model.scalar(extra.get((i, j, k, l), 0))
         for l, k, i, j in product(range(d), repeat=4)])
     return SimpleNamespace(model=model, g=g, curvature=R)

@@ -79,7 +79,7 @@ def test_chart_printed_fails_with_witnesses():
     # the zz slot carries the quadratic residual 12y^2/z^2
     s = chart_printed()
     ph, grows, ev = s.phi.rows(), s.g.rows(), s.eta.data
-    acc = s.model.zero
+    acc = 0
     for a in range(3):
         for b in range(3):
             acc = acc + ph[a][2] * ph[b][2] * grows[a][b]
@@ -340,7 +340,7 @@ def test_classify_refuses_axiom_failure():
 
 def _gram_entry(s, u, v):
     grows = s.g.rows()
-    acc = s.model.zero
+    acc = 0
     for i in range(s.model.dim):
         for j in range(s.model.dim):
             acc = acc + u.vec()[i] * v.vec()[j] * grows[i][j]
@@ -366,7 +366,7 @@ def test_phi_basis_constructed_without_declared_frame():
     # Y1 = phi X1 and the last element is xi
     ph = s.phi.rows()
     x = basis[0].vec()
-    img = [sum((ph[k][m] * x[m] for m in range(3)), s.model.zero)
+    img = [sum((ph[k][m] * x[m] for m in range(3)), 0)
            for k in range(3)]
     assert tuple(img) == basis[1].vec()
     assert basis[2] == s.xi

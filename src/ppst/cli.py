@@ -25,7 +25,6 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from fractions import Fraction
 from itertools import product
 from typing import Sequence
 
@@ -40,9 +39,11 @@ from .deformation import (
     apply_deformation,
     verify_deformation_relations,
 )
+from .expr import ExprError
 from .identities import run_suite
 from .linalg import bilinear, trace_product
 from .models import GeometryError, format_combination
+from .parser import ParseError, parse_expr
 from .report import _ZERO_DIGEST, CheckResult, Report, digest_text, error_report, residual_check
 from .spaceforms import catalog_entry, check_constant_curvature_theorem, model_catalog
 from .specfile import SpecFileError, export_spec, import_text
@@ -215,8 +216,10 @@ def _cmd_identities(args, s, source, digest) -> Report:
 
 def _cmd_deform(args, s, source, digest) -> Report:
     try:
-        params = DeformationParams(Fraction(args.alpha), Fraction(args.beta))
-    except (ValueError, ZeroDivisionError) as exc:
+        # the spec's number grammar, so its MAX_DIGITS bound holds here too
+        params = DeformationParams(*(parse_expr(text, ()).constant_value()
+                                     for text in (args.alpha, args.beta)))
+    except (ParseError, ExprError, ValueError) as exc:
         raise _InputError(f"bad deformation parameters: {exc}",
                           source=source, digest=digest)
     axioms = s.axiom_report()

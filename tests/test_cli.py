@@ -157,6 +157,11 @@ def test_mathematical_failure_never_exit_2():
     ["models", "--export", "example-frame"],
     ["models", "-o", "out.spec"],
     ["models", "--export", "no-such-model", "-o", "/dev/null"],
+    # --alpha/--beta follow the spec's number grammar, digit bound included
+    ["deform", "--model", "example-frame", "--alpha", "1e5000", "--beta", "4"],
+    ["deform", "--model", "example-frame", "--alpha", "-2", "--beta", "x"],
+    ["deform", "--model", "example-frame", "--alpha", "1" * (MAX_DIGITS + 100),
+     "--beta", "4"],
 ])
 def test_input_errors_exit_2(argv):
     report = run_command(argv)

@@ -103,7 +103,7 @@ def test_constant_over_other_variables_rejected():
 def test_variables_behave_as_the_plain_tuple():
     v = Variables(("x", "y"))
     assert v == ("x", "y") and hash(v) == hash(("x", "y"))
-    assert repr(v) == repr(("x", "y")) and v.memo == {}
+    assert repr(v) == repr(("x", "y")) and v.memo == {} and v.ops == {}
     assert Variables.of(v) is v and Variables.of(("x", "y")) is not v
 
 
@@ -126,6 +126,52 @@ def test_memo_reduces_each_pair_once_per_variables(monkeypatch):
     assert len(calls) == 1 and a == b
     c = RationalExpr(Variables(VARS), num, den)
     assert len(calls) == 2 and c == a
+
+
+def _on(variables: Variables, e: RationalExpr) -> RationalExpr:
+    return RationalExpr._make(variables, e.num, e.den)
+
+
+def test_op_memo_hits_equal_recomputed_results():
+    """A sum, difference, product, quotient or partial derivative read from
+    the op memo is the value recomputing it on a fresh Variables gives, in
+    both operand orders: the same stored num/den and the same text.  The
+    operands pair a few numerators with a few denominators, so many share
+    one part and differ in the other.  The memo keeps (num, den) tuples,
+    never a RationalExpr."""
+    rng = random.Random(2028)
+    pool = [random_expr(rng) for _ in range(8)]
+    nums = [e.num for e in pool if e]
+    dens = [e.den for e in pool] + [e.num for e in pool if not e.is_constant]
+
+    def value() -> RationalExpr:
+        return RationalExpr(VARS, dict(rng.choice(nums)), dict(rng.choice(dens)))
+    shared = Variables(VARS)
+    ops = {"+": lambda a, b: a + b, "-": lambda a, b: a - b,
+           "*": lambda a, b: a * b, "/": lambda a, b: a / b}
+    cases = 0
+    for _ in range(80):
+        a, b = value(), value()
+        calls = [(op, *pair) for pair in ((a, b), (b, a))
+                 for name, op in ops.items() if name != "/" or pair[1]]
+        calls += [(lambda e, v=v: e.derivative(v), e) for e in (a, b)
+                  for v in VARS]
+        for op, *args in calls:
+            first = op(*(_on(shared, e) for e in args))
+            size = len(shared.ops)
+            again = op(*(_on(shared, e) for e in args))
+            assert len(shared.ops) == size  # a hit: nothing recomputed
+            fresh = op(*(_on(Variables(VARS), e) for e in args))
+            assert first.variables is again.variables is shared
+            for out in (again, fresh):
+                assert (out.num, out.den) == (first.num, first.den)
+                assert str(out) == str(first)
+            cases += 1
+    assert cases > 1000 and len(shared.ops) > 500
+    for key, out in shared.ops.items():
+        assert not any(isinstance(k, RationalExpr) for k in key)
+        assert type(out) is tuple and len(out) == 2
+        assert all(type(part) is tuple for part in out)
 
 
 # -- GCD by trial division, against sympy's cofactors ------------------------

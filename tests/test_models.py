@@ -249,23 +249,40 @@ def test_chart_pipeline_canonical_count(monkeypatch):
     s = golden_structure("chart-1+z2.spec")
     calls = _count_kernel_calls(monkeypatch)
     _run_pipeline(s)
-    assert calls["_canonical"] == 755
+    assert calls["_canonical"] == 201
+
+
+def test_chart_pipeline_op_memo_misses():
+    """Pinned count of the sums, products and partial derivatives the
+    chart-1+z2 pipeline computes: each miss of the chart's op memo adds one
+    entry, and every other operation is a hit.  A key that stopped hits
+    (say one holding the operands themselves) would raise this count."""
+    s = golden_structure("chart-1+z2.spec")
+    ops = s.model.coordinates.ops
+    before = len(ops)
+    _run_pipeline(s)
+    assert len(ops) - before == 444
 
 
 def test_chart_memo_is_per_chart(monkeypatch):
-    """Each import of a chart reduces its values and factors its denominators
-    afresh: no process-wide reuse."""
+    """Each import of a chart computes, reduces and factors its values
+    afresh: the second import's op memo holds only what its own import put
+    there, and no process-wide reuse spares it any work."""
     text = (GOLDEN / "chart-1+z2.spec").read_text(encoding="utf-8")
     calls = _count_kernel_calls(monkeypatch)
     factorizations = _count_factorizations(monkeypatch)
-    counts = []
+    counts, memos = [], []
     for _ in range(2):
         factorizations[0] = 0
         s = import_text(text)
-        before = calls["_poly_gcd"]
+        ops = s.model.coordinates.ops
+        imported, before = len(ops), calls["_poly_gcd"]
         _run_pipeline(s)
-        counts.append((calls["_poly_gcd"] - before, factorizations[0]))
-    assert counts == [(45, FACTORIZATIONS)] * 2
+        counts.append((imported, len(ops) - imported,
+                       calls["_poly_gcd"] - before, factorizations[0]))
+        memos.append(ops)
+    assert counts == [(14, 444, 45, FACTORIZATIONS)] * 2
+    assert memos[0] is not memos[1]
 
 
 def test_coefficients_are_int_or_fraction_and_numbers_leave_as_fraction(

@@ -3,8 +3,9 @@
 The package computes with exact scalars only: no floating point, no
 simplification heuristics.  Chart-mode structures carry coordinate
 expressions (rational functions, RationalExpr), frame-mode structures
-constant structure tables over the rationals, each stored as an int when
-integral and as a fractions.Fraction otherwise.
+constant structure tables over the rationals.  A constant, on either
+kind, is stored as an int when integral and as a fractions.Fraction
+otherwise.
 Every geometric claim is verified as an identically zero residual, or, for
 the metric signature and the eigendistributions of phi, as a sign or a
 nonvanishing certified on the whole declared domain; no scalar is ever

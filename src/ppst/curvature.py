@@ -21,8 +21,8 @@ valence (1,2), and the Riemann tensor R[(l, k, i, j)] = R^l_kij has
 valence (1,3).  A reader takes nabla_{e_i} e_j = Gamma.vector_at(i, j) and
 R(e_i, e_j) e_k = R.vector_at(k, i, j), or contracts the last two slots
 with two vectors through ``linalg.block_bilinear``.  Like every component,
-both scalar curvatures are stored through ``model.scalar``: on a frame
-each is an int when integral and a Fraction otherwise.
+both scalar curvatures are stored through ``model.scalar``: a constant
+one is an int when integral and a Fraction otherwise, on both fields.
 """
 
 from __future__ import annotations

@@ -44,6 +44,12 @@ class DeformationParams:
     beta: Fraction
 
     def __post_init__(self):
+        for name in ("alpha", "beta"):
+            # Fraction would take a float's binary value (0.1 as
+            # 3602879701896397/2^55), so a float is refused
+            if isinstance(getattr(self, name), float):
+                raise ValueError(f"deformation needs an exact rational "
+                                 f"{name}, got {getattr(self, name)!r}")
         object.__setattr__(self, "alpha", Fraction(self.alpha))
         object.__setattr__(self, "beta", Fraction(self.beta))
         if self.alpha == 0:

@@ -34,7 +34,14 @@ canonical form already proves to be 1:
 * 1/(n1/d1) = d1/n1 needs only the rescaling of n1, so a quotient is the
   product with the reciprocal;
 * the partial derivative of a polynomial n1/1 is n1'/1, canonical as it
-  stands, and so are a constant c/1 and a variable x/1.
+  stands, and so are a constant c/1 and a variable x/1;
+* an int or Fraction c, on either side of + - * /, is never made a
+  RationalExpr: n1/d1 + c = (n1 + c*d1)/d1 is the d2 = 1 case above, and
+  c*(n1/d1) = (c*n1)/d1 is canonical for c != 0, since c is a unit of Q,
+  so gcd(c*n1, d1) = gcd(n1, d1) = 1, and d1 is unchanged.  A quotient
+  by c is the product with 1/c, and c/(n1/d1) is c times the reciprocal.
+  These shortcuts run before the coercion and the op memo below, and add
+  no entry to it.
 
 Every other result goes through ``_canonical``.  Monomials are exponent
 tuples aligned with the variable tuple.  Shared monomial content is
@@ -59,26 +66,27 @@ form, and ``_canonical`` reduces each distinct pair once per memo; n/d and
 coefficient is positive.
 
 The operations themselves repeat as well: a warm pass of the chart-gcd
-benchmark takes 2,196 partial derivatives of 123 distinct operands, 2,376
-products of 771 distinct operand pairs and 1,647 sums of 450.  So the
-``Variables`` also carries an op memo, ``ops``, which ``+``, ``*`` and
-``derivative`` read before any kernel work; ``-``, ``/`` and ``**`` are
-built on them.  Its key is the operation ("+", "*", or "d" with the
-variable's index) and the operands' stored num and den tuples, the two
-operands of a sum or product in a fixed order as they commute; its value
-is the result's (num, den).  Canonical form is a function of those tuples
-alone, so a hit gives exactly what recomputing would.  The memo stores
-tuples and rebuilds the value on a hit: a stored RationalExpr would refer
-back to the ``Variables`` that holds the memo, a reference cycle, and on
-the chart-gcd benchmark it raised the peak RSS 57.1 -> 63.5 MB, where the
-tuples give 57.4 MB.  The op memo comes first and the memo of canonical
+benchmark takes 690 partial derivatives of 102 distinct operands, 1,279
+products of 416 distinct operand pairs and 1,053 sums of 317, besides the
+918 operations with a number operand that take the shortcuts above.  So
+the ``Variables`` also carries an op memo, ``ops``, which ``+``, ``*`` and
+``derivative`` of two RationalExprs read before any kernel work; ``-``,
+``/`` and ``**`` are built on them.  Its key is the operation ("+", "*",
+or "d" with the variable's index) and the operands' stored num and den
+tuples, the two operands of a sum or product in a fixed order as they
+commute; its value is the result's (num, den).  Canonical form is a
+function of those tuples alone, so a hit gives exactly what recomputing
+would.  The memo stores tuples and rebuilds the value on a hit: a stored
+RationalExpr would refer back to the ``Variables`` that holds the memo, a
+reference cycle, and on the chart-gcd benchmark it raised the peak RSS
+57.1 -> 63.5 MB, where the tuples give 57.4 MB.  The op memo comes first and the memo of canonical
 forms stays behind it: reductions repeat across distinct operations too,
 and without that memo the chart-1+z2 pipeline's GCD calls went 45 -> 104.
 
 Both memos are shared by every value built on the same ``Variables``
 object: a chart model builds one for its coordinates and re-homes every
-scalar onto it, so they live exactly as long as the chart and its
-structures.  The irreducible factors found in the chart's denominators and
+non-constant scalar onto it, so they live exactly as long as the chart
+and its structures.  The irreducible factors found in the chart's denominators and
 the split of each denominator into them are kept on the same object, with
 the same lifetime.  None of this is process-wide on purpose.  A command
 reduces the values of one chart, so a process-wide cache would add only
@@ -103,6 +111,7 @@ Monomial = tuple[int, ...]
 PolyDict = dict[Monomial, int | Fraction]
 PolyTerms = tuple[tuple[Monomial, int | Fraction], ...]
 Scalar = Union[int, Fraction, "RationalExpr"]
+_NUMBER = (int, Fraction)  # the operands that take the shortcuts of + - * /
 
 
 class ExprError(Exception):
@@ -486,10 +495,10 @@ class RationalExpr:
 
     @property
     def is_constant(self) -> bool:
-        nv = len(self.variables)
-        return (_is_one(self.den, nv)
-                and (not self.num or (len(self.num) == 1
-                                      and self.num[0][0] == _zero_mono(nv))))
+        # a canonical den whose one monomial is 1 is the int 1
+        num, den = self.num, self.den
+        return (len(den) == 1 and not any(den[0][0])
+                and (not num or (len(num) == 1 and not any(num[0][0]))))
 
     def constant_value(self) -> Fraction:
         if not self.is_constant:
@@ -514,9 +523,7 @@ class RationalExpr:
                 return other
             raise VariableMismatchError(
                 f"cannot combine expressions over {self.variables} and {other.variables}")
-        if isinstance(other, (int, Fraction)):
-            return RationalExpr.constant(other, self.variables)
-        return None
+        return None  # a number takes a shortcut before this
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -530,6 +537,8 @@ class RationalExpr:
         return RationalExpr._make(self.variables, *out)
 
     def __add__(self, other: Scalar) -> "RationalExpr":
+        if isinstance(other, _NUMBER):
+            return self._shifted(other)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -550,11 +559,20 @@ class RationalExpr:
 
     __radd__ = __add__
 
+    def _shifted(self, c: int | Fraction) -> "RationalExpr":
+        """self + c for a number c: (n + c d)/d, canonical as it stands."""
+        if not c:
+            return self
+        num = _padd(self._numd(), {m: c * v for m, v in self.den})
+        return RationalExpr._make(self.variables, _terms(num), self.den)
+
     def __neg__(self) -> "RationalExpr":
         return RationalExpr._make(self.variables,
                                   tuple((m, -c) for m, c in self.num), self.den)
 
     def __sub__(self, other: Scalar) -> "RationalExpr":
+        if isinstance(other, _NUMBER):
+            return self._shifted(-other)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -564,6 +582,8 @@ class RationalExpr:
         return (-self) + other
 
     def __mul__(self, other: Scalar) -> "RationalExpr":
+        if isinstance(other, _NUMBER):
+            return self._scaled(other)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -584,6 +604,15 @@ class RationalExpr:
 
     __rmul__ = __mul__
 
+    def _scaled(self, c: int | Fraction) -> "RationalExpr":
+        """self * c for a number c: (c n)/d, canonical as it stands."""
+        if not self.num:
+            return self
+        if not c:
+            return RationalExpr.constant(0, self.variables)
+        return RationalExpr._make(
+            self.variables, _terms({m: c * v for m, v in self.num}), self.den)
+
     def _reciprocal(self) -> "RationalExpr":
         if not self.num:
             raise ZeroDenominatorError("denominator is identically zero")
@@ -591,16 +620,19 @@ class RationalExpr:
                                   *_normalized(self._dend(), self._numd()))
 
     def __truediv__(self, other: Scalar) -> "RationalExpr":
+        if isinstance(other, _NUMBER):
+            if not other:
+                raise ZeroDenominatorError("denominator is identically zero")
+            return self._scaled(quotient(1, other))
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         return self * o._reciprocal()
 
     def __rtruediv__(self, other: Scalar) -> "RationalExpr":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o / self
+        if isinstance(other, _NUMBER):
+            return self._reciprocal()._scaled(other)
+        return NotImplemented
 
     def __pow__(self, exponent: int) -> "RationalExpr":
         if not isinstance(exponent, int):

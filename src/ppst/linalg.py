@@ -2,8 +2,9 @@
 
 Routines work over any exact field whose elements support +, -, *, /,
 truthiness (zero test) and equality: the rationals of a frame (an int
-when integral, else a fractions.Fraction) and RationalExpr qualify.  A
-unit entry is the int 1 and a zero entry the int 0 on both fields.
+when integral, else a fractions.Fraction) and the rational functions of a
+chart (a RationalExpr, or such a number where constant) qualify.  A unit
+entry is the int 1 and a zero entry the int 0 on both fields.
 Everything is small and dense; dimensions here are at most 2n+1 for the
 models treated by this package.
 
@@ -33,12 +34,14 @@ is empty they return 0, one per row or block, without visiting a row.
 Exact sums do not change, and on sparse frame data the skipped terms are
 most of the work.
 
-The ints 0 and 1 are safe on both fields.  On a frame they are field
-elements.  On a chart, RationalExpr takes an int in + - * / == and hash,
-and a constant RationalExpr has the bool, str and hash of its value.  A
-chart's ``diff`` takes a plain number as a constant, and ``sign`` and
-``defined_on_domain`` see only table entries, which ``TensorField``
-coerces to RationalExprs.
+Plain numbers are elements of both fields: every scalar of a frame is
+one, and so is every constant a chart stores (see :mod:`ppst.models`).
+A RationalExpr takes an int or Fraction operand of + - * / by a shortcut
+that builds no constant RationalExpr (see :mod:`ppst.expr`), and takes
+one in == and hash; a constant RationalExpr, which arithmetic may return
+between two stored entries, has the bool, str and hash of its value.  A
+chart's ``diff``, ``sign`` and ``defined_on_domain`` answer a plain
+number as a frame's do.
 """
 
 from __future__ import annotations

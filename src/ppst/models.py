@@ -4,19 +4,25 @@ Two model kinds describe an odd-dimensional manifold M^(2n+1), each with
 its own exact scalar field:
 
 * :class:`ChartModel`: a single coordinate chart; scalars are rational
-  functions (:class:`~ppst.expr.RationalExpr`) in the coordinates, and the
-  basis is the coordinate vector fields (all brackets zero).
+  functions in the coordinates, and the basis is the coordinate vector
+  fields (all brackets zero).
 * :class:`FrameModel`: a global frame e_1..e_{2n+1} with constant structure
-  constants [e_i, e_j] = c^k_ij e_k; scalars are rational constants,
-  each an ``int`` when integral and a ``fractions.Fraction`` otherwise.
+  constants [e_i, e_j] = c^k_ij e_k; scalars are rational constants.
 
-Both expose the same operational surface (scalar, diff, bracket_vector,
+Both fields store a constant by one rule, ``FrameModel.scalar``: an
+``int`` when integral, a ``fractions.Fraction`` otherwise, and never a
+float.  A chart keeps a :class:`~ppst.expr.RationalExpr` only for a value
+that is not constant, so the constant entries of its tables cost int
+or Fraction operations, as a frame's do.
+
+Both models expose the same operational surface (scalar, diff, bracket_vector,
 ...), so the differential-geometry operators and everything built on them
 are written once against it, using only the operations both fields share:
-+, -, *, equality, hash, truthiness as the zero test, and str.  The ints
-0 and 1 are the zero and the one of both fields, and ``diff`` of a plain
-number is 0 on both, since it is a constant.  A quotient of two scalars
-is ``linalg.quotient``, which keeps two ints exact.
++, -, *, equality, hash, truthiness as the zero test, and str.  A plain
+number is a scalar of both fields, with the same str and hash as a
+constant RationalExpr, and ``diff`` of it is 0 on both, since it is a
+constant.  A quotient of two scalars is ``linalg.quotient``, which keeps
+two ints exact.
 One exterior derivative serves forms of every degree, and one derivation
 rule, ``_derivation``, extends a derivation from scalars and basis fields
 to tensors of any valence: it is the Lie derivative here and the
@@ -27,18 +33,21 @@ constant test).
 A model also answers two questions about a scalar over its whole domain,
 never at a point: ``sign`` (+1 or -1 when the scalar has that sign at every
 point, else None) and ``defined_on_domain`` (whether its denominator
-vanishes nowhere).  On a frame both are plain comparisons of constants.
-On a chart the domain is R^k minus the zeros of every declared constraint's
-numerator and denominator, and one certificate, ``ChartModel._certify``,
-decides both (see there).
+vanishes nowhere).  For a plain number, on either field, both are plain
+comparisons of constants.  For a RationalExpr on a chart the domain is R^k
+minus the zeros of every declared constraint's numerator and denominator,
+and one certificate, ``ChartModel._certify``, decides both (see there).
 
 :class:`TensorField` is the one container of component tables: the
 fields of a structure, a frame's structure constants, and the metric
 inverse, connection and curvature tables of :mod:`ppst.curvature` alike.
 It stores one exact scalar per component, flat, upper slots first and
-then lower slots.  Two readers serve every table: ``vector_at`` slices out
-the upper-index vector at given lower indices, and
-``linalg.block_bilinear`` contracts the last two slots with two vectors.
+then lower slots, each coerced by ``model.scalar`` in
+``TensorField.__init__``, the one coercion point: arithmetic may return a
+constant RationalExpr (x * (1/x), say), but no table stores one.  Two
+readers serve every table: ``vector_at`` slices out the upper-index
+vector at given lower indices, and ``linalg.block_bilinear`` contracts
+the last two slots with two vectors.
 
 For a frame realized inside a chart by explicit vector fields,
 :func:`realize_frame` re-expresses brackets and metric in the frame and
@@ -173,11 +182,14 @@ class ChartModel(ManifoldModel):
     denominator; ``sign`` and ``defined_on_domain`` decide over all of it,
     by the one rule in ``_certify``.
 
-    Scalars are RationalExpr over the coordinate tuple.  ``coordinates`` is
-    one :class:`~ppst.expr.Variables` object (kept as given if it already
-    is one), and ``scalar`` re-homes every value onto it, so all scalars of
-    the chart and of the structures on it share one memo of canonical
-    forms: each distinct num/den pair is reduced once per chart.
+    ``scalar`` stores a constant by the frame rule and any other value as
+    a RationalExpr over the coordinate tuple.  ``coordinates`` is one
+    :class:`~ppst.expr.Variables` object (kept as given if it already is
+    one), and ``scalar`` re-homes every RationalExpr onto it, so all
+    scalars of the chart and of the structures on it share one memo of
+    canonical forms: each distinct num/den pair is reduced once per chart.
+    The constraints stay RationalExprs, constant or not, since
+    ``_domain_factors`` reads their numerators and denominators.
     """
 
     def __init__(self, coordinates: Iterable[str],
@@ -186,7 +198,7 @@ class ChartModel(ManifoldModel):
         self.dim = len(self.coordinates)
         self.scalar_variables = self.coordinates
         self._check_dim()
-        self.constraints = tuple(self.scalar(c) for c in constraints)
+        self.constraints = tuple(self._expr(c) for c in constraints)
         for c in self.constraints:
             if c.is_zero:
                 raise GeometryError(f"domain constraint {c} != 0 holds nowhere: "
@@ -238,25 +250,43 @@ class ChartModel(ManifoldModel):
             sign = _definite_sign(rest)
         return sign
 
-    def sign(self, value: RationalExpr) -> int | None:
-        """Certified when both the numerator and the denominator are."""
+    def sign(self, value: Scalar) -> int | None:
+        """Certified when both the numerator and the denominator are; a
+        plain number has its own sign, as on a frame."""
+        if not isinstance(value, RationalExpr):
+            return FrameModel.sign(value)
         num, den = self._certify(value.num, True), self._certify(value.den, True)
         return None if num is None or den is None else num * den
 
-    def defined_on_domain(self, value: RationalExpr) -> bool:
-        return self._certify(value.den, False) is not None
+    def defined_on_domain(self, value: Scalar) -> bool:
+        return (not isinstance(value, RationalExpr)
+                or self._certify(value.den, False) is not None)
 
-    def scalar(self, value: ScalarLike) -> RationalExpr:
+    def _expr(self, value: ScalarLike) -> RationalExpr:
+        """value as a RationalExpr on ``coordinates``."""
         if isinstance(value, RationalExpr):
-            if value.variables is self.scalar_variables:
+            if value.variables is self.coordinates:
                 return value
-            if value.variables == self.scalar_variables:
-                return RationalExpr._make(self.scalar_variables, value.num,
+            if value.variables == self.coordinates:
+                return RationalExpr._make(self.coordinates, value.num,
                                           value.den)
             raise GeometryError(f"scalar over wrong variables: {value!r}")
         if isinstance(value, str):
-            return parse_expr(value, self.scalar_variables)
-        return RationalExpr.constant(value, self.scalar_variables)
+            return parse_expr(value, self.coordinates)
+        return RationalExpr.constant(FrameModel.scalar(value), self.coordinates)
+
+    def scalar(self, value: ScalarLike) -> Scalar:
+        """A constant by the frame rule (``FrameModel.scalar``), any other
+        value as a RationalExpr on ``coordinates``."""
+        if type(value) is int:
+            return value
+        if not isinstance(value, (str, RationalExpr)):
+            return FrameModel.scalar(value)
+        value = self._expr(value)
+        if not value.is_constant:
+            return value
+        # a stored coefficient already follows the frame rule
+        return value.num[0][1] if value.num else 0
 
     def diff(self, i: int, f: Scalar) -> Scalar:
         if isinstance(f, RationalExpr):
@@ -334,8 +364,9 @@ class FrameModel(ManifoldModel):
             return FrameModel.scalar(value.constant_value())
         if isinstance(value, int):  # a bool
             return int(value)
-        # a float would be rounded, so it is refused rather than converted
-        raise GeometryError(f"frame scalars are exact rationals, got {value!r}")
+        # a float would be rounded, so it is refused rather than converted;
+        # a chart's constants take this rule too
+        raise GeometryError(f"scalars are exact rationals, got {value!r}")
 
     def _check_jacobi(self) -> None:
         # J(i,j,k) = [[e_i,e_j],e_k] + [[e_j,e_k],e_i] + [[e_k,e_i],e_j] is

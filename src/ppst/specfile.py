@@ -49,7 +49,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Sequence
 
-from .expr import ExprError, RationalExpr
+from .expr import ExprError, RationalExpr, Variables
 from .models import (
     ChartModel,
     FrameModel,
@@ -138,6 +138,10 @@ class _Reader:
 
     def __init__(self, text: str):
         self.sections = _split_sections(text)
+        # (text, variables) -> value of each expression parsed so far: a spec
+        # repeats its entries (most are 0, 1 or -1), parse_expr is pure, and
+        # the reader lives for one import only
+        self.parsed: dict[tuple[str, tuple[str, ...]], RationalExpr] = {}
 
     def require_section(self, name: str) -> None:
         if name not in self.sections:
@@ -169,8 +173,9 @@ def _split_list(value: str) -> list[str]:
     return [part.strip() for part in value.split(",")]
 
 
-def _parse_components(value: str, variables: Sequence[str], dim: int,
-                      field: str, line: int | None) -> list[RationalExpr]:
+def _parse_components(reader: _Reader, value: str, variables: Sequence[str],
+                      dim: int, field: str,
+                      line: int | None) -> list[RationalExpr]:
     parts = _split_list(value)
     if len(parts) != dim:
         raise SpecFileError(f"expected {dim} components, got {len(parts)}",
@@ -180,8 +185,12 @@ def _parse_components(value: str, variables: Sequence[str], dim: int,
         if not part:
             raise SpecFileError("empty component", field=f"{field}[{pos}]",
                                 line=line)
+        key = (part, variables)
         try:
-            comps.append(parse_expr(part, variables))
+            expr = reader.parsed.get(key)
+            if expr is None:
+                expr = reader.parsed[key] = parse_expr(part, variables)
+            comps.append(expr)
         except (ParseError, ExprError) as exc:
             raise SpecFileError(f"bad expression {part!r}: {exc}",
                                 field=f"{field}[{pos}]", line=line) from exc
@@ -205,7 +214,7 @@ def _parse_matrix(reader: _Reader, section: str, dim: int,
             raise SpecFileError(
                 f"{section} shape mismatch: row{i} has {len(parts)} entries, "
                 f"expected {dim}", field=f"{section}.row{i}", line=ent.line)
-        rows.append(_parse_components(ent.value, variables, dim,
+        rows.append(_parse_components(reader, ent.value, variables, dim,
                                       f"{section}.row{i}", ent.line))
     return rows
 
@@ -263,7 +272,9 @@ def _build_model(reader: _Reader) -> tuple[ManifoldModel, str | None]:
 
     if mode == "chart":
         ent = reader.entry("manifold", "coordinates")
-        coords = _parse_names(ent.value, "manifold.coordinates", ent.line)
+        # one Variables for the constraints and the chart they bound
+        coords = Variables(_parse_names(ent.value, "manifold.coordinates",
+                                        ent.line))
         if len(coords) != dim:
             raise SpecFileError(
                 f"dim = {dim} but {len(coords)} coordinates listed",
@@ -272,8 +283,9 @@ def _build_model(reader: _Reader) -> tuple[ManifoldModel, str | None]:
         cons_ent = reader.entry("manifold", "constraints", required=False)
         if cons_ent is not None:
             constraints = _parse_components(
-                cons_ent.value, coords, len(_split_list(cons_ent.value)),
-                "manifold.constraints", cons_ent.line)
+                reader, cons_ent.value, coords,
+                len(_split_list(cons_ent.value)), "manifold.constraints",
+                cons_ent.line)
         if "brackets" in reader.sections:
             raise SpecFileError("section [brackets] requires frame mode",
                                 field="brackets")
@@ -330,7 +342,7 @@ def import_text(text: str) -> ParacontactStructure:
     phi_rows = _parse_matrix(reader, "phi", dim, variables)
     reader.require_section("xi")
     xi_ent = reader.entry("xi", "components")
-    xi_comps = _parse_components(xi_ent.value, variables, dim,
+    xi_comps = _parse_components(reader, xi_ent.value, variables, dim,
                                  "xi.components", xi_ent.line)
 
     eta = None
@@ -345,8 +357,8 @@ def import_text(text: str) -> ParacontactStructure:
                 raise SpecFileError("derived must be 'true'",
                                     field="eta.derived", line=derived_ent.line)
         elif comp_ent is not None:
-            eta_comps = _parse_components(comp_ent.value, variables, dim,
-                                          "eta.components", comp_ent.line)
+            eta_comps = _parse_components(reader, comp_ent.value, variables,
+                                          dim, "eta.components", comp_ent.line)
             eta = TensorField.covector(model, eta_comps)
         else:
             raise SpecFileError("section [eta] needs 'components' or "
@@ -363,7 +375,7 @@ def import_text(text: str) -> ParacontactStructure:
         fields = []
         for i in range(1, dim + 1):
             ent = reader.entry("frame", f"field{i}")
-            comps = _parse_components(ent.value, variables, dim,
+            comps = _parse_components(reader, ent.value, variables, dim,
                                       f"frame.field{i}", ent.line)
             fields.append(TensorField.vector(model, comps))
         declared_frame = tuple(fields)

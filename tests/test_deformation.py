@@ -39,6 +39,15 @@ def test_params_validation():
     assert str(DeformationParams(-2, 4)) == "(alpha=-2, beta=4)"
 
 
+def test_params_refuse_a_float():
+    """Fraction would take a float's binary value (0.1 as
+    3602879701896397/2^55), so a float parameter is refused with the
+    ValueError that alpha = 0 raises too."""
+    for alpha, beta in ((0.1, 4), (1, 0.5), (-2.0, 4)):
+        with pytest.raises(ValueError, match="exact rational"):
+            DeformationParams(alpha, beta)
+
+
 def test_params_compose():
     p = DeformationParams(2, 3).compose(DeformationParams(Fraction(1, 2), 5))
     assert p == DeformationParams(1, 15)

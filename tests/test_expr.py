@@ -174,6 +174,64 @@ def test_op_memo_hits_equal_recomputed_results():
         assert all(type(part) is tuple for part in out)
 
 
+NUMBERS = (0, 1, -1, 2, Fraction(-1, 3), Fraction(7, 2))
+
+
+def _stored(e: RationalExpr) -> tuple:
+    """num, den and str, with each coefficient's type next to it, so that
+    an integral Fraction where the general path gives an int shows."""
+    return (tuple((m, c, type(c)) for m, c in e.num),
+            tuple((m, c, type(c)) for m, c in e.den), str(e))
+
+
+def _kind(e: RationalExpr) -> str:
+    if not e:
+        return "zero"
+    if e.is_constant:
+        return "constant"
+    if e.is_polynomial:
+        return "polynomial"
+    return "multi-term den" if len(e.den) > 1 else "monomial den"
+
+
+def test_number_operand_shortcut_equals_the_general_path():
+    """x + c, c + x, x - c, c - x, x * c, c * x, x / c and c / x for a
+    number c are the values the general path gives with the constant
+    RationalExpr c as operand: the same num, den and text, and a zero
+    divisor raises on both.  The values x are zero, constants, polynomials
+    and multi-term denominators; c is one of NUMBERS or 2 as a Fraction.
+    No shortcut adds an entry to the op memo."""
+    rng = random.Random(2029)
+    values = [X - X, RationalExpr.constant(Fraction(5, 3), VARS),
+              X * Y - 2 * Z + 1, X / (1 + Y ** 2 + Z)]
+    values += [random_expr(rng) for _ in range(60)]
+    kinds = {_kind(e) for e in values}
+    assert {"zero", "constant", "polynomial", "multi-term den"} <= kinds
+    forms = {"x + c": lambda x, c: x + c, "c + x": lambda x, c: c + x,
+             "x - c": lambda x, c: x - c, "c - x": lambda x, c: c - x,
+             "x * c": lambda x, c: x * c, "c * x": lambda x, c: c * x,
+             "x / c": lambda x, c: x / c, "c / x": lambda x, c: c / x}
+    shared = Variables(VARS)
+    cases = 0
+    for e in values:
+        x = _on(shared, e)
+        for c in NUMBERS + (Fraction(2),):
+            general = RationalExpr.constant(c, Variables(VARS))
+            y = _on(general.variables, e)
+            for name, form in forms.items():
+                if (name == "x / c" and not c) or (name == "c / x" and not e):
+                    for args in ((x, c), (y, general)):
+                        with pytest.raises(ZeroDenominatorError):
+                            form(*args)
+                    continue
+                got = form(x, c)
+                assert got.variables is shared, name
+                assert _stored(got) == _stored(form(y, general)), (name, str(e), c)
+                cases += 1
+    assert shared.ops == {}
+    assert cases > 3000
+
+
 # -- GCD by trial division, against sympy's cofactors ------------------------
 
 def _sympy_cofactors(variables, a, b):

@@ -114,6 +114,10 @@ def _stored_rational(c) -> bool:
     return type(c) is int or (type(c) is Fraction and c.denominator != 1)
 
 
+def _is_int_zero(x) -> bool:
+    return type(x) is int and x == 0
+
+
 def test_frame_scalars_are_int_or_fraction():
     f = example_frame()
     for value in (3, "3", Fraction(3), RationalExpr.constant(3, ("x",))):
@@ -126,6 +130,45 @@ def test_frame_scalars_are_int_or_fraction():
         f.scalar(0.5)
     assert all(type(c) is int for c in f.bracket_vector(1, 0))
     assert all(type(c) is int for c in f.orthonormal_metric().data)
+
+
+def test_chart_scalars_take_the_frame_rule_for_constants():
+    """A chart stores a constant value (an int, a Fraction, a constant
+    string or a constant RationalExpr) as a frame does, and keeps only a
+    non-constant value as a RationalExpr on its coordinates.  Its
+    constraints stay RationalExprs.  sign and defined_on_domain answer a
+    plain number as a frame does."""
+    m = ChartModel(("x", "y", "z"), constraints=("2", "x"))
+    for value in (3, "3", "6/2", Fraction(3), RationalExpr.constant(3, ("x", "y", "z")),
+                  parse_expr("(3*x)/x", ("x", "y", "z"))):
+        assert type(m.scalar(value)) is int and m.scalar(value) == 3
+    for value in ("-1/2", Fraction(-1, 2),
+                  RationalExpr.constant(Fraction(-1, 2), ("x", "y", "z"))):
+        assert type(m.scalar(value)) is Fraction and m.scalar(value) == Fraction(-1, 2)
+    x = m.scalar("x/(1 + z^2)")
+    assert isinstance(x, RationalExpr) and x.variables is m.coordinates
+    with pytest.raises(GeometryError, match="wrong variables"):
+        m.scalar(RationalExpr.constant(3, ("u", "v", "w")))
+    assert all(isinstance(c, RationalExpr) and c.variables is m.coordinates
+               for c in m.constraints)
+    assert [str(c) for c in m.constraints] == ["2", "x"]
+    assert [m.sign(v) for v in (3, Fraction(-1, 2))] == [1, -1]
+    assert m.defined_on_domain(Fraction(1, 2)) and m.defined_on_domain(0)
+
+
+def test_float_refused_on_both_fields():
+    """A float would be rounded, so a chart and a frame both refuse it, as
+    a scalar and as the entry of a tensor field, with one message."""
+    chart, frame = ChartModel(("x", "y", "z")), example_frame()
+    for model in (chart, frame):
+        with pytest.raises(GeometryError,
+                           match="^scalars are exact rationals, got 0.5$"):
+            model.scalar(0.5)
+        with pytest.raises(GeometryError,
+                           match="^scalars are exact rationals, got 0.5$"):
+            TensorField.vector(model, (0.5, 0, 1))
+    with pytest.raises(GeometryError, match="exact rationals"):
+        ChartModel(("x", "y", "z"), constraints=(0.5,))
 
 
 def _count_kernel_calls(monkeypatch) -> dict[str, int]:
@@ -253,15 +296,18 @@ def test_chart_pipeline_canonical_count(monkeypatch):
 
 
 def test_chart_pipeline_op_memo_misses():
-    """Pinned count of the sums, products and partial derivatives the
-    chart-1+z2 pipeline computes: each miss of the chart's op memo adds one
-    entry, and every other operation is a hit.  A key that stopped hits
-    (say one holding the operands themselves) would raise this count."""
+    """Pinned count of the sums, products and partial derivatives of two
+    RationalExprs the chart-1+z2 pipeline computes: each miss of the
+    chart's op memo adds one entry, and every other operation is a hit.  A
+    number operand takes a shortcut past the memo, and a constant is
+    stored as a number.  A key that stopped hits (say one holding the
+    operands themselves) would raise this count, and so would constants
+    kept as RationalExprs (418 in a copy that keeps them)."""
     s = golden_structure("chart-1+z2.spec")
     ops = s.model.coordinates.ops
     before = len(ops)
     _run_pipeline(s)
-    assert len(ops) - before == 444
+    assert len(ops) - before == 307
 
 
 def test_chart_memo_is_per_chart(monkeypatch):
@@ -281,7 +327,7 @@ def test_chart_memo_is_per_chart(monkeypatch):
         counts.append((imported, len(ops) - imported,
                        calls["_poly_gcd"] - before, factorizations[0]))
         memos.append(ops)
-    assert counts == [(14, 444, 45, FACTORIZATIONS)] * 2
+    assert counts == [(14, 307, 45, FACTORIZATIONS)] * 2
     assert memos[0] is not memos[1]
 
 
@@ -289,7 +335,8 @@ def test_coefficients_are_int_or_fraction_and_numbers_leave_as_fraction(
         monkeypatch):
     """An integral coefficient is stored as an int, any other as a Fraction
     with denominator != 1, and no coefficient is a float; constants and
-    point values leave the kernel as Fraction."""
+    point values leave the kernel as Fraction.  A chart stores a constant
+    as a frame does, by the same rule."""
     s = golden_structure("chart-1+z2.spec")
     built = []
     set_ = RationalExpr._set
@@ -304,9 +351,11 @@ def test_coefficients_are_int_or_fraction_and_numbers_leave_as_fraction(
     coefficients = [c for num, den in built for _, c in num + den]
     assert not [c for c in coefficients if not _stored_rational(c)]
     assert {int, Fraction} == set(map(type, coefficients))
-    assert type(r.evaluate({"x": 1, "y": 3, "z": -2})) is Fraction
-    assert type(s.g[(1, 1)].constant_value()) is Fraction
+    assert type(r) is int and r == 8
+    assert type(s.g[(0, 2)].evaluate({"x": 1, "y": 3, "z": -2})) is Fraction
+    assert type(s.g[(1, 1)]) is int and s.g[(1, 1)] == -1
     assert type(constant_value(s.g[(1, 1)])) is Fraction
+    assert type(RationalExpr.constant(8, ("x",)).constant_value()) is Fraction
     assert type(RationalExpr.constant(0, ("x",)).constant_value()) is Fraction
     frame = golden_structure("heisenberg5-c4.spec").model
     assert all(_stored_rational(c) for c in frame.constants.data)
@@ -357,12 +406,15 @@ def test_no_frame_pipeline_stores_a_float_or_an_integral_fraction(monkeypatch):
 
 
 def test_chart_tensors_share_the_coordinates_memo(monkeypatch):
-    """Every scalar of a chart's tensors is a RationalExpr on the model's
-    Variables object: every field the chart-1+z2 pipeline builds (the
-    covariant derivatives of the identity suite, B and nabla B of the
-    deformation laws, and the theorem's among them) and both scalar
-    curvatures.  The contraction kernel returns the int 0 for an empty
-    sum, so this rests on TensorField coercing every entry it stores."""
+    """Every scalar of a chart's tensors is a non-constant RationalExpr on
+    the model's Variables object, or a constant stored by the frame rule:
+    an int, or a Fraction with denominator != 1.  This holds for every
+    field the chart-1+z2 pipeline builds (the covariant derivatives of the
+    identity suite, B and nabla B of the deformation laws, and the
+    theorem's among them) and both scalar curvatures.  Arithmetic can
+    return a constant RationalExpr, such as x * (1/x), and the contraction
+    kernel returns the int 0 for an empty sum, so this rests on
+    TensorField coercing every entry it stores."""
     built = []
     init = TensorField.__init__
 
@@ -388,8 +440,10 @@ def test_chart_tensors_share_the_coordinates_memo(monkeypatch):
     scalars = [c for t in built + tensors for c in t.data]
     scalars += [t.ricci[1] for t in (s, deformed)]
     scalars += [t.star_ricci[1] for t in (s, deformed)]
-    assert all(isinstance(c, RationalExpr) and c.variables is model.coordinates
-               for c in scalars)
+    assert not [c for c in scalars if not (
+        _stored_rational(c) if not isinstance(c, RationalExpr)
+        else c.variables is model.coordinates and not c.is_constant)]
+    assert {int, Fraction, RationalExpr} == set(map(type, scalars))
 
 
 # -- tensor fields -----------------------------------------------------------
@@ -487,7 +541,7 @@ def test_exterior_derivative_one_form_chart():
     # 2 deta(d/dy, d/dz) = d/dy(-4y/z) => deta = (2/z) dz^dy component form
     assert deta[(1, 2)] == m.scalar("-2/z")
     assert deta[(2, 1)] == m.scalar("2/z")
-    assert deta[(0, 1)].is_zero and deta[(0, 2)].is_zero
+    assert _is_int_zero(deta[(0, 1)]) and _is_int_zero(deta[(0, 2)])
 
 
 def test_exterior_derivative_frame():
@@ -604,7 +658,7 @@ def test_lie_derivative_metric_dilation():
     X = TensorField.vector(m, ("x", "0", "0"))
     lg = lie_derivative(g, X)
     assert lg[(0, 0)] == 2
-    assert lg[(1, 1)].is_zero
+    assert _is_int_zero(lg[(1, 1)])
 
 
 def test_lie_derivative_one_form():
@@ -613,7 +667,7 @@ def test_lie_derivative_one_form():
     X = TensorField.vector(m, ("0", "1", "0"))
     lw = lie_derivative(w, X)
     assert lw[0] == 1
-    assert lw[1].is_zero and lw[2].is_zero
+    assert _is_int_zero(lw[1]) and _is_int_zero(lw[2])
 
 
 def test_lie_derivative_endomorphism_frame():

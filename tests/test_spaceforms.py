@@ -331,7 +331,7 @@ def test_search_refuses_a_float_grid_value_before_building(monkeypatch):
     so the grid goes through the frame scalar rule and is refused."""
     built = _count_standard_structures(monkeypatch)
     with pytest.raises(GeometryError,
-                       match="frame scalars are exact rationals, got 0.1"):
+                       match="^scalars are exact rationals, got 0.1$"):
         search_constant_negative_curvature((0.1, 0))
     assert built == []
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from ppst import specfile
 from ppst.spaceforms import model_catalog
 from ppst.specfile import (
     SpecFileError,
@@ -118,6 +119,19 @@ row3 = 0, 0, 0
 [xi]
 components = 0, 0, 1
 """
+
+
+def test_import_parses_each_distinct_entry_once(monkeypatch):
+    """The 21 entries of MINIMAL_CHART hold three distinct texts, so its
+    import parses three times; a second import parses them afresh."""
+    texts = []
+    parse = specfile.parse_expr
+    monkeypatch.setattr(specfile, "parse_expr", lambda text, variables: (
+        texts.append(text) or parse(text, variables)))
+    import_text(MINIMAL_CHART)
+    assert sorted(texts) == ["-1", "0", "1"]
+    import_text(MINIMAL_CHART)
+    assert sorted(texts[3:]) == ["-1", "0", "1"]
 
 
 def test_omitted_eta_is_derived():

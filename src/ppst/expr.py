@@ -639,17 +639,15 @@ class RationalExpr:
             return NotImplemented
         if exponent < 0:
             return self._reciprocal() ** (-exponent)
-        # square-and-multiply: O(log exponent) products; canonical form
-        # makes the result independent of the multiplication order
-        out = RationalExpr.constant(1, self.variables)
-        base = self
+        # square-and-multiply from the first factor: O(log exponent) products
+        out, base = None, self
         while exponent:
             if exponent & 1:
-                out = out * base
+                out = base if out is None else out * base
             exponent >>= 1
             if exponent:
                 base = base * base
-        return out
+        return RationalExpr.constant(1, self.variables) if out is None else out
 
     # -- calculus -----------------------------------------------------------
 

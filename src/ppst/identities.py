@@ -33,13 +33,18 @@ Keys, in canonical order, with the identity each one checks
 Every residual is judged symbolically: it passes only when it vanishes
 identically, so a verdict holds at every point of the domain.  No residual
 is ever evaluated at a point.
+
+phi permutes the phi-basis: phi X_i = Y_i, phi Y_i = X_i (as phi^2 =
+Id - eta (x) xi and eta(X_i) = 0) and phi xi = 0.  So phi b_c = b_sigma(c),
+sigma swapping i and n+i, and a table entry at phi b_c is read at
+b_sigma(c), or is 0 at xi, not recomputed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from itertools import product
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .curvature import covariant_derivative
 from .linalg import bilinear, block_bilinear, dot, mat_vec, signed_sum, trace_product
@@ -63,17 +68,21 @@ class IdentityReport:
 class _Context:
     """Precomputed basis contractions shared by all identities.
 
-    With b_a the phi-basis fields, R3[a][b][c] = R(b_a, b_b) b_c and
-    R3_phi[a][b][c] = R(b_a, b_b) phi b_c are vectors, and the curvature
-    identities read the tables
+    With b_a the phi-basis fields, R3[a][b][c] = R(b_a, b_b) b_c are
+    vectors, and the curvature identities read the tables
 
       gR[a][b][c][e]    = g(R(b_a, b_b) b_c, b_e),
-      gRphi[a][b][c][e] = g(R(b_a, b_b) phi b_c, phi b_e),
+      gRphi[a][b][c][e] = g(R(b_a, b_b) phi b_c, phi b_e).
 
-    built once from them through the contraction kernel.  When the
-    phi-basis is the model's frame (build_phi_basis returns an orthonormal
-    frame with phi swapping e_i and e_{n+i} as itself), every column is an
-    int unit vector, so each contraction reads one entry per argument, and
+    Each row gR[a][b][c] is one ``mat_vec`` of the covectors g b_e with
+    R3[a][b][c], so its support is found once.  Tables at phi b_c are read
+    through sigma (``_phi_read``): gRphi from gR, A_phi_b from A_b, gAphi
+    from gA, once phi b_c = b_sigma(c) and phi xi = 0 are checked as
+    computed (a StructureError names the field where that fails; a
+    structure that passes its axioms never does).  When the phi-basis is
+    the model's frame (build_phi_basis returns an orthonormal frame with
+    phi swapping e_i and e_{n+i} as itself), every column is an int unit
+    vector, so each contraction reads one entry per argument, and
     witnesses use the model's labels.
     """
 
@@ -84,43 +93,40 @@ class _Context:
         self.d = d
         self.cols = [b.vec() for b in s.phi_basis]
         self.labels = self._label_basis()
+        self.sigma = tuple(range(model.n, d - 1)) + tuple(range(model.n))
         grows = s.g.rows()
         ph = s.phi.rows()
         A = s.A.rows()
         ev = s.eta.data
-        self.g_rows = grows
         self.xi_vec = s.xi.vec()
         # basis images and pairings
-        self.phi_b = [mat_vec(ph, c) for c in self.cols]
+        phi_b = [mat_vec(ph, c) for c in self.cols]
+        names = self._phi_read(self.labels, "0")
+        for c, want in enumerate(self._phi_read(self.cols, (0,) * d)):
+            if phi_b[c] != want:
+                raise StructureError(f"phi-basis: phi({self.labels[c]}) != {names[c]}")
         self.A_b = [mat_vec(A, c) for c in self.cols]
-        self.A_phi_b = [mat_vec(A, v) for v in self.phi_b]
+        self.A_phi_b = self._phi_read(self.A_b, (0,) * d)
         self.phi_A_b = [mat_vec(ph, v) for v in self.A_b]
         self.eta_b = [dot(ev, c) for c in self.cols]
         self.gA = [[bilinear(grows, self.A_b[a], self.cols[b]) for b in range(d)]
                    for a in range(d)]
-        self.gAphi = [[bilinear(grows, self.A_b[a], self.phi_b[b])
-                       for b in range(d)] for a in range(d)]
+        self.gAphi = [self._phi_read(row, 0) for row in self.gA]
         self.gAA = [[bilinear(grows, self.A_b[a], self.A_b[b]) for b in range(d)]
                     for a in range(d)]
         # curvature applied to basis triples: R3[a][b][c] = R(b_a, b_b) b_c,
-        # where the operator R(b_a, b_b) has rows l
+        # where the operator R(b_a, b_b) has rows l; g(u, b_e) = g_b[e] . u
         R = s.curvature.data
-        self.R3, self.R3_phi = [], []
-        for a in range(d):
-            ops = []
-            for b in range(d):
-                op = block_bilinear(R, self.cols[a], self.cols[b])
-                ops.append([op[l * d:(l + 1) * d] for l in range(d)])
+        self.R3 = []
+        for u in self.cols:
+            ops = [block_bilinear(R, u, v) for v in self.cols]
+            ops = [[op[l * d:(l + 1) * d] for l in range(d)] for op in ops]
             self.R3.append([[mat_vec(op, c) for c in self.cols] for op in ops])
-            self.R3_phi.append([[mat_vec(op, v) for v in self.phi_b]
-                                for op in ops])
-        # g b_e and g phi b_e as covectors: g(u, b_e) = u . g b_e
         g_b = [mat_vec(grows, c) for c in self.cols]
-        g_phi_b = [mat_vec(grows, v) for v in self.phi_b]
-        self.gR = [[[[dot(u, w) for w in g_b] for u in rab]
-                    for rab in ra] for ra in self.R3]
-        self.gRphi = [[[[dot(u, w) for w in g_phi_b] for u in rab]
-                       for rab in ra] for ra in self.R3_phi]
+        self.gR = [[[mat_vec(g_b, u) for u in rab] for rab in ra] for ra in self.R3]
+        self.gRphi = [[[self._phi_read(row, 0)
+                        for row in self._phi_read(gRab, (0,) * d)]
+                       for gRab in gRa] for gRa in self.gR]
         self.xi_index = d - 1  # basis order puts xi last
         # covariant derivatives as (1,2)/(0,2) tensors, then basis-contracted:
         # nabla_phi_b[a][b] = (nabla_{b_a} phi) b_b, likewise nabla_A_b
@@ -143,6 +149,10 @@ class _Context:
         # operator traces (basis independent, computed over model indices)
         self.tr_phiA = trace_product(ph, A)
         self.tr_A2 = trace_product(A, A)
+
+    def _phi_read(self, values: Sequence, zero) -> list:
+        """values[c] read at phi b_c: values[sigma(c)], and zero at xi."""
+        return [values[c] for c in self.sigma] + [zero]
 
     def _label_basis(self) -> tuple[str, ...]:
         model = self.model
@@ -183,12 +193,12 @@ def _residual_fn(ctx: _Context, key: str):
     if key == "P2":
         return 1, lambda b: tuple(ctx.A_phi_b[b][l] - ctx.phi_A_b[b][l]
                                   for l in range(d))
-    if key == "P3":
-        return 2, lambda a, b: (bilinear(ctx.g_rows, ctx.A_phi_b[a], ctx.phi_b[b])
-                                + ctx.gA[a][b])
-    if key == "P4":
-        return 2, lambda a, b: (bilinear(ctx.g_rows, ctx.A_phi_b[a], ctx.cols[b])
-                                + ctx.gAphi[a][b])
+    if key == "P3":  # g(A phi b_a, phi b_b) = gAphi[sigma(a)][b]
+        gA_phi = ctx._phi_read(gAphi, (0,) * d)
+        return 2, lambda a, b: gA_phi[a][b] + gA[a][b]
+    if key == "P4":  # g(A phi b_a, b_b) = gA[sigma(a)][b]
+        gA_phi = ctx._phi_read(gA, (0,) * d)
+        return 2, lambda a, b: gA_phi[a][b] + gAphi[a][b]
     if key == "R1":
         def res(a, b):
             lead = ctx.R3[xi][a][b]
@@ -207,13 +217,20 @@ def _residual_fn(ctx: _Context, key: str):
     if key == "R1.3":
         return 0, lambda: ctx.S_b[xi][xi] + ctx.tr_A2
     if key == "RXYY":
+        # the A-terms M[a][b][c][e] and the eta-terms E[a][b][c][e] at
+        # (X, Y, Z, W) = (b_a, b_b, b_c, b_e), each built once
+        pairs = [list(zip(row_phi, row)) for row_phi, row in zip(gAphi, gA)]
+        M = [[[mat_vec(pa, q) for q in pb] for pb in pairs] for pa in pairs]
+
+        def eta_terms(gRab):
+            rows = [(eta[e], gRab[xi][e]) for e in range(d)]
+            return [mat_vec(rows, (gRab[c][xi], eta[c])) for c in range(d)]
+        E = [[eta_terms(gRab) for gRab in gRa] for gRa in gR]
+
         def val(a, b, c, e):
-            gRab = gR[a][b]
-            return signed_sum(
-                (gRphi[a][b][c][e], gRab[c][e],
-                 dot((gAphi[a][e], gA[a][e]), (gAphi[b][c], gA[b][c]))),
-                (dot((eta[e], eta[c]), (gRab[c][xi], gRab[xi][e])),
-                 dot((gAphi[a][c], gA[a][c]), (gAphi[b][e], gA[b][e]))))
+            Mab = M[a][b]
+            return signed_sum((gRphi[a][b][c][e], gR[a][b][c][e], Mab[c][e]),
+                              (E[a][b][c][e], Mab[e][c]))
         return 4, val
     if key == "S1":
         def val(a, b):

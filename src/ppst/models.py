@@ -642,26 +642,28 @@ def _derivation(T: TensorField, act, images: Sequence[Vec]) -> list[Scalar]:
 
       D(T)^{..i..}_{..j..} = act(T^{..i..}_{..j..})
           + sum_m B_m^i T^{..m..}_{..j..} - sum_m B_j^m T^{..i..}_{..m..}
+
+    Scatter form: each nonzero component of T adds its terms to the
+    components it feeds, and ``act`` (0 on a zero component, on both
+    fields) sees nonzero components only.  Slot by slot, and within a slot
+    in offset order (m ascending for each output), every output adds the
+    gather's terms in the gather's order, so each sum is the gather's.
     """
     d = T.model.dim
     r, s = T.valence
-    # terms[i] lists (m, B) for the slot term at index i
-    upper = [[(m, images[m][i]) for m in range(d) if images[m][i]] for i in range(d)]
-    lower = [[(m, images[i][m]) for m in range(d) if images[i][m]] for i in range(d)]
-    slots = list(zip([upper] * r + [lower] * s,
-                     [d ** (r + s - 1 - q) for q in range(r + s)],
-                     [True] * r + [False] * s))
-    data = T.data
-    out = []
-    for off, (idx, t) in enumerate(T.items()):
-        val = act(t)
-        for i, (terms, stride, add) in zip(idx, slots):
-            base = off - i * stride
-            for m, c in terms[i]:
-                other = data[base + m * stride]
-                if other:
-                    val = val + c * other if add else val - c * other
-        out.append(val)
+    # upper[m] and lower[m] list (i, B) for each output index i that m feeds
+    upper = [[(i, c) for i, c in enumerate(images[m]) if c] for m in range(d)]
+    lower = [[(j, images[j][m]) for j in range(d) if images[j][m]] for m in range(d)]
+    support = [(off, t) for off, t in enumerate(T.data) if t]
+    out = [act(t) if t else 0 for t in T.data]
+    for q in range(r + s):
+        stride = d ** (r + s - 1 - q)
+        for off, t in support:
+            m = off // stride % d
+            base = off - m * stride
+            for i, c in (upper if q < r else lower)[m]:
+                o = base + i * stride
+                out[o] = out[o] + c * t if q < r else out[o] - c * t
     return out
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import sys
 from itertools import combinations, product
 
 import pytest
@@ -15,7 +16,7 @@ from _models import (
     golden_structure,
     negative_curvature_frame,
 )
-from ppst import identities
+from ppst import identities, linalg
 from ppst.identities import IDENTITY_KEYS, run_suite
 from ppst.linalg import bilinear, dot, invert_matrix, mat_vec, nullspace
 from ppst.models import FrameModel, TensorField
@@ -23,16 +24,24 @@ from ppst.spaceforms import check_constant_curvature_theorem, get_model
 from ppst.structures import ParacontactStructure, StructureError
 
 
-@pytest.mark.parametrize("spec", ["heisenberg5-c4.spec", "chart-1+z2.spec"])
+@pytest.mark.parametrize("spec", ["heisenberg5-c4.spec", "heisenberg5-c-2.spec",
+                                  "chart-1+z2.spec", "chart-1+y2+z.spec"])
 def test_curvature_tables_match_the_operator(spec):
     """gR and gRphi against g(R(b_a, b_b) u, w), with the operator
-    R(b_a, b_b) summed from the Riemann components."""
+    R(b_a, b_b) summed from the Riemann components, and A_phi_b and gAphi
+    against A and g applied to the computed phi b_c: the tables read
+    through the phi permutation are the ones computed at phi b_c."""
     s = golden_structure(spec)
     ctx = identities._Context(s)
-    g, ph = s.g.rows(), s.phi.rows()
+    g, ph, A = s.g.rows(), s.phi.rows(), s.A.rows()
     cols = [b.vec() for b in s.phi_basis]
     phi_cols = [mat_vec(ph, c) for c in cols]
     d = len(cols)
+    for c in range(d):
+        assert list(ctx.A_phi_b[c]) == list(mat_vec(A, phi_cols[c]))
+        for a in range(d):
+            assert ctx.gAphi[a][c] == bilinear(g, mat_vec(A, cols[a]),
+                                               phi_cols[c])
     R = s.curvature
     for a, b in product(range(d), repeat=2):
         op = [[sum((R[(l, k, i, j)] * cols[a][i] * cols[b][j]
@@ -43,6 +52,46 @@ def test_curvature_tables_match_the_operator(spec):
                 g, mat_vec(op, cols[c]), cols[e])
             assert ctx.gRphi[a][b][c][e] == bilinear(
                 g, mat_vec(op, phi_cols[c]), phi_cols[e])
+
+
+@pytest.mark.parametrize("field, change, message", [
+    (0, lambda f, basis: f * 2, r"^phi-basis: phi\(X1\) != Y1$"),
+    (-1, lambda f, basis: f + basis[0], r"^phi-basis: phi\(xi\) != 0$"),
+], ids=["X1-doubled", "xi-plus-X1"])
+def test_context_refuses_a_basis_that_phi_does_not_permute(field, change,
+                                                           message):
+    """The phi-tables are read through sigma only once phi b_c = b_sigma(c)
+    and phi xi = 0 hold as computed; a basis that breaks either is
+    refused, naming the field."""
+    s = golden_structure("heisenberg5-c4.spec")
+    basis = list(s.phi_basis)
+    basis[field] = change(basis[field], basis)
+    s.phi_basis = tuple(basis)  # replaces the cached property's value
+    with pytest.raises(StructureError, match=message):
+        identities._Context(s)
+
+
+def test_identity_suite_kernel_calls(monkeypatch):
+    """Pinned contraction-kernel work of one run_suite on heisenberg5-c4
+    past the structure's own lazy data: 380 dot and 520 mat_vec calls.
+    Each row of gR is one mat_vec, gRphi is gR read through the phi
+    permutation, and RXYY builds its A- and eta-terms once per (a, b)
+    block by mat_vec (3,505 dot and 280 mat_vec calls when gR and gRphi
+    took d^4 dots each and RXYY three dots per argument tuple)."""
+    s = golden_structure("heisenberg5-c4.spec")
+    s.classification(), s.phi_basis, s.ricci, s.star_ricci
+    calls = {"dot": 0, "mat_vec": 0}
+    for name in calls:
+        fn = getattr(linalg, name)
+
+        def counted(*args, _name=name, _fn=fn):
+            calls[_name] += 1
+            return _fn(*args)
+        for key, module in list(sys.modules.items()):
+            if key.startswith("ppst") and getattr(module, name, None) is fn:
+                monkeypatch.setattr(module, name, counted)
+    assert run_suite(s).passed
+    assert calls == {"dot": 380, "mat_vec": 520}
 
 
 def test_identity_keys_canonical_order():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from sympy.polys.rings import PolyElement
@@ -29,6 +30,9 @@ from ppst.models import (
     FrameModel,
     GeometryError,
     TensorField,
+    _apply_vec,
+    _bracket_comps,
+    _derivation,
     constant_ratio,
     constant_value,
     exterior_derivative,
@@ -302,18 +306,23 @@ def test_chart_pipeline_op_memo_misses():
     number operand takes a shortcut past the memo, and a constant is
     stored as a number.  A key that stopped hits (say one holding the
     operands themselves) would raise this count, and so would constants
-    kept as RationalExprs (418 in a copy that keeps them)."""
+    kept as RationalExprs (418 in a copy that keeps them).  The identity
+    suite reads its phi-tables through the phi permutation instead of
+    computing them at phi b_c (9 misses fewer), and a power starts from
+    its first factor, not from the constant 1 (1 more): 307 before both."""
     s = golden_structure("chart-1+z2.spec")
     ops = s.model.coordinates.ops
     before = len(ops)
     _run_pipeline(s)
-    assert len(ops) - before == 307
+    assert len(ops) - before == 299
 
 
 def test_chart_memo_is_per_chart(monkeypatch):
     """Each import of a chart computes, reduces and factors its values
     afresh: the second import's op memo holds only what its own import put
-    there, and no process-wide reuse spares it any work."""
+    there, and no process-wide reuse spares it any work.  A power's
+    product starts from its first factor, not from the constant 1, so the
+    import leaves 11 entries (14 with the products 1 * base)."""
     text = (GOLDEN / "chart-1+z2.spec").read_text(encoding="utf-8")
     calls = _count_kernel_calls(monkeypatch)
     factorizations = _count_factorizations(monkeypatch)
@@ -327,7 +336,7 @@ def test_chart_memo_is_per_chart(monkeypatch):
         counts.append((imported, len(ops) - imported,
                        calls["_poly_gcd"] - before, factorizations[0]))
         memos.append(ops)
-    assert counts == [(14, 307, 45, FACTORIZATIONS)] * 2
+    assert counts == [(11, 299, 45, FACTORIZATIONS)] * 2
     assert memos[0] is not memos[1]
 
 
@@ -736,6 +745,61 @@ def test_lie_derivative_matches_its_definition(build, fields):
     assert any(expected)
     # any valence: on a vector field the Lie derivative is the bracket
     assert lie_derivative(Y, X) == lie_bracket(X, Y)
+
+
+def _gather_derivation(T, act, images):
+    """D(T) as the Leibniz sum read at each output component: act, then
+    the slots left to right, m ascending, + B_m^i on an upper slot and
+    - B_j^m on a lower one, skipping zero terms."""
+    d, r = T.model.dim, T.valence[0]
+    out = []
+    for idx, t in T.items():
+        val = act(t)
+        for q, i in enumerate(idx):
+            for m in range(d):
+                c = images[m][i] if q < r else images[i][m]
+                other = T[idx[:q] + (m,) + idx[q + 1:]]
+                if c and other:
+                    val = val + c * other if q < r else val - c * other
+        out.append(val)
+    return out
+
+
+@pytest.mark.parametrize("spec, fields", GOLDEN_FIELDS,
+                         ids=[spec for spec, _ in GOLDEN_FIELDS])
+def test_derivation_scatter_matches_the_gather(spec, fields):
+    """models._derivation against the gather on seeded sparse tables of
+    six valences, with the images of covariant derivatives (nabla_{e_k}
+    e_m) and of Lie derivatives ([X, e_m]): equal values of equal types,
+    a RationalExpr only on the chart's own Variables."""
+    s = golden_structure(spec)
+    m = s.model
+    d = m.dim
+    rng = random.Random(30)
+    pool = [1, -2, Fraction(1, 2), Fraction(-3, 4)]
+    if isinstance(m, ChartModel):
+        pool += [m.scalar(e) for e in ("x*z", "1/(1+z^2)", "y^2 - x")]
+    conn = s.connection
+    cases = [(partial(m.diff, k), [conn.vector_at(k, j) for j in range(d)])
+             for k in range(d)]
+    for comps in fields:
+        X = TensorField.vector(m, comps).vec()
+        cases.append((partial(_apply_vec, m, X),
+                      [_bracket_comps(m, X, m.delta(j)) for j in range(d)]))
+    nonzero = set()  # the types of the nonzero results
+    for valence in ((1, 0), (0, 1), (1, 1), (0, 2), (1, 2), (1, 3)):
+        T = TensorField(m, valence, [rng.choice(pool) if rng.random() < 0.2
+                                     else 0 for _ in range(d ** sum(valence))])
+        for act, images in cases:
+            got = _derivation(T, act, images)
+            want = _gather_derivation(T, act, images)
+            assert [type(v) for v in got] == [type(v) for v in want]
+            assert got == want
+            assert all(v.variables is m.coordinates for v in got
+                       if isinstance(v, RationalExpr))
+            nonzero.update(type(v) for v in got if v)
+    assert nonzero == ({RationalExpr} if isinstance(m, ChartModel)
+                       else {int, Fraction})
 
 
 # -- chart <-> frame bridge --------------------------------------------------
